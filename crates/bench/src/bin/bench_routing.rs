@@ -14,14 +14,10 @@
 //! * `full_floyd_warshall_ns` — the seed's phase-2+3 path (`Router::compute`
 //!   pinned to [`PathBackend::FloydWarshall`]),
 //! * `full_auto_ns` — the same full recompute under [`PathBackend::Auto`],
-//! * `delta_recompute_ns` — the affected-sources delta path
-//!   (`RecomputeStrategy::AffectedSources`): one battery-bucket drain per
-//!   frame, recomputed in place via `Router::recompute_into` with a
-//!   warmed [`RoutingScratch`] — on a connected fabric this still re-runs
-//!   single-source Dijkstra from every source,
-//! * `incremental_repair_ns` — the same steady-drain loop the simulator
-//!   actually runs: the changed-bitset frame feed
-//!   (`Router::recompute_frame_into`) driving the incremental
+//! * `incremental_repair_ns` — the steady-drain loop the simulator
+//!   actually runs: one battery-bucket drain per frame, recomputed in
+//!   place over a warmed [`RoutingScratch`] through the changed-bitset
+//!   frame feed (`Router::recompute_frame_into`) driving the incremental
 //!   path-repair pipeline,
 //!
 //! * `churn_repair_ns` — the churn/reconnect loop: per 16-frame period
@@ -58,7 +54,7 @@ use std::time::{Duration, Instant};
 use etx::graph::{NodeBitset, PathBackend};
 use etx::metrics::{CounterId, GaugeId, MetricsHandle, Registry, SpanId};
 use etx::prelude::*;
-use etx::routing::{FrameDelta, RecomputeStrategy, RoutingScratch, RoutingState};
+use etx::routing::{FrameDelta, RoutingScratch, RoutingState};
 
 fn best_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -86,7 +82,6 @@ struct Point {
     auto_backend: &'static str,
     full_floyd_warshall_ns: f64,
     full_auto_ns: f64,
-    delta_recompute_ns: f64,
     incremental_repair_ns: f64,
     /// Per-frame cost of the churn/reconnect loop (one disconnect +
     /// reconnect pair per [`CHURN_PERIOD`], recharge/drain pulse pairs
@@ -177,7 +172,7 @@ fn repair_frame_percentiles(
     report: &SystemReport,
     samples: usize,
 ) -> (f64, f64, f64) {
-    let router = Router::new(Algorithm::Ear).with_strategy(RecomputeStrategy::IncrementalRepair);
+    let router = Router::new(Algorithm::Ear);
     let k = graph.node_count();
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
@@ -227,7 +222,7 @@ fn steady_frame_stats(
     modules: &[Vec<NodeId>],
     report: &SystemReport,
 ) -> (f64, f64) {
-    let router = Router::new(Algorithm::Ear).with_strategy(RecomputeStrategy::IncrementalRepair);
+    let router = Router::new(Algorithm::Ear);
     let k = graph.node_count();
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
@@ -328,7 +323,7 @@ fn churn_repair_stats(
     report: &SystemReport,
     budget: Duration,
 ) -> (f64, f64) {
-    let router = Router::new(Algorithm::Ear).with_strategy(RecomputeStrategy::IncrementalRepair);
+    let router = Router::new(Algorithm::Ear);
     let k = graph.node_count();
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
@@ -373,9 +368,8 @@ fn churn_repair_stats(
 }
 
 /// Times the simulator's steady-state loop — one battery-bucket drain
-/// per frame, recomputed in place over warmed buffers — under `router`'s
-/// configured strategy. `frame_feed` selects the engine's changed-bitset
-/// path (`recompute_frame_into`) over the legacy rebuild-and-diff one.
+/// per frame, recomputed in place over warmed buffers through the
+/// engine's changed-bitset path (`recompute_frame_into`).
 ///
 /// Measured as the best complete [`CHURN_PERIOD`]-frame window averaged
 /// to a per-frame figure — the same protocol as
@@ -384,26 +378,22 @@ fn churn_repair_stats(
 /// class; a best-*single*-frame figure would report the luckiest node
 /// instead of the steady state.)
 fn steady_drain_ns(
-    router: &Router,
     graph: &etx::graph::DiGraph,
     modules: &[Vec<NodeId>],
     report: &SystemReport,
     budget: Duration,
-    frame_feed: bool,
 ) -> f64 {
+    let router = Router::new(Algorithm::Ear);
     let k = graph.node_count();
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
     let mut current = report.clone();
-    let mut old = SystemReport::fresh(0, 1);
     let mut bits = NodeBitset::with_capacity(k);
     router.compute_into(graph, modules, &current, None, &mut scratch, &mut state);
     let mut frame = 0usize;
     let mut drain_one = move |current: &mut SystemReport,
-                              old: &mut SystemReport,
                               scratch: &mut RoutingScratch,
                               state: &mut RoutingState| {
-        old.clone_from(current);
         let node = NodeId::new((frame * 7 + 3) % k);
         let level = current.battery_level(node);
         if level == 0 {
@@ -412,27 +402,23 @@ fn steady_drain_ns(
             current.set_battery_level(node, level - 1);
         }
         frame += 1;
-        if frame_feed {
-            bits.clear();
-            bits.insert(node);
-            router.recompute_frame_into(
-                graph,
-                modules,
-                current,
-                FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
-                scratch,
-                state,
-            );
-        } else {
-            router.recompute_into(graph, modules, old, current, scratch, state);
-        }
+        bits.clear();
+        bits.insert(node);
+        router.recompute_frame_into(
+            graph,
+            modules,
+            current,
+            FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
+            scratch,
+            state,
+        );
     };
     for _ in 0..8 {
-        drain_one(&mut current, &mut old, &mut scratch, &mut state);
+        drain_one(&mut current, &mut scratch, &mut state);
     }
     let window_ns = best_ns(budget, || {
         for _ in 0..CHURN_PERIOD {
-            drain_one(&mut current, &mut old, &mut scratch, &mut state);
+            drain_one(&mut current, &mut scratch, &mut state);
         }
     });
     window_ns / CHURN_PERIOD as f64
@@ -582,25 +568,9 @@ fn measure(side: usize, budget: Duration) -> Point {
         std::hint::black_box(auto.compute(std::hint::black_box(&graph), &modules, &report, None));
     });
 
-    // The two steady-state simulator paths, over identical drain loops:
-    // affected-sources re-solve (report-diff fed) vs the engine's real
-    // loop — incremental path repair on the changed-bitset frame feed.
-    let delta_recompute_ns = steady_drain_ns(
-        &Router::new(Algorithm::Ear).with_strategy(RecomputeStrategy::AffectedSources),
-        &graph,
-        &modules,
-        &report,
-        budget,
-        false,
-    );
-    let incremental_repair_ns = steady_drain_ns(
-        &Router::new(Algorithm::Ear).with_strategy(RecomputeStrategy::IncrementalRepair),
-        &graph,
-        &modules,
-        &report,
-        budget,
-        true,
-    );
+    // The engine's steady-state loop: incremental path repair on the
+    // changed-bitset frame feed.
+    let incremental_repair_ns = steady_drain_ns(&graph, &modules, &report, budget);
 
     let (churn_repair_ns, decrease_repairs_per_frame) =
         churn_repair_stats(&graph, &modules, &report, budget);
@@ -619,7 +589,6 @@ fn measure(side: usize, budget: Duration) -> Point {
         auto_backend,
         full_floyd_warshall_ns,
         full_auto_ns,
-        delta_recompute_ns,
         incremental_repair_ns,
         churn_repair_ns,
         repair_table_entries_per_frame,
@@ -657,8 +626,8 @@ fn main() {
         };
         let point = measure(side, budget);
         eprintln!(
-            "K={:4} ({}x{}, auto={}): full_fw={:.0}ns full_auto={:.0}ns delta={:.0}ns \
-             repair={:.0}ns ({:.1}x over delta, {:.1}x over seed) churn={:.0}ns \
+            "K={:4} ({}x{}, auto={}): full_fw={:.0}ns full_auto={:.0}ns \
+             repair={:.0}ns ({:.1}x over seed) churn={:.0}ns \
              ({:.1}x over drain, {:.1} decrease-repairs/frame); \
              table {:.1}/{} entries, {:.1}/{} nodes scanned per repair frame",
             point.k,
@@ -667,9 +636,7 @@ fn main() {
             point.auto_backend,
             point.full_floyd_warshall_ns,
             point.full_auto_ns,
-            point.delta_recompute_ns,
             point.incremental_repair_ns,
-            point.delta_recompute_ns / point.incremental_repair_ns,
             point.full_floyd_warshall_ns / point.incremental_repair_ns,
             point.churn_repair_ns,
             point.churn_repair_ns / point.incremental_repair_ns,
@@ -714,14 +681,7 @@ fn main() {
             let k = graph.node_count();
             let modules = module_stripes(k);
             let report = striped_report(k);
-            steady_drain_ns(
-                &Router::new(Algorithm::Ear).with_strategy(RecomputeStrategy::IncrementalRepair),
-                &graph,
-                &modules,
-                &report,
-                Duration::from_millis(250),
-                true,
-            )
+            steady_drain_ns(&graph, &modules, &report, Duration::from_millis(250))
         });
     let metrics_overhead_frac = metrics_overhead_ns / repair_frame_ns;
     eprintln!(
@@ -746,7 +706,7 @@ fn main() {
         json.push_str(&format!(
             "    {{\"k\": {}, \"mesh\": \"{}x{}\", \"auto_backend\": \"{}\", \
              \"full_floyd_warshall_ns\": {:.0}, \"full_auto_ns\": {:.0}, \
-             \"delta_recompute_ns\": {:.0}, \"incremental_repair_ns\": {:.0}, \
+             \"incremental_repair_ns\": {:.0}, \
              \"churn_repair_ns\": {:.0}, \
              \"repair_table_entries_per_frame\": {:.1}, \
              \"nodes_scanned_per_frame\": {:.1}, \
@@ -760,7 +720,6 @@ fn main() {
             p.auto_backend,
             p.full_floyd_warshall_ns,
             p.full_auto_ns,
-            p.delta_recompute_ns,
             p.incremental_repair_ns,
             p.churn_repair_ns,
             p.repair_table_entries_per_frame,

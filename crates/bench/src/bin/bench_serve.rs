@@ -8,7 +8,7 @@
 //! cargo run -p etx-bench --bin bench_serve --release -- out.json
 //! cargo run -p etx-bench --bin bench_serve --release -- --smoke   # tiny CI sizes
 //! cargo run -p etx-bench --bin bench_serve --release -- \
-//!     --dump out.txt --shards 4 --strategy incremental            # determinism dump
+//!     --dump out.txt --shards 4 --strategy auto                   # determinism dump
 //! ```
 //!
 //! Workloads:
@@ -29,30 +29,19 @@
 //! of queueing without bound.
 //!
 //! `--dump` renders every query's resolved answer as text: CI diffs the
-//! output across shard counts, across `full` vs `incremental` recompute
-//! strategies, and across `--layout soa|aos` execution paths (published
-//! snapshots and both layouts must be byte-identical).
-//!
-//! The `layout` block of the JSON interleaves the struct-of-arrays
-//! planes against the [`AosFrontend`] array-of-structs mirror **in one
-//! process** (alternating reps, min-over-reps ns/query, identical
-//! deterministic batch streams), so the reported speedup is immune to
-//! box-to-box and minute-to-minute drift.
+//! output across shard counts and across `full` vs `auto` recompute
+//! strategies (published snapshots must be byte-identical).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 use etx::fleet::ScenarioSpec;
-use etx::graph::{topology::Mesh2D, NodeId};
 use etx::metrics::{CounterId, MetricsHandle, Registry, SpanId};
-use etx::routing::{Algorithm, RecomputeStrategy, Router, SystemReport};
+use etx::routing::RecomputeStrategy;
 use etx::serve::{
-    run_load, run_wire_load, AosFrontend, EpochPublisher, FleetFrontend, LoadMode, LoadReport,
-    QueryBatch, QueryOutput, QueryResult, Served, ServedConfig, WireLoadReport, WorkloadGen,
-    WorkloadSpec,
+    run_load, run_wire_load, FleetFrontend, LoadMode, LoadReport, QueryBatch, QueryOutput,
+    QueryResult, Served, ServedConfig, WireLoadReport, WorkloadGen, WorkloadSpec,
 };
-use etx::units::Length;
 
 /// A single-topology spec: `count` fabrics of `side`x`side` meshes under
 /// EAR, fixed TDMA/battery scales so the warm-up drains visibly.
@@ -97,144 +86,6 @@ fn describe(point: &Point) {
         r.latency_ns(0.99),
         r.latency_ns(0.999),
     );
-}
-
-/// Per-query nanoseconds for one layout over `batches` deterministic
-/// batches (execute time only; generation excluded). The first batch
-/// warms every buffer and is not timed.
-fn timed_pass(
-    frontend: &FleetFrontend,
-    aos: Option<&AosFrontend>,
-    spec: &WorkloadSpec,
-    batches: u64,
-) -> f64 {
-    let mut generator = WorkloadGen::new(spec.clone());
-    let mut batch = QueryBatch::new();
-    let mut out = QueryOutput::new();
-    let run = |batch: &mut QueryBatch, out: &mut QueryOutput| match aos {
-        Some(aos) => aos.execute(batch, out),
-        None => frontend.execute(batch, out),
-    };
-    generator.fill(frontend, &mut batch);
-    run(&mut batch, &mut out);
-    let mut queries = 0u64;
-    let mut nanos = 0u128;
-    for _ in 0..batches {
-        generator.fill(frontend, &mut batch);
-        let start = Instant::now();
-        run(&mut batch, &mut out);
-        nanos += start.elapsed().as_nanos();
-        queries += batch.len() as u64;
-    }
-    nanos as f64 / queries as f64
-}
-
-/// One lane's interleaved AoS-vs-SoA comparison: alternating rep order,
-/// min-over-reps ns/query for each layout. Both layouts replay the same
-/// SplitMix64 batch stream, so they execute identical queries.
-fn interleaved_lane(
-    frontend: &FleetFrontend,
-    aos: &AosFrontend,
-    spec: &WorkloadSpec,
-    reps: u32,
-    batches: u64,
-) -> (f64, f64) {
-    let (mut best_soa, mut best_aos) = (f64::INFINITY, f64::INFINITY);
-    for rep in 0..reps {
-        let order: [Option<&AosFrontend>; 2] =
-            if rep % 2 == 0 { [None, Some(aos)] } else { [Some(aos), None] };
-        for layout in order {
-            let ns = timed_pass(frontend, layout, spec, batches);
-            match layout {
-                None => best_soa = best_soa.min(ns),
-                Some(_) => best_aos = best_aos.min(ns),
-            }
-        }
-    }
-    (best_soa, best_aos)
-}
-
-/// In-process differential check: the SoA lane-split execution and the
-/// AoS mirror must resolve identical answers (and identical path node
-/// sequences) for identical batches.
-fn assert_layouts_agree(frontend: &FleetFrontend, aos: &AosFrontend, spec: &WorkloadSpec) {
-    let mut soa_gen = WorkloadGen::new(spec.clone());
-    let mut aos_gen = WorkloadGen::new(spec.clone());
-    let (mut soa_batch, mut aos_batch) = (QueryBatch::new(), QueryBatch::new());
-    let (mut soa_out, mut aos_out) = (QueryOutput::new(), QueryOutput::new());
-    for round in 0..3 {
-        soa_gen.fill(frontend, &mut soa_batch);
-        aos_gen.fill(frontend, &mut aos_batch);
-        assert_eq!(soa_batch.queries(), aos_batch.queries(), "batch streams diverged");
-        frontend.execute(&mut soa_batch, &mut soa_out);
-        aos.execute(&mut aos_batch, &mut aos_out);
-        assert_eq!(
-            soa_out.results(),
-            aos_out.results(),
-            "SoA and AoS layouts disagree (round {round})"
-        );
-        for (s, a) in soa_out.results().iter().zip(aos_out.results()) {
-            assert_eq!(soa_out.path_nodes(s), aos_out.path_nodes(a), "path arenas diverged");
-        }
-    }
-}
-
-struct LayoutStats {
-    next_hop: (f64, f64),
-    cost: (f64, f64),
-    path: (f64, f64),
-    mixed: (f64, f64),
-}
-
-/// One module-dense fabric registered directly from a fresh router
-/// compute: `side*side` nodes striped into `modules` modules, so the
-/// phase-3 table has `n * modules` entries — the serving regime where
-/// the table exceeds cache and layout decides the memory traffic
-/// (32 B/lookup AoS vs 12 B + 1 bit across the planes). A single fabric
-/// also takes the batch fast path, so lookups arrive in submission
-/// (i.e. random) order and neither layout gets sorted-sweep prefetch
-/// help.
-fn layout_frontend(side: usize, modules: usize) -> FleetFrontend {
-    let graph = Mesh2D::square(side, Length::from_centimetres(2.05)).to_graph();
-    let k = graph.node_count();
-    let stripes: Vec<Vec<NodeId>> =
-        (0..modules).map(|m| (m..k).step_by(modules).map(NodeId::new).collect()).collect();
-    let report = SystemReport::fresh(k, 16);
-    let state = Router::new(Algorithm::Ear).compute(&graph, &stripes, &report, None);
-    let (mut publisher, reader) = EpochPublisher::new();
-    publisher.publish(&state);
-    let mut frontend = FleetFrontend::new(1);
-    frontend.register(reader, k, stripes.len());
-    frontend
-}
-
-/// The layout shoot-out: one AoS mirror of the same published
-/// snapshots, each query-type lane timed in isolation plus the 8:1:1
-/// mix, everything interleaved in this very process.
-fn measure_layout(smoke: bool) -> LayoutStats {
-    let (side, modules) = if smoke { (8, 16) } else { (32, 512) };
-    let frontend = &layout_frontend(side, modules);
-    let aos = AosFrontend::mirror(frontend);
-    let (reps, batches) = if smoke { (3u32, 8u64) } else { (5, 48) };
-    let batch = |spec: WorkloadSpec| WorkloadSpec { batch: 2_048, ..spec };
-    let lanes = [
-        ("next_hop", batch(WorkloadSpec::point_lookups())),
-        ("cost", batch(WorkloadSpec::path_costs())),
-        ("path", batch(WorkloadSpec::full_paths())),
-        ("mixed", batch(WorkloadSpec::default())),
-    ];
-    assert_layouts_agree(frontend, &aos, &lanes[3].1);
-    let mut timings = [(0.0, 0.0); 4];
-    for (slot, (name, spec)) in timings.iter_mut().zip(&lanes) {
-        *slot = interleaved_lane(frontend, &aos, spec, reps, batches);
-        eprintln!(
-            "layout {name:<9}: SoA {:>7.1} ns/q, AoS {:>7.1} ns/q ({:.2}x)",
-            slot.0,
-            slot.1,
-            slot.1 / slot.0
-        );
-    }
-    LayoutStats { next_hop: timings[0], cost: timings[1], path: timings[2], mixed: timings[3] }
 }
 
 struct DaemonStats {
@@ -283,8 +134,8 @@ fn measure_daemon(side: usize, count: usize, warm: u64, target: u64) -> DaemonSt
     let capacity =
         run_wire_load(addr, &open_spec, LoadMode::Closed, target / 4).expect("capacity wire load");
     // Single-vCPU hosts get multi-millisecond hypervisor steal pauses
-    // that land verbatim in an open-loop tail; like the layout lanes,
-    // every open point takes the best of a few reps (selected by p99)
+    // that land verbatim in an open-loop tail; every open point takes
+    // the best of a few reps (selected by p99)
     // so the report measures the daemon, not the neighbour's VM.
     let best_of = |reps: u32, run: &dyn Fn() -> WireLoadReport| {
         let mut best: Option<WireLoadReport> = None;
@@ -409,9 +260,6 @@ fn bench(smoke: bool, out_path: &str) {
         describe(point);
     }
 
-    eprintln!("interleaving SoA planes vs AoS mirror on a module-dense fabric...");
-    let layout = measure_layout(smoke);
-
     let daemon = measure_daemon(side, big_count, warm, target);
 
     let mut json = String::new();
@@ -468,30 +316,6 @@ fn bench(smoke: bool, out_path: &str) {
         lane_q(SpanId::ServeLatencyCost, 0.50),
         lane_q(SpanId::ServeLatencyPath, 0.50),
     );
-    json.push_str("  \"layout\": {\n");
-    json.push_str(
-        "    \"method\": \"AoS mirror vs SoA planes interleaved in one process; \
-         alternating reps, min-over-reps ns/query, identical batch streams\",\n",
-    );
-    let _ = writeln!(
-        json,
-        "    \"next_hop_lane_ns\": {:.1}, \"cost_lane_ns\": {:.1}, \"path_lane_ns\": {:.1}, \
-         \"mixed_lane_ns\": {:.1},",
-        layout.next_hop.0, layout.cost.0, layout.path.0, layout.mixed.0
-    );
-    let _ = writeln!(
-        json,
-        "    \"aos_next_hop_ns\": {:.1}, \"aos_cost_ns\": {:.1}, \"aos_path_ns\": {:.1}, \
-         \"aos_mixed_ns\": {:.1},",
-        layout.next_hop.1, layout.cost.1, layout.path.1, layout.mixed.1
-    );
-    let _ = writeln!(
-        json,
-        "    \"layout_speedup\": {:.2}, \"mixed_speedup\": {:.2}",
-        layout.next_hop.1 / layout.next_hop.0,
-        layout.mixed.1 / layout.mixed.0
-    );
-    json.push_str("  },\n");
     json.push_str("  \"daemon\": {\n");
     json.push_str(
         "    \"transport\": \"etx-served over loopback TCP; 1 shard (per-core figure); \
@@ -541,18 +365,12 @@ fn bench(smoke: bool, out_path: &str) {
 }
 
 /// Determinism mode: a fixed fleet + fixed workload, every resolved
-/// answer rendered as one line. Byte-identical across `--shards` values,
-/// across `--strategy full|incremental` (published snapshots carry no
-/// trace of how phase 2/3 were computed), and across `--layout soa|aos`
-/// (the plane gather and the struct walk resolve the same entries).
-fn dump(path: &str, shards: usize, strategy: RecomputeStrategy, layout: &str) {
+/// answer rendered as one line. Byte-identical across `--shards` values
+/// and across `--strategy full|auto` (published snapshots carry no
+/// trace of how phase 2/3 were computed).
+fn dump(path: &str, shards: usize, strategy: RecomputeStrategy) {
     let spec = fleet_spec(8, 6, strategy);
     let frontend = FleetFrontend::from_spec(&spec, 4_000, shards).expect("dump spec is valid");
-    let aos = match layout {
-        "soa" => None,
-        "aos" => Some(AosFrontend::mirror(&frontend)),
-        other => panic!("unknown layout `{other}` (expected soa|aos)"),
-    };
     let mut generator =
         WorkloadGen::new(WorkloadSpec { seed: 77, batch: 512, ..WorkloadSpec::default() });
     let mut batch = QueryBatch::new();
@@ -560,10 +378,7 @@ fn dump(path: &str, shards: usize, strategy: RecomputeStrategy, layout: &str) {
     let mut text = String::new();
     for round in 0..3 {
         generator.fill(&frontend, &mut batch);
-        match &aos {
-            Some(aos) => aos.execute(&mut batch, &mut out),
-            None => frontend.execute(&mut batch, &mut out),
-        }
+        frontend.execute(&mut batch, &mut out);
         for (query, result) in batch.queries().iter().zip(out.results()) {
             let _ = write!(text, "round {round} {query:?} => ");
             match result {
@@ -587,7 +402,6 @@ fn main() {
     let mut dump_path: Option<String> = None;
     let mut shards = 2usize;
     let mut strategy = RecomputeStrategy::Auto;
-    let mut layout = "soa".to_string();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -601,13 +415,12 @@ fn main() {
                 strategy = RecomputeStrategy::parse(&name)
                     .unwrap_or_else(|| panic!("unknown strategy `{name}`"));
             }
-            "--layout" => layout = it.next().expect("--layout needs soa|aos"),
             other if !other.starts_with("--") => out_path = Some(other.to_string()),
             other => panic!("unknown flag `{other}`"),
         }
     }
     if let Some(path) = dump_path {
-        dump(&path, shards, strategy, &layout);
+        dump(&path, shards, strategy);
     } else {
         bench(smoke, &out_path.unwrap_or_else(|| "BENCH_serve.json".to_string()));
     }

@@ -92,8 +92,6 @@ pub struct FleetAggregate {
 pub struct RecomputeTally {
     /// Recomputes that ran a full phase 2.
     pub full: u128,
-    /// Recomputes that took the affected-sources delta path.
-    pub delta: u128,
     /// Recomputes that took the incremental repair pipeline.
     pub repair: u128,
     /// Sources repaired in place across all repair recomputes.
@@ -126,7 +124,6 @@ pub struct RecomputeTally {
 impl RecomputeTally {
     fn observe(&mut self, stats: &etx_sim::RecomputeStats) {
         self.full += u128::from(stats.full_recomputes);
-        self.delta += u128::from(stats.delta_recomputes);
         self.repair += u128::from(stats.repair_recomputes);
         self.repaired_sources += u128::from(stats.repaired_sources);
         self.fallback_sources += u128::from(stats.fallback_sources);
@@ -141,7 +138,6 @@ impl RecomputeTally {
 
     fn merge(&mut self, other: &RecomputeTally) {
         self.full += other.full;
-        self.delta += other.delta;
         self.repair += other.repair;
         self.repaired_sources += other.repaired_sources;
         self.fallback_sources += other.fallback_sources;
@@ -238,9 +234,8 @@ impl FleetAggregate {
         // filter it out and diff the (byte-identical) rest.
         let _ = writeln!(
             out,
-            "  \"recompute\": {{\"full\": {}, \"delta\": {}, \"repair\": {}, \"repaired_sources\": {}, \"fallback_sources\": {}, \"decrease_repairs\": {}, \"decrease_nodes_improved\": {}, \"table_delta_rebuilds\": {}, \"table_entries_rebuilt\": {}, \"table_cells_patched\": {}, \"frames_oK_skipped\": {}, \"nodes_scanned\": {}}},",
+            "  \"recompute\": {{\"full\": {}, \"repair\": {}, \"repaired_sources\": {}, \"fallback_sources\": {}, \"decrease_repairs\": {}, \"decrease_nodes_improved\": {}, \"table_delta_rebuilds\": {}, \"table_entries_rebuilt\": {}, \"table_cells_patched\": {}, \"frames_oK_skipped\": {}, \"nodes_scanned\": {}}},",
             self.recompute.full,
-            self.recompute.delta,
             self.recompute.repair,
             self.recompute.repaired_sources,
             self.recompute.fallback_sources,
@@ -300,12 +295,11 @@ impl fmt::Display for FleetAggregate {
         )?;
         writeln!(
             f,
-            "recomputes: {} full, {} delta, {} repair ({} sources repaired, {} re-run, \
+            "recomputes: {} full, {} repair ({} sources repaired, {} re-run, \
              {} decrease-repaired / {} nodes improved); \
              table: {} delta rebuilds, {} entries ({} challenge-patched); \
              frame scans: {} O(K) skipped, {} nodes",
             self.recompute.full,
-            self.recompute.delta,
             self.recompute.repair,
             self.recompute.repaired_sources,
             self.recompute.fallback_sources,

@@ -10,8 +10,8 @@
 //!
 //! Options: `--preset NAME` (mixed|smoke|churn), `--spec FILE`,
 //! `--instances N`, `--seed S`, `--shards N`,
-//! `--strategy full|affected|incremental|auto` (routing recompute
-//! strategy; cost-only, results are identical),
+//! `--strategy full|auto` (routing recompute strategy; cost-only,
+//! results are identical),
 //! `--feed bitset|report-diff` (engine frame feed; cost-only, results
 //! are identical), `--json`, `--print-spec`, `--smoke` (shorthand for
 //! `--preset smoke`, defaulting to 2 shards unless `--shards` is
@@ -98,9 +98,10 @@ fn parse_args() -> Result<Options, String> {
             }
             "--strategy" => {
                 let name = args.next().ok_or("--strategy needs a value")?;
-                strategy = Some(RecomputeStrategy::parse(&name).ok_or_else(|| {
-                    format!("unknown strategy `{name}` (full|affected|incremental|auto)")
-                })?);
+                strategy = Some(
+                    RecomputeStrategy::parse(&name)
+                        .ok_or_else(|| format!("unknown strategy `{name}` (full|auto)"))?,
+                );
             }
             "--feed" => {
                 let name = args.next().ok_or("--feed needs a value")?;

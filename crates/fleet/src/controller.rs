@@ -184,9 +184,8 @@ mod tests {
         };
         let full =
             FleetController::new().run(&spec(RecomputeStrategy::Full)).expect("spec is valid");
-        let repair = FleetController::new()
-            .run(&spec(RecomputeStrategy::IncrementalRepair))
-            .expect("spec is valid");
+        let repair =
+            FleetController::new().run(&spec(RecomputeStrategy::Auto)).expect("spec is valid");
         assert_eq!(full.aggregate.lifetime, repair.aggregate.lifetime);
         assert_eq!(full.aggregate.jobs, repair.aggregate.jobs);
         assert_eq!(full.aggregate.overhead, repair.aggregate.overhead);

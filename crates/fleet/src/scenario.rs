@@ -426,7 +426,7 @@ impl ScenarioSpec {
                 }
                 "strategy" => {
                     spec.strategy = RecomputeStrategy::parse(value)
-                        .ok_or_else(|| bad("strategy (full|affected|incremental|auto)"))?;
+                        .ok_or_else(|| bad("strategy (full|auto)"))?;
                 }
                 "feed" => {
                     spec.feed =
@@ -667,8 +667,9 @@ mod tests {
         assert_eq!(overridden.instances, 5);
         assert_eq!(overridden.mesh_side, (4, 4));
 
-        let strat = ScenarioSpec::parse("strategy = incremental").expect("strategy key parses");
-        assert_eq!(strat.strategy, RecomputeStrategy::IncrementalRepair);
+        let strat = ScenarioSpec::parse("strategy = full").expect("strategy key parses");
+        assert_eq!(strat.strategy, RecomputeStrategy::Full);
+        assert!(ScenarioSpec::parse("strategy = incremental").is_err());
 
         assert!(ScenarioSpec::parse("bogus_key = 1").is_err());
         assert!(ScenarioSpec::parse("mesh_side = banana").is_err());

@@ -34,10 +34,10 @@ use crate::{
 /// 5.8× at K = 256 and 17× at K = 1024; with multiple cores the Dijkstra
 /// backend additionally fans sources out over threads.)
 ///
-/// The backend choice also gates the *between-frame* fast paths: the
-/// routing crate's `RecomputeStrategy` (affected-sources delta and
-/// incremental shortest-path-tree repair) engages only when the resolved
-/// backend is `DijkstraAllPairs`, because kept rows must reproduce the
+/// The backend choice also gates the *between-frame* fast path: the
+/// routing crate's incremental shortest-path-tree repair (its
+/// `RecomputeStrategy::Auto`) engages only when the resolved backend is
+/// `DijkstraAllPairs`, because kept rows must reproduce the
 /// deterministic Dijkstra successor tie-breaking bit-for-bit. Under
 /// Floyd–Warshall every frame is a full recompute — which is the right
 /// trade at the small sizes where `Auto` picks it.

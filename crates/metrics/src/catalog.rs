@@ -34,10 +34,10 @@ pub enum Class {
 
 /// Fixed IDs of every counter in the workspace. The discriminant is the
 /// counter's slot in [`Registry`](crate::Registry) and
-/// [`MetricsSnapshot`](crate::MetricsSnapshot) — append-only: new
-/// counters go at the end (bumping
-/// [`MetricsSnapshot::VERSION`](crate::MetricsSnapshot::VERSION)),
-/// existing discriminants never change.
+/// [`MetricsSnapshot`](crate::MetricsSnapshot): new counters go at the
+/// end, and any change to the slots — an append, or a removal that
+/// renumbers the counters after it — bumps
+/// [`MetricsSnapshot::VERSION`](crate::MetricsSnapshot::VERSION).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum CounterId {
@@ -65,51 +65,49 @@ pub enum CounterId {
     ServeQueriesPath = 10,
     /// Recomputes that ran a full phase 2.
     RoutingFullRecomputes = 11,
-    /// Recomputes that took the affected-sources delta path.
-    RoutingDeltaRecomputes = 12,
     /// Recomputes that took the incremental repair pipeline.
-    RoutingRepairRecomputes = 13,
+    RoutingRepairRecomputes = 12,
     /// Sources repaired in place across all repair recomputes.
-    RoutingRepairedSources = 14,
+    RoutingRepairedSources = 13,
     /// Sources the repair pipeline re-ran in full.
-    RoutingFallbackSources = 15,
+    RoutingFallbackSources = 14,
     /// Sources whose repair engaged the decrease half.
-    RoutingDecreaseRepairs = 16,
+    RoutingDecreaseRepairs = 15,
     /// Nodes improved across all decrease-half repairs.
-    RoutingDecreaseNodesImproved = 17,
+    RoutingDecreaseNodesImproved = 16,
     /// Recomputes whose phase 3 took the delta-aware row rebuild.
-    RoutingTableDeltaRebuilds = 18,
+    RoutingTableDeltaRebuilds = 17,
     /// `(node, module)` table entries refreshed.
-    RoutingTableEntriesRebuilt = 19,
+    RoutingTableEntriesRebuilt = 18,
     /// Table entries refreshed by the `O(1)` challenge patch.
-    RoutingTableCellsPatched = 20,
+    RoutingTableCellsPatched = 19,
     /// Recomputes that skipped every per-frame `O(K)` node scan.
-    RoutingFramesOkSkipped = 21,
+    RoutingFramesOkSkipped = 20,
     /// Node states examined by per-frame bookkeeping.
-    RoutingNodesScanned = 22,
+    RoutingNodesScanned = 21,
     /// Daemon connections accepted.
-    NetConnections = 23,
+    NetConnections = 22,
     /// Wire frames decoded off client connections.
-    NetFramesIn = 24,
+    NetFramesIn = 23,
     /// Wire frames written back to clients.
-    NetFramesOut = 25,
+    NetFramesOut = 24,
     /// Payload bytes received (frame payloads, excluding length prefix).
-    NetBytesIn = 26,
+    NetBytesIn = 25,
     /// Payload bytes sent (frame payloads, excluding length prefix).
-    NetBytesOut = 27,
+    NetBytesOut = 26,
     /// Query batches accepted off the wire.
-    NetQueryRequests = 28,
+    NetQueryRequests = 27,
     /// Telemetry-ingest frames applied to a served fabric.
-    NetIngests = 29,
+    NetIngests = 28,
     /// Requests shed by a full shard queue (load-shedding responses).
-    NetShedTotal = 30,
+    NetShedTotal = 29,
     /// Malformed/oversized/unknown frames answered with an error frame.
-    NetProtocolErrors = 31,
+    NetProtocolErrors = 30,
 }
 
 impl CounterId {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 32;
+    pub const COUNT: usize = 31;
 
     /// Every counter, in export order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -125,7 +123,6 @@ impl CounterId {
         CounterId::ServeQueriesCost,
         CounterId::ServeQueriesPath,
         CounterId::RoutingFullRecomputes,
-        CounterId::RoutingDeltaRecomputes,
         CounterId::RoutingRepairRecomputes,
         CounterId::RoutingRepairedSources,
         CounterId::RoutingFallbackSources,
@@ -163,7 +160,6 @@ impl CounterId {
             CounterId::ServeQueriesCost => "serve.queries_cost",
             CounterId::ServeQueriesPath => "serve.queries_path",
             CounterId::RoutingFullRecomputes => "routing.full_recomputes",
-            CounterId::RoutingDeltaRecomputes => "routing.delta_recomputes",
             CounterId::RoutingRepairRecomputes => "routing.repair_recomputes",
             CounterId::RoutingRepairedSources => "routing.repaired_sources",
             CounterId::RoutingFallbackSources => "routing.fallback_sources",

@@ -34,8 +34,10 @@ impl Default for MetricsSnapshot {
 impl MetricsSnapshot {
     /// Version of the snapshot layout (bumped whenever the catalog
     /// grows or reorders; merging mixed versions is a programming
-    /// error). Version 2 appended the `net.*` daemon wire metrics.
-    pub const VERSION: u32 = 2;
+    /// error). Version 2 appended the `net.*` daemon wire metrics;
+    /// version 3 removed the counter of the retired affected-sources
+    /// recompute strategy.
+    pub const VERSION: u32 = 3;
 
     /// An empty snapshot (all counters/gauges zero, no spans).
     #[must_use]
@@ -284,7 +286,7 @@ mod tests {
     fn deterministic_json_excludes_cost_and_wall() {
         let snap = sample(99);
         let json = snap.to_json();
-        assert!(json.contains("\"metrics_version\": 2"));
+        assert!(json.contains("\"metrics_version\": 3"));
         assert!(json.contains("\"sim.frames\""));
         assert!(!json.contains("routing."), "cost counters leaked into the deterministic export");
         assert!(!json.contains("net."), "wire counters leaked into the deterministic export");

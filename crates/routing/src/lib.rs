@@ -16,13 +16,14 @@
 //!    variant (Fig 5, `O(K³)`), an all-sources Dijkstra
 //!    (`O(K·E log K)`, the winner on sparse fabrics past a few dozen
 //!    nodes), or `Auto`, which picks by node count and edge density.
-//!    Between TDMA frames, [`Router::recompute_dirty_into`] (and the
-//!    report-diffing [`Router::recompute_into`]) advance the state
-//!    through a staged pipeline — weight-delta extraction, path repair
-//!    or re-solve, table rebuild — selected by [`RecomputeStrategy`]:
-//!    incremental shortest-path-tree repair (Ramalingam–Reps style,
-//!    `O(changed subtree · log K)` per source), affected-sources
-//!    re-runs, or a full phase 2 — into preallocated
+//!    Between TDMA frames, [`Router::recompute_frame_into`] (fed a
+//!    changed-node bitset), [`Router::recompute_dirty_into`] (a dirty
+//!    list) and the report-diffing [`Router::recompute_into`] advance
+//!    the state through a staged pipeline — weight-delta extraction,
+//!    path repair or re-solve, table rebuild — selected by
+//!    [`RecomputeStrategy`]: incremental shortest-path-tree repair
+//!    (Ramalingam–Reps style, `O(changed subtree · log K)` per source)
+//!    under `Auto`, or a full phase 2 — into preallocated
 //!    [`RoutingScratch`] storage with zero steady-state allocation.
 //! 3. **Phase 3 — destination selection.** For every node and every
 //!    module, pick the nearest *live* duplicate of that module (w.r.t. the

@@ -4,8 +4,8 @@
 use core::fmt;
 
 use etx_graph::{
-    dijkstra_source_into, dijkstra_source_tree_into, repair_source, DiGraph, NodeBitset, NodeId,
-    PathBackend, RepairOutcome, ResolvedBackend,
+    dijkstra_source_tree_into, repair_source, DiGraph, NodeBitset, NodeId, PathBackend,
+    RepairOutcome, ResolvedBackend,
 };
 use etx_metrics::SpanId;
 
@@ -51,31 +51,24 @@ impl fmt::Display for Algorithm {
     }
 }
 
-/// How [`Router::recompute_into`]/[`Router::recompute_dirty_into`] turn
-/// a frame's weight deltas into fresh all-pairs rows (phase 2 of the
-/// staged pipeline). Every strategy produces **identical** routing state
-/// (property-tested, distances *and* successors); they differ only in
-/// cost.
+/// How the delta-aware entry points ([`Router::recompute_into`],
+/// [`Router::recompute_dirty_into`], [`Router::recompute_frame_into`])
+/// turn a frame's weight deltas into fresh all-pairs rows (phase 2 of
+/// the staged pipeline). Both strategies produce **identical** routing
+/// state (property-tested, distances *and* successors); they differ
+/// only in cost.
 ///
-/// | Strategy | Phase-2 work per frame | When it wins |
+/// | Strategy | Phase-2 work per frame | Role |
 /// |---|---|---|
-/// | `Full` | `O(K·E log K)` (or `O(K³)` under Floyd–Warshall) | cold caches, mass changes |
-/// | `AffectedSources` | full single-source Dijkstra from every source that reaches a changed edge | sparse *reachability* of changes (partitioned fabrics) |
-/// | `IncrementalRepair` | Ramalingam–Reps repair of each source's shortest-path tree; `O(changed subtree · log K)` per source, with a per-source re-run gate | the steady state: small, monotone drain deltas on a connected fabric, where *every* source is "affected" but each tree barely changes |
-/// | `Auto` | `IncrementalRepair` whenever the resolved backend is Dijkstra and the caches are warm, `Full` otherwise | the default |
+/// | `Full` | `O(K·E log K)` (or `O(K³)` under Floyd–Warshall) | the correctness oracle |
+/// | `Auto` | Ramalingam–Reps repair of each source's shortest-path tree, `O(changed subtree · log K)` per source with a per-source re-run gate, whenever the resolved backend is Dijkstra, the caches are warm and at most a quarter of the nodes changed; `Full` otherwise | the default |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RecomputeStrategy {
     /// Always re-solve all sources from scratch.
     Full,
-    /// Re-run only sources whose rows can change (union-reachability
-    /// over report diffs) — the pre-repair delta path.
-    AffectedSources,
-    /// Repair each source's shortest-path tree against the frame's
-    /// edge-delta stream, re-running individual sources when the repair
-    /// gate trips.
-    IncrementalRepair,
-    /// Pick per frame: incremental repair when the caches and resolved
-    /// backend allow it, full otherwise.
+    /// Pick per frame: incremental repair of each source's
+    /// shortest-path tree against the frame's edge-delta stream when
+    /// the caches and resolved backend allow it, full otherwise.
     #[default]
     Auto,
 }
@@ -86,8 +79,6 @@ impl RecomputeStrategy {
     pub fn name(self) -> &'static str {
         match self {
             RecomputeStrategy::Full => "full",
-            RecomputeStrategy::AffectedSources => "affected",
-            RecomputeStrategy::IncrementalRepair => "incremental",
             RecomputeStrategy::Auto => "auto",
         }
     }
@@ -97,10 +88,6 @@ impl RecomputeStrategy {
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
             "full" => Some(RecomputeStrategy::Full),
-            "affected" | "affected-sources" => Some(RecomputeStrategy::AffectedSources),
-            "incremental" | "repair" | "incremental-repair" => {
-                Some(RecomputeStrategy::IncrementalRepair)
-            }
             "auto" => Some(RecomputeStrategy::Auto),
             _ => None,
         }
@@ -111,14 +98,6 @@ impl fmt::Display for RecomputeStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Which phase-2 path a recompute resolved to this frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecomputeMode {
-    Full,
-    Affected,
-    Repair,
 }
 
 /// One TDMA frame's change summary, as an engine that maintains its
@@ -177,8 +156,7 @@ struct FrameMeta {
 ///    or a report diff) becomes an edge-delta stream against the cached
 ///    phase-1 matrix.
 /// 2. **Path repair or re-solve** — selected by [`RecomputeStrategy`]:
-///    incremental tree repair, affected-sources re-runs, or a full
-///    phase 2.
+///    incremental tree repair or a full phase 2.
 /// 3. **Table rebuild** — phase 3 (nearest-duplicate selection with
 ///    deadlock-port avoidance) always refreshes.
 ///
@@ -310,8 +288,10 @@ impl Router {
     /// [`RoutingScratch::with_parallel`]).
     ///
     /// Always performs a *full* phase-2 recompute; the simulation engine
-    /// uses [`Router::recompute_dirty_into`], which additionally skips
-    /// unaffected work by consuming the frame's dirty-node feed.
+    /// calls it once at start-up, then steps its frames through
+    /// [`Router::recompute_frame_into`] (the default changed-bitset
+    /// feed) or [`Router::recompute_dirty_into`] (the report-diff feed),
+    /// which repair only what the frame's changes touched.
     ///
     /// # Panics
     ///
@@ -388,8 +368,9 @@ impl Router {
         self.staged_recompute(graph, module_nodes, new_report, key, None, scratch, out);
     }
 
-    /// The engine's entry point: delta-aware recompute from an explicit
-    /// **dirty-node feed** instead of a report diff. `dirty` lists every
+    /// Delta-aware recompute from an explicit **dirty-node feed**
+    /// instead of a report diff (the engine's report-diff feed and the
+    /// daemon's telemetry ingest both call it). `dirty` lists every
     /// node whose battery bucket or liveness changed since the recompute
     /// that produced `out`; the router turns it into an edge-delta
     /// stream against its cached weights (stage 1), repairs or re-solves
@@ -397,7 +378,8 @@ impl Router {
     /// rebuilds the table (stage 3).
     ///
     /// An over-approximate feed is safe (a listed node whose weights did
-    /// not change contributes no deltas); a *missing* dirty node is not.
+    /// not change contributes no deltas), and so is a node listed more
+    /// than once; a *missing* dirty node is not.
     ///
     /// # Panics
     ///
@@ -519,131 +501,11 @@ impl Router {
             && self.backend.resolve(n, graph.edge_count()) == ResolvedBackend::DijkstraAllPairs;
         #[allow(clippy::cast_precision_loss)]
         let few_dirty = scratch.dirty.len() as f64 <= DELTA_MAX_DIRTY_FRACTION * n as f64;
-        let mode = match self.strategy {
-            _ if !cache_ok || !few_dirty => RecomputeMode::Full,
-            RecomputeStrategy::Full => RecomputeMode::Full,
-            RecomputeStrategy::AffectedSources => RecomputeMode::Affected,
-            RecomputeStrategy::IncrementalRepair | RecomputeStrategy::Auto => RecomputeMode::Repair,
-        };
-        match mode {
-            RecomputeMode::Full => {
-                self.full_recompute(graph, module_nodes, report, key, frame, scratch, out);
-            }
-            RecomputeMode::Affected => {
-                self.affected_recompute(graph, module_nodes, report, frame, scratch, out);
-            }
-            RecomputeMode::Repair => {
-                self.repair_recompute(graph, module_nodes, report, frame, scratch, out);
-            }
-        }
-    }
-
-    /// The affected-sources delta path: union-reachability over the
-    /// dirty set, then full single-source Dijkstra from every affected
-    /// source. Expects the gates of [`Router::staged_recompute`] already
-    /// checked.
-    fn affected_recompute(
-        &self,
-        graph: &DiGraph,
-        module_nodes: &[Vec<NodeId>],
-        report: &SystemReport,
-        frame: Option<FrameMeta>,
-        scratch: &mut RoutingScratch,
-        out: &mut RoutingState,
-    ) {
-        let n = graph.node_count();
-        scratch.queue.reserve(n);
-        if !scratch.dirty.is_empty() {
-            // Affected sources: everything that reaches a dirty node in
-            // the *union* of the old and new graphs. A source that cannot
-            // reach any dirty node (old or new) never routes over a
-            // changed edge, so its rows are unchanged; everything else is
-            // recomputed from scratch by single-source Dijkstra.
-            scratch.affected.clear();
-            scratch.affected.resize(n, false);
-            scratch.queue.clear();
-            for &d in &scratch.dirty {
-                scratch.affected[d] = true;
-                scratch.queue.push(d);
-            }
-            while let Some(v) = scratch.queue.pop() {
-                let v_node = NodeId::new(v);
-                let v_alive_new = report.is_alive(v_node);
-                for u in 0..n {
-                    if u == v || scratch.affected[u] {
-                        continue;
-                    }
-                    let u_node = NodeId::new(u);
-                    // Old edge u→v: finite off-diagonal weight in the
-                    // cached (previous) matrix.
-                    let old_edge = scratch.weights[(u, v)].is_finite();
-                    // New edge u→v: physical link with both ends alive.
-                    let new_edge =
-                        v_alive_new && report.is_alive(u_node) && graph.has_edge(u_node, v_node);
-                    if old_edge || new_edge {
-                        scratch.affected[u] = true;
-                        scratch.queue.push(u);
-                    }
-                }
-            }
-
-            // Phase 1 delta: refresh the weight rows/columns of dirty
-            // nodes and mirror them into the adjacency lists.
-            for &d in &scratch.dirty {
-                update_node_weights(
-                    graph,
-                    report,
-                    (self.algorithm == Algorithm::Ear).then_some(&self.weighting),
-                    NodeId::new(d),
-                    &mut scratch.weights,
-                );
-                scratch.adjacency.sync_node(d, &scratch.weights);
-            }
-
-            // Phase 2 delta: re-run the affected sources only. The
-            // trees are not maintained here, so a later repair frame
-            // starts cold.
-            scratch.trees_valid = false;
-            let paths = out.paths_mut();
-            for s in 0..n {
-                if !scratch.affected[s] {
-                    continue;
-                }
-                let source = NodeId::new(s);
-                let (dist_row, succ_row) = paths.source_rows_mut(source);
-                dijkstra_source_into(
-                    &scratch.adjacency,
-                    source,
-                    &mut scratch.dijkstra,
-                    dist_row,
-                    succ_row,
-                );
-            }
-        }
-
-        // Stage 3: rows of unaffected sources have identical inputs, so
-        // when the table-delta gate holds, refreshing the affected rows
-        // alone reproduces a full rebuild (this path re-solves whole
-        // rows, so there is no per-module mask to exploit).
-        if self.table_delta_ok(module_nodes, report, frame, scratch, out, false) {
-            let mut rebuilt = 0u64;
-            if !scratch.dirty.is_empty() {
-                for s in 0..n {
-                    if scratch.affected[s] {
-                        out.rebuild_table_row(s, &scratch.weights, module_nodes, report, None);
-                        rebuilt += module_nodes.len() as u64;
-                    }
-                }
-            }
-            scratch.table_entries_rebuilt += rebuilt;
-            scratch.table_delta_rebuilds += 1;
+        if self.strategy == RecomputeStrategy::Auto && cache_ok && few_dirty {
+            self.repair_recompute(graph, module_nodes, report, frame, scratch, out);
         } else {
-            let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
-            out.rebuild_table(&scratch.weights, module_nodes, report, prev);
-            scratch.table_entries_rebuilt += (n * module_nodes.len()) as u64;
+            self.full_recompute(graph, module_nodes, report, key, frame, scratch, out);
         }
-        Self::cache_table_inputs(module_nodes, report, frame, scratch);
-        scratch.delta_recomputes += 1;
     }
 
     /// The incremental path-repair pipeline: edge-delta extraction, per-
@@ -724,7 +586,7 @@ impl Router {
         // cells (its row distances went infinite), a revived one
         // improves into them (its row distances dropped from infinity,
         // putting it in every repaired source's improved set).
-        let table_patchable = self.table_delta_ok(module_nodes, report, frame, scratch, out, true);
+        let table_patchable = Self::table_delta_ok(module_nodes, report, frame, scratch, out);
         let masks_ok = scratch.dup_mask.len() == n
             && m_count <= 64
             && out.module_count() == m_count
@@ -751,9 +613,8 @@ impl Router {
             }
 
             // Stage 2 — repair or re-run each source. Cold trees (first
-            // delta frame after a full recompute, or after an affected-
-            // sources frame) re-run every source once, recording trees;
-            // warm frames repair.
+            // delta frame after a full recompute) re-run every source
+            // once, recording trees; warm frames repair.
             if !trees_ok {
                 scratch.trees.reset(n);
                 scratch.in_adjacency.rebuild_transpose(&scratch.weights);
@@ -869,10 +730,10 @@ impl Router {
                 }
             }
             scratch.trees_valid = true;
-            scratch.repaired_sources += repaired;
-            scratch.fallback_sources += fallback;
-            scratch.decrease_repairs += dec_repairs;
-            scratch.decrease_nodes_improved += dec_improved;
+            scratch.stats.repaired_sources += repaired;
+            scratch.stats.fallback_sources += fallback;
+            scratch.stats.decrease_repairs += dec_repairs;
+            scratch.stats.decrease_nodes_improved += dec_improved;
             let stage2_span = if dec_repairs > 0 {
                 SpanId::RoutingRepairDecrease
             } else {
@@ -917,17 +778,17 @@ impl Router {
                         }
                     }
                 }
-                scratch.table_entries_rebuilt += rebuilt + patched_entries;
-                scratch.table_cells_patched += patched_entries - patched_full;
-                scratch.table_delta_rebuilds += 1;
+                scratch.stats.table_entries_rebuilt += rebuilt + patched_entries;
+                scratch.stats.table_cells_patched += patched_entries - patched_full;
+                scratch.stats.table_delta_rebuilds += 1;
             } else {
                 let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
                 out.rebuild_table(&scratch.weights, module_nodes, report, prev);
-                scratch.table_entries_rebuilt += (n * module_nodes.len()) as u64;
+                scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
             }
         }
         Self::cache_table_inputs(module_nodes, report, frame, scratch);
-        scratch.repair_recomputes += 1;
+        scratch.stats.repair_recomputes += 1;
     }
 
     /// Full phases 1–3 into `out`, refreshing the scratch caches.
@@ -968,9 +829,9 @@ impl Router {
         scratch.trees_valid = false;
         let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
         out.rebuild_table(&scratch.weights, module_nodes, report, prev);
-        scratch.table_entries_rebuilt += (n * module_nodes.len()) as u64;
+        scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
         Self::cache_table_inputs(module_nodes, report, frame, scratch);
-        scratch.full_recomputes += 1;
+        scratch.stats.full_recomputes += 1;
     }
 
     /// Whether stage 3 may refresh only the changed entries of `out`'s
@@ -981,18 +842,15 @@ impl Router {
     /// forces a full rebuild. Deadlock-free frames also never read
     /// `prev_hops`.
     ///
-    /// Liveness transitions no longer gate to full on the repair path
-    /// (`patch_rows`, requires the per-node duplicate masks warm): a
-    /// changed node's own table row is marked for a whole-row re-solve
-    /// (`row_mask = MAX`), and that is all — the flip's effect on other
-    /// sources' entries travels through the repair marks, because a
-    /// died duplicate's row distances went infinite (its cells fail
-    /// the winner check and re-pick) and a revived one's dropped from
-    /// infinity (it lands in every repaired source's improved set and
-    /// challenges its cells). On the affected-sources path
-    /// (`patch_rows == false`, which rebuilds row-grain only and has
-    /// no repair marks), any liveness change still forces a full
-    /// rebuild.
+    /// Liveness transitions do not gate to full while the per-node
+    /// duplicate masks are warm: a changed node's own table row is
+    /// marked for a whole-row re-solve (`row_mask = MAX`), and that is
+    /// all — the flip's effect on other sources' entries travels through
+    /// the repair marks, because a died duplicate's row distances went
+    /// infinite (its cells fail the winner check and re-pick) and a
+    /// revived one's dropped from infinity (it lands in every repaired
+    /// source's improved set and challenges its cells). With cold masks
+    /// any liveness change forces a full rebuild.
     ///
     /// With a [`FrameMeta`] the whole decision is `O(changed)`:
     /// deadlock presence and placement identity come from the engine's
@@ -1005,13 +863,11 @@ impl Router {
     /// cached snapshot is re-anchored to the previous report every
     /// frame, and the dirty set contains every node that changed since.
     fn table_delta_ok(
-        &self,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         frame: Option<FrameMeta>,
         scratch: &mut RoutingScratch,
         out: &RoutingState,
-        patch_rows: bool,
     ) -> bool {
         let n = report.node_count();
         if !scratch.table_cache_valid
@@ -1040,7 +896,7 @@ impl Router {
         for idx in 0..scratch.dirty.len() {
             let d = scratch.dirty[idx];
             if report.is_alive(NodeId::new(d)) != scratch.prev_alive[d] {
-                if !patch_rows || !masks_warm {
+                if !masks_warm {
                     return false;
                 }
                 scratch.row_mask[d] = u64::MAX;
@@ -1079,11 +935,11 @@ impl Router {
             }
             scratch.prev_any_deadlock =
                 frame.expect("fast path requires frame metadata").any_deadlock;
-            scratch.frames_ok_skipped += 1;
-            scratch.nodes_scanned += scratch.dirty.len() as u64;
+            scratch.stats.frames_oK_skipped += 1;
+            scratch.stats.nodes_scanned += scratch.dirty.len() as u64;
             return;
         }
-        scratch.nodes_scanned += n as u64;
+        scratch.stats.nodes_scanned += n as u64;
         scratch.prev_alive.clear();
         scratch.prev_alive.reserve(n);
         scratch.prev_any_deadlock = false;
@@ -1138,27 +994,24 @@ mod tests {
 
     #[test]
     fn strategy_names_roundtrip() {
-        for s in [
-            RecomputeStrategy::Full,
-            RecomputeStrategy::AffectedSources,
-            RecomputeStrategy::IncrementalRepair,
-            RecomputeStrategy::Auto,
-        ] {
+        for s in [RecomputeStrategy::Full, RecomputeStrategy::Auto] {
             assert_eq!(RecomputeStrategy::parse(s.name()), Some(s));
             assert_eq!(s.to_string(), s.name());
         }
-        assert_eq!(RecomputeStrategy::parse("repair"), Some(RecomputeStrategy::IncrementalRepair));
-        assert_eq!(RecomputeStrategy::parse("bogus"), None);
+        assert_eq!(RecomputeStrategy::parse(" Auto "), Some(RecomputeStrategy::Auto));
+        for retired in ["affected", "incremental", "repair", "bogus"] {
+            assert_eq!(RecomputeStrategy::parse(retired), None);
+        }
         assert_eq!(RecomputeStrategy::default(), RecomputeStrategy::Auto);
     }
 
     #[test]
     fn accessors() {
         let r = Router::with_weighting(Algorithm::Ear, BatteryWeighting::new(8, 4.0))
-            .with_strategy(RecomputeStrategy::IncrementalRepair);
+            .with_strategy(RecomputeStrategy::Full);
         assert_eq!(r.algorithm(), Algorithm::Ear);
         assert_eq!(r.weighting().levels(), 8);
-        assert_eq!(r.strategy(), RecomputeStrategy::IncrementalRepair);
+        assert_eq!(r.strategy(), RecomputeStrategy::Full);
     }
 
     #[test]
@@ -1280,8 +1133,8 @@ mod tests {
             assert_eq!(a_state, b_state, "frame {frame}");
         }
         assert_eq!(a_scratch.stats(), b_scratch.stats());
-        assert!(a_scratch.repair_recomputes() >= 5, "Auto at 8x8 should repair");
-        assert!(a_scratch.repaired_sources() > 0);
+        assert!(a_scratch.stats().repair_recomputes >= 5, "Auto at 8x8 should repair");
+        assert!(a_scratch.stats().repaired_sources > 0);
     }
 
     #[test]
@@ -1295,8 +1148,7 @@ mod tests {
         let k = graph.node_count();
         let modules: Vec<Vec<NodeId>> =
             (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect();
-        let router =
-            Router::new(Algorithm::Ear).with_strategy(RecomputeStrategy::IncrementalRepair);
+        let router = Router::new(Algorithm::Ear);
 
         let mut report = SystemReport::fresh(k, 16);
         let mut scratch = RoutingScratch::new();
@@ -1334,16 +1186,16 @@ mod tests {
         // instead of gating to a full rebuild.
         let victim = NodeId::new(9);
         report.set_dead(victim);
-        let entries_before = scratch.table_entries_rebuilt();
+        let entries_before = scratch.stats().table_entries_rebuilt;
         router.recompute_dirty_into(&graph, &modules, &report, &[victim], &mut scratch, &mut state);
         let reference = router.compute(&graph, &modules, &report, None);
         assert_eq!(state.route_table(), reference.route_table(), "death frame");
         assert_eq!(
-            scratch.table_delta_rebuilds(),
+            scratch.stats().table_delta_rebuilds,
             frames + 1,
             "death frame must take the delta path"
         );
-        let death_entries = scratch.table_entries_rebuilt() - entries_before;
+        let death_entries = scratch.stats().table_entries_rebuilt - entries_before;
         assert!(
             death_entries < full_build,
             "death frame rebuilt {death_entries} entries, expected fewer than {full_build}"
@@ -1355,7 +1207,7 @@ mod tests {
         router.recompute_dirty_into(&graph, &modules, &report, &[node], &mut scratch, &mut state);
         let reference = router.compute(&graph, &modules, &report, None);
         assert_eq!(state.route_table(), reference.route_table(), "post-death frame");
-        assert_eq!(scratch.table_delta_rebuilds(), frames + 2);
+        assert_eq!(scratch.stats().table_delta_rebuilds, frames + 2);
     }
 
     proptest! {

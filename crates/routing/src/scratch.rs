@@ -54,8 +54,6 @@ impl WeightsKey {
 pub struct RecomputeStats {
     /// Recomputes that ran a full phase 2 (all sources from scratch).
     pub full_recomputes: u64,
-    /// Recomputes that took the affected-sources delta path.
-    pub delta_recomputes: u64,
     /// Recomputes that took the incremental path-repair pipeline.
     pub repair_recomputes: u64,
     /// Sources repaired in place across all repair recomputes.
@@ -103,7 +101,7 @@ impl RecomputeStats {
     /// Field-wise difference against an earlier snapshot of the same
     /// counters: what happened *since* `prev`. Per-frame consumers (the
     /// frame recorder, fleet tallies, benches) diff two cumulative
-    /// snapshots instead of hand-rolling twelve subtractions each.
+    /// snapshots instead of hand-rolling eleven subtractions each.
     ///
     /// Counters are monotone while a scratch lives, but a recycle zeroes
     /// them mid-stream; `wrapping_sub` keeps the helper total so a stale
@@ -112,7 +110,6 @@ impl RecomputeStats {
     pub fn delta_since(&self, prev: &RecomputeStats) -> RecomputeStats {
         RecomputeStats {
             full_recomputes: self.full_recomputes.wrapping_sub(prev.full_recomputes),
-            delta_recomputes: self.delta_recomputes.wrapping_sub(prev.delta_recomputes),
             repair_recomputes: self.repair_recomputes.wrapping_sub(prev.repair_recomputes),
             repaired_sources: self.repaired_sources.wrapping_sub(prev.repaired_sources),
             fallback_sources: self.fallback_sources.wrapping_sub(prev.fallback_sources),
@@ -137,7 +134,6 @@ impl RecomputeStats {
     /// the registry totals stay exact across scratch recycles.
     pub fn record_into(&self, registry: &Registry) {
         registry.add(CounterId::RoutingFullRecomputes, self.full_recomputes);
-        registry.add(CounterId::RoutingDeltaRecomputes, self.delta_recomputes);
         registry.add(CounterId::RoutingRepairRecomputes, self.repair_recomputes);
         registry.add(CounterId::RoutingRepairedSources, self.repaired_sources);
         registry.add(CounterId::RoutingFallbackSources, self.fallback_sources);
@@ -151,8 +147,8 @@ impl RecomputeStats {
     }
 }
 
-/// Preallocated working memory for `Router::compute_into` /
-/// `Router::recompute_into` / `Router::recompute_dirty_into`.
+/// Preallocated working memory for `Router::compute_into` and the
+/// delta-aware `Router::recompute_*_into` entry points.
 ///
 /// Holds everything a recompute needs between TDMA frames: the phase-1
 /// weight matrix, the sparse adjacency lists (plus their transpose) and
@@ -164,13 +160,14 @@ impl RecomputeStats {
 /// the `zero_alloc` integration test).
 ///
 /// A scratch may be reused across different graphs/routers — it resizes
-/// as needed — but the cached state that powers the delta and repair
-/// paths is keyed to the previous call's inputs, so mixing callers
-/// simply falls back to full recomputes.
+/// as needed — but the cached state that powers the repair path is
+/// keyed to the previous call's inputs, so mixing callers simply falls
+/// back to full recomputes.
 #[derive(Debug, Default)]
 pub struct RoutingScratch {
-    /// Phase-1 weight matrix of the *previous* call (input to the union
-    /// reachability scan), updated in place to the current weights.
+    /// Phase-1 weight matrix of the *previous* call (the "old" side of
+    /// the frame's edge-delta stream), updated in place to the current
+    /// weights.
     pub(crate) weights: Matrix<f64>,
     /// Sparse adjacency mirroring `weights`, kept in sync incrementally.
     pub(crate) adjacency: AdjacencyList,
@@ -194,10 +191,6 @@ pub struct RoutingScratch {
     pub(crate) dirty_mark: Vec<bool>,
     /// The frame's extracted edge-weight deltas (phase 1 output).
     pub(crate) deltas: Vec<etx_graph::WeightDelta>,
-    /// Sources whose all-pairs rows may change (and BFS visited marks).
-    pub(crate) affected: Vec<bool>,
-    /// Work stack of the reverse union-reachability scan.
-    pub(crate) queue: Vec<usize>,
     /// Per-source bitmasks of the modules whose table entries must be
     /// refreshed this frame (bit `m` = "source's distance to some
     /// duplicate of module `m` may have changed"); `u64::MAX` marks a
@@ -222,31 +215,9 @@ pub struct RoutingScratch {
     /// Defaults to `false`: thread spawning allocates, and the steady
     /// state of the simulator must not.
     pub(crate) parallel: bool,
-    /// How many recomputes took the affected-sources delta path.
-    pub(crate) delta_recomputes: u64,
-    /// How many recomputes ran a full phase 2.
-    pub(crate) full_recomputes: u64,
-    /// How many recomputes took the incremental repair pipeline.
-    pub(crate) repair_recomputes: u64,
-    /// Sources repaired in place (across repair recomputes).
-    pub(crate) repaired_sources: u64,
-    /// Sources the repair pipeline re-ran in full.
-    pub(crate) fallback_sources: u64,
-    /// Sources whose repair engaged the decrease half.
-    pub(crate) decrease_repairs: u64,
-    /// Row entries updated by the decrease half of the repair.
-    pub(crate) decrease_nodes_improved: u64,
-    /// Recomputes whose phase 3 took the delta-aware entry rebuild.
-    pub(crate) table_delta_rebuilds: u64,
-    /// `(node, module)` table entries refreshed across all recomputes.
-    pub(crate) table_entries_rebuilt: u64,
-    /// Table entries refreshed by the `O(1)` challenge patch.
-    pub(crate) table_cells_patched: u64,
-    /// Recomputes that skipped every per-frame `O(K)` node scan.
-    pub(crate) frames_ok_skipped: u64,
-    /// Node states examined by per-frame bookkeeping (see
-    /// [`RecomputeStats::nodes_scanned`]).
-    pub(crate) nodes_scanned: u64,
+    /// The per-run recompute counters, reported by
+    /// [`RoutingScratch::stats`].
+    pub(crate) stats: RecomputeStats,
     /// Where the repair pipeline reports its stage timings
     /// (delta-extract / increase / decrease / table spans). Defaults to
     /// the shared no-op registry: one relaxed load and branch per stage,
@@ -280,110 +251,10 @@ impl RoutingScratch {
         self.metrics = metrics;
     }
 
-    /// How many recomputes through this scratch took the
-    /// affected-sources delta path (phase 2 restricted to affected
-    /// sources, or skipped entirely).
-    #[must_use]
-    pub fn delta_recomputes(&self) -> u64 {
-        self.delta_recomputes
-    }
-
-    /// How many recomputes through this scratch ran a full phase 2.
-    #[must_use]
-    pub fn full_recomputes(&self) -> u64 {
-        self.full_recomputes
-    }
-
-    /// How many recomputes through this scratch took the incremental
-    /// path-repair pipeline.
-    #[must_use]
-    pub fn repair_recomputes(&self) -> u64 {
-        self.repair_recomputes
-    }
-
-    /// Sources repaired in place across all repair recomputes.
-    #[must_use]
-    pub fn repaired_sources(&self) -> u64 {
-        self.repaired_sources
-    }
-
-    /// Sources the repair pipeline re-ran in full. Decreases are
-    /// repaired in place since the improvement-propagation half landed;
-    /// fallback now means the combined increase+decrease frontier
-    /// exceeded the cost gate, or the shortest-path trees were cold
-    /// (first frame after a full recompute or a recycle).
-    #[must_use]
-    pub fn fallback_sources(&self) -> u64 {
-        self.fallback_sources
-    }
-
-    /// Sources whose repair engaged the decrease half (a relevant
-    /// weight decrease handled in place).
-    #[must_use]
-    pub fn decrease_repairs(&self) -> u64 {
-        self.decrease_repairs
-    }
-
-    /// Row entries the decrease half updated (improvements + tie flips
-    /// and their re-hung subtrees) across all repair recomputes.
-    #[must_use]
-    pub fn decrease_nodes_improved(&self) -> u64 {
-        self.decrease_nodes_improved
-    }
-
-    /// Recomputes through this scratch whose phase 3 refreshed only the
-    /// changed `(node, module)` entries (the delta-aware table rebuild).
-    #[must_use]
-    pub fn table_delta_rebuilds(&self) -> u64 {
-        self.table_delta_rebuilds
-    }
-
-    /// `(node, module)` table entries refreshed across all recomputes
-    /// through this scratch.
-    #[must_use]
-    pub fn table_entries_rebuilt(&self) -> u64 {
-        self.table_entries_rebuilt
-    }
-
-    /// The subset of [`RoutingScratch::table_entries_rebuilt`] refreshed
-    /// by the `O(1)` challenge patch instead of the `O(|S_i|)` duplicate
-    /// re-scan (see [`RecomputeStats::table_cells_patched`]).
-    #[must_use]
-    pub fn table_cells_patched(&self) -> u64 {
-        self.table_cells_patched
-    }
-
-    /// Recomputes through this scratch that maintained the table-gate
-    /// inputs in `O(changed)` — no per-frame `O(K)` node scan at all.
-    #[must_use]
-    pub fn frames_ok_skipped(&self) -> u64 {
-        self.frames_ok_skipped
-    }
-
-    /// Node states examined by per-frame bookkeeping across all
-    /// recomputes (see [`RecomputeStats::nodes_scanned`]).
-    #[must_use]
-    pub fn nodes_scanned(&self) -> u64 {
-        self.nodes_scanned
-    }
-
     /// Snapshot of every recompute counter.
     #[must_use]
     pub fn stats(&self) -> RecomputeStats {
-        RecomputeStats {
-            full_recomputes: self.full_recomputes,
-            delta_recomputes: self.delta_recomputes,
-            repair_recomputes: self.repair_recomputes,
-            repaired_sources: self.repaired_sources,
-            fallback_sources: self.fallback_sources,
-            decrease_repairs: self.decrease_repairs,
-            decrease_nodes_improved: self.decrease_nodes_improved,
-            table_delta_rebuilds: self.table_delta_rebuilds,
-            table_entries_rebuilt: self.table_entries_rebuilt,
-            table_cells_patched: self.table_cells_patched,
-            frames_oK_skipped: self.frames_ok_skipped,
-            nodes_scanned: self.nodes_scanned,
-        }
+        self.stats
     }
 
     /// Prepares this scratch for reuse by an unrelated caller (a new
@@ -398,18 +269,7 @@ impl RoutingScratch {
         self.trees_valid = false;
         self.table_cache_valid = false;
         self.metrics = MetricsHandle::default();
-        self.delta_recomputes = 0;
-        self.full_recomputes = 0;
-        self.repair_recomputes = 0;
-        self.repaired_sources = 0;
-        self.fallback_sources = 0;
-        self.decrease_repairs = 0;
-        self.decrease_nodes_improved = 0;
-        self.table_delta_rebuilds = 0;
-        self.table_entries_rebuilt = 0;
-        self.table_cells_patched = 0;
-        self.frames_ok_skipped = 0;
-        self.nodes_scanned = 0;
+        self.stats = RecomputeStats::default();
     }
 }
 
@@ -421,7 +281,6 @@ mod tests {
     fn delta_since_subtracts_every_counter() {
         let prev = RecomputeStats {
             full_recomputes: 1,
-            delta_recomputes: 2,
             repair_recomputes: 3,
             repaired_sources: 4,
             fallback_sources: 5,
@@ -435,7 +294,6 @@ mod tests {
         };
         let now = RecomputeStats {
             full_recomputes: 10,
-            delta_recomputes: 22,
             repair_recomputes: 33,
             repaired_sources: 44,
             fallback_sources: 55,
@@ -452,7 +310,6 @@ mod tests {
             delta,
             RecomputeStats {
                 full_recomputes: 9,
-                delta_recomputes: 20,
                 repair_recomputes: 30,
                 repaired_sources: 40,
                 fallback_sources: 50,
@@ -478,7 +335,6 @@ mod tests {
         use etx_metrics::{CounterId, Registry};
         let stats = RecomputeStats {
             full_recomputes: 1,
-            delta_recomputes: 2,
             repair_recomputes: 3,
             repaired_sources: 4,
             fallback_sources: 5,

@@ -148,8 +148,8 @@ impl PlaneLanes<u32> for IndexPlane {
 /// Which phase-2 algorithm (and successor tie-breaking policy) filled the
 /// current [`ShortestPaths`] of a [`RoutingState`].
 ///
-/// The delta-aware recompute keeps untouched all-pairs rows as-is and
-/// recomputes only affected sources with single-source Dijkstra; that is
+/// The incremental repair keeps untouched all-pairs rows as-is and
+/// repairs or re-runs the rest with single-source Dijkstra; that is
 /// only sound when every existing row was produced by the same
 /// deterministic Dijkstra policy, which this marker tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

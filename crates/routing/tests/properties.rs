@@ -48,7 +48,7 @@ fn apply_diff(report: &mut SystemReport, ops: &[(u8, usize, u32)]) {
 }
 
 /// Regression: a different graph with identical node/edge *counts* (only
-/// edge lengths differ) must not let the delta path reuse stale cached
+/// edge lengths differ) must not let the repair path reuse stale cached
 /// weights — the scratch fingerprints the full edge list.
 #[test]
 fn swapping_same_shape_graph_invalidates_scratch_cache() {
@@ -69,7 +69,10 @@ fn swapping_same_shape_graph_invalidates_scratch_cache() {
     router.recompute_into(&graph_b, &modules, &report, &report, &mut scratch, &mut state);
     let reference = router.compute(&graph_b, &modules, &report, None);
     assert_eq!(state.paths().distances(), reference.paths().distances());
-    assert_eq!(scratch.delta_recomputes(), 0, "delta must not engage across graphs");
+    // The swap must run a full phase 2 (a same-graph call would repair).
+    let stats = scratch.stats();
+    assert_eq!(stats.full_recomputes, 2, "the swap must recompute in full: {stats:?}");
+    assert_eq!(stats.repair_recomputes, 0, "repair must not engage across graphs: {stats:?}");
 }
 
 proptest! {
@@ -118,7 +121,7 @@ proptest! {
             1..6
         ),
     ) {
-        // Explicit Dijkstra backend so the delta path engages at every
+        // Explicit Dijkstra backend so the repair path engages at every
         // mesh size, not just past the Auto crossover.
         let router = Router::new(algorithm).with_backend(PathBackend::DijkstraAllPairs);
         let graph = mesh_graph(side);
@@ -142,19 +145,14 @@ proptest! {
         }
     }
 
-    /// Every [`RecomputeStrategy`] lands in **identical** routing state
-    /// — distances *and* chosen successors — over chains of random
+    /// The `Auto` strategy lands in **identical** routing state —
+    /// distances *and* chosen successors — over chains of random
     /// drain/churn/scripted-failure mutations. The reference is a
     /// `Full`-strategy recompute of each frame.
     #[test]
     fn strategies_equal_full_over_drain_and_churn(
         side in 2usize..8,
         algorithm in prop_oneof![Just(Algorithm::Sdr), Just(Algorithm::Ear)],
-        strategy in prop_oneof![
-            Just(RecomputeStrategy::AffectedSources),
-            Just(RecomputeStrategy::IncrementalRepair),
-            Just(RecomputeStrategy::Auto),
-        ],
         levels in proptest::collection::vec(0u32..16, 8),
         diffs in proptest::collection::vec(
             proptest::collection::vec((0u8..5, 0usize..64, 0u32..32), 0..4),
@@ -163,9 +161,7 @@ proptest! {
     ) {
         // Explicit Dijkstra backend so the fast paths engage at every
         // mesh size, not just past the Auto crossover.
-        let router = Router::new(algorithm)
-            .with_backend(PathBackend::DijkstraAllPairs)
-            .with_strategy(strategy);
+        let router = Router::new(algorithm).with_backend(PathBackend::DijkstraAllPairs);
         let reference_router = Router::new(algorithm)
             .with_backend(PathBackend::DijkstraAllPairs)
             .with_strategy(RecomputeStrategy::Full);
@@ -184,12 +180,11 @@ proptest! {
             apply_diff(&mut report, ops);
             router.recompute_into(&graph, &modules, &old_report, &report, &mut scratch, &mut state);
             let reference = reference_router.compute(&graph, &modules, &report, Some(&previous));
-            prop_assert_eq!(&state, &reference,
-                "strategy {:?} side {} after ops {:?}", strategy, side, ops);
+            prop_assert_eq!(&state, &reference, "side {} after ops {:?}", side, ops);
         }
         let stats = scratch.stats();
         prop_assert_eq!(
-            stats.full_recomputes + stats.delta_recomputes + stats.repair_recomputes,
+            stats.full_recomputes + stats.repair_recomputes,
             1 + diffs.len() as u64,
             "every frame must be counted exactly once"
         );
@@ -200,22 +195,20 @@ proptest! {
     /// to the dense dirty-list feed (`recompute_dirty_into`) across
     /// chains of drain / churn / deadlock-raise-and-clear mutations,
     /// under every [`RecomputeStrategy`]. This is the property that
-    /// makes the engine's `O(changed)` frame state safe to trust.
+    /// makes the engine's `O(changed)` frame state safe to trust. The
+    /// dirty list repeats some of its nodes, as a daemon ingest naming
+    /// one node twice hands it to the router.
     #[test]
     fn bitset_frame_feed_equals_dirty_feed(
         side in 2usize..8,
         algorithm in prop_oneof![Just(Algorithm::Sdr), Just(Algorithm::Ear)],
-        strategy in prop_oneof![
-            Just(RecomputeStrategy::Full),
-            Just(RecomputeStrategy::AffectedSources),
-            Just(RecomputeStrategy::IncrementalRepair),
-            Just(RecomputeStrategy::Auto),
-        ],
+        strategy in prop_oneof![Just(RecomputeStrategy::Full), Just(RecomputeStrategy::Auto)],
         levels in proptest::collection::vec(0u32..16, 8),
         diffs in proptest::collection::vec(
             proptest::collection::vec((0u8..5, 0usize..64, 0u32..32), 0..4),
             1..6
         ),
+        repeats in proptest::collection::vec(0usize..64, 0..4),
     ) {
         let router = Router::new(algorithm)
             .with_backend(PathBackend::DijkstraAllPairs)
@@ -252,6 +245,12 @@ proptest! {
                 }
                 any_deadlock |= report.is_deadlocked(node);
             }
+            for &r in &repeats {
+                if !dirty.is_empty() {
+                    let node = dirty[r % dirty.len()];
+                    dirty.insert(r % (dirty.len() + 1), node);
+                }
+            }
             router.recompute_dirty_into(
                 &graph, &modules, &report, &dirty, &mut a_scratch, &mut a_state,
             );
@@ -267,14 +266,17 @@ proptest! {
                 "strategy {:?} side {} after ops {:?}", strategy, side, ops);
         }
         // The frame feed may only ever *skip* node scans, never add any.
-        prop_assert!(b_scratch.nodes_scanned() <= a_scratch.nodes_scanned());
+        prop_assert!(b_scratch.stats().nodes_scanned <= a_scratch.stats().nodes_scanned);
     }
 
     /// The incremental repair stays exact when consecutive reports are
     /// built *independently* — including disconnect/reconnect
     /// transitions (nodes flipping dead→alive revive edges, weight
     /// decreases the repair's improvement pass patches in place) and
-    /// mass changes that trip the combined-frontier fallback.
+    /// mass changes that trip the combined-frontier fallback — fed
+    /// through the engine's changed-bitset entry point
+    /// (`delta_recompute_equals_full_across_independent_reports` feeds
+    /// the same kind of chain through the report diff).
     #[test]
     fn repair_equals_full_across_disconnect_reconnect(
         side in 2usize..8,
@@ -284,9 +286,7 @@ proptest! {
             2..6
         ),
     ) {
-        let router = Router::new(algorithm)
-            .with_backend(PathBackend::DijkstraAllPairs)
-            .with_strategy(RecomputeStrategy::IncrementalRepair);
+        let router = Router::new(algorithm).with_backend(PathBackend::DijkstraAllPairs);
         let graph = mesh_graph(side);
         let k = graph.node_count();
         let modules = module_stripes(k);
@@ -296,11 +296,28 @@ proptest! {
         let mut report = report_from(&frames[0].0, &frames[0].1, &[false], k);
         router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
 
+        let mut bits = NodeBitset::with_capacity(k);
         for (levels, dead) in &frames[1..] {
             let old_report = report;
             let previous = state.clone();
             report = report_from(levels, dead, &[false], k);
-            router.recompute_into(&graph, &modules, &old_report, &report, &mut scratch, &mut state);
+            bits.clear();
+            for i in 0..k {
+                let node = NodeId::new(i);
+                if report.battery_level(node) != old_report.battery_level(node)
+                    || report.is_alive(node) != old_report.is_alive(node)
+                {
+                    bits.insert(node);
+                }
+            }
+            router.recompute_frame_into(
+                &graph,
+                &modules,
+                &report,
+                FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
+                &mut scratch,
+                &mut state,
+            );
             let reference = router.compute(&graph, &modules, &report, Some(&previous));
             prop_assert_eq!(&state, &reference, "side {} frame levels {:?}", side, levels);
         }
@@ -323,9 +340,7 @@ proptest! {
         victims in proptest::collection::vec(0usize..64, 1..3),
         pulses in proptest::collection::vec(0usize..64, 1..4),
     ) {
-        let router = Router::new(algorithm)
-            .with_backend(PathBackend::DijkstraAllPairs)
-            .with_strategy(RecomputeStrategy::IncrementalRepair);
+        let router = Router::new(algorithm).with_backend(PathBackend::DijkstraAllPairs);
         let reference_router = Router::new(algorithm)
             .with_backend(PathBackend::DijkstraAllPairs)
             .with_strategy(RecomputeStrategy::Full);

@@ -1,8 +1,8 @@
 //! Proves the zero-allocation claim of `Router::recompute_into`: once a
 //! `RoutingScratch`/`RoutingState` pair has warmed up on the system's
 //! dimensions, steady-state recomputes perform **no heap allocation** —
-//! under both phase-2 backends and under every recompute strategy the
-//! simulator can run (incremental repair included).
+//! under both phase-2 backends, on the incremental repair path and on
+//! full recomputes.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single test so no concurrent test case can pollute the
@@ -12,9 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use etx_graph::{topology::Mesh2D, NodeBitset, NodeId};
-use etx_routing::{
-    Algorithm, FrameDelta, RecomputeStrategy, Router, RoutingScratch, RoutingState, SystemReport,
-};
+use etx_routing::{Algorithm, FrameDelta, Router, RoutingScratch, RoutingState, SystemReport};
 use etx_units::Length;
 
 struct CountingAllocator;
@@ -84,28 +82,22 @@ fn allocations_over_drain_frames(
 
 #[test]
 fn steady_state_recompute_does_not_allocate() {
-    // 8x8: Auto resolves to Dijkstra, so both the repair pipeline
-    // (strategy Auto/IncrementalRepair) and the affected-sources delta
-    // path engage. 4x4: Auto resolves to Floyd-Warshall (the paper's
-    // sizes) and every frame is a full recompute.
-    for (side, strategy, expect) in [
-        (8usize, RecomputeStrategy::Auto, "repair"),
-        (8, RecomputeStrategy::IncrementalRepair, "repair"),
-        (8, RecomputeStrategy::AffectedSources, "delta"),
-        (4, RecomputeStrategy::Auto, "full"),
-    ] {
+    // 8x8: Auto resolves to Dijkstra, so the repair pipeline engages.
+    // 4x4: Auto resolves to Floyd-Warshall (the paper's sizes) and every
+    // frame is a full recompute.
+    for (side, expect_repair) in [(8usize, true), (4, false)] {
         let graph = Mesh2D::square(side, Length::from_centimetres(2.05)).to_graph();
         let k = graph.node_count();
         let modules = module_stripes(k);
-        let router = Router::new(Algorithm::Ear).with_strategy(strategy);
+        let router = Router::new(Algorithm::Ear);
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
         let mut report = SystemReport::fresh(k, 16);
 
         // Warm-up: initial full compute, then a burst of drain frames so
-        // every lazily-grown buffer (dirty/affected/queue/prev-hop
-        // snapshot, adjacency + transpose, shortest-path trees, repair
-        // scratch, heap, report clone buffer) reaches steady capacity.
+        // every lazily-grown buffer (dirty list, prev-hop snapshot,
+        // adjacency + transpose, shortest-path trees, repair scratch,
+        // heap, report clone buffer) reaches steady capacity.
         // Everything is deterministic, so "warm" is a stable property,
         // not a flaky one.
         router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
@@ -133,38 +125,23 @@ fn steady_state_recompute_does_not_allocate() {
         );
         assert_eq!(
             allocated, 0,
-            "{side}x{side} {strategy}: steady-state recompute allocated {allocated} times"
+            "{side}x{side}: steady-state recompute allocated {allocated} times"
         );
-        match expect {
-            "repair" => {
-                assert!(
-                    scratch.repair_recomputes() >= 32,
-                    "{side}x{side} {strategy}: repair pipeline never engaged \
-                     ({} repair / {} delta / {} full)",
-                    scratch.repair_recomputes(),
-                    scratch.delta_recomputes(),
-                    scratch.full_recomputes()
-                );
-                assert!(
-                    scratch.repaired_sources() > 0,
-                    "{side}x{side} {strategy}: no source was ever repaired in place"
-                );
-            }
-            "delta" => {
-                assert!(
-                    scratch.delta_recomputes() >= 32,
-                    "{side}x{side} {strategy}: delta path never engaged ({} delta / {} full)",
-                    scratch.delta_recomputes(),
-                    scratch.full_recomputes()
-                );
-            }
-            _ => {
-                assert_eq!(
-                    scratch.delta_recomputes() + scratch.repair_recomputes(),
-                    0,
-                    "{side}x{side} {strategy}: Floyd-Warshall sizes must recompute in full"
-                );
-            }
+        let stats = scratch.stats();
+        if expect_repair {
+            assert!(
+                stats.repair_recomputes >= 32,
+                "{side}x{side}: repair pipeline never engaged ({stats:?})"
+            );
+            assert!(
+                stats.repaired_sources > 0,
+                "{side}x{side}: no source was ever repaired in place"
+            );
+        } else {
+            assert_eq!(
+                stats.repair_recomputes, 0,
+                "{side}x{side}: Floyd-Warshall sizes must recompute in full"
+            );
         }
         // Results stay correct after all those in-place updates.
         let reference = router.compute(&graph, &modules, &report, None);
@@ -205,14 +182,14 @@ fn steady_state_recompute_does_not_allocate() {
     for frame in 0..8 {
         drain_frame(frame, &mut report, &mut bits, &mut scratch, &mut state);
     }
-    let skipped_before = scratch.frames_ok_skipped();
+    let skipped_before = scratch.stats().frames_oK_skipped;
     let before = allocations();
     for frame in 8..40 {
         drain_frame(frame, &mut report, &mut bits, &mut scratch, &mut state);
     }
     assert_eq!(allocations() - before, 0, "bitset-fed frames allocated");
     assert_eq!(
-        scratch.frames_ok_skipped() - skipped_before,
+        scratch.stats().frames_oK_skipped - skipped_before,
         32,
         "every steady bitset-fed frame must skip the O(K) scan"
     );
@@ -249,14 +226,14 @@ fn steady_state_recompute_does_not_allocate() {
     for frame in 0..8 {
         pulse_frame(frame, &mut report, &mut bits, &mut scratch, &mut state);
     }
-    let decreases_before = scratch.decrease_repairs();
+    let decreases_before = scratch.stats().decrease_repairs;
     let before = allocations();
     for frame in 8..40 {
         pulse_frame(frame, &mut report, &mut bits, &mut scratch, &mut state);
     }
     assert_eq!(allocations() - before, 0, "decrease-repair frames allocated");
     assert!(
-        scratch.decrease_repairs() > decreases_before,
+        scratch.stats().decrease_repairs > decreases_before,
         "recharge pulses never engaged the decrease half"
     );
     let reference = router.compute(&graph, &modules, &report, None);

@@ -35,10 +35,7 @@
 //! * [`net`] — `etx-served`: the thread-per-core TCP daemon that puts
 //!   all of the above behind a compact length-prefixed binary
 //!   protocol, with per-shard connection pinning, a telemetry-ingest
-//!   write path and bounded-queue load shedding;
-//! * [`AosFrontend`] — the pre-plane array-of-structs execution path,
-//!   kept alive so benchmarks can interleave both layouts in one
-//!   process and CI can diff their outputs byte for byte.
+//!   write path and bounded-queue load shedding.
 //!
 //! # Example
 //!
@@ -61,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod baseline;
 mod frontend;
 pub mod net;
 mod publish;
@@ -69,7 +65,6 @@ mod query;
 mod snapshot;
 mod workload;
 
-pub use baseline::{AosFrontend, AosTables};
 pub use frontend::{FleetFrontend, ShardWorkspace};
 pub use net::{run_wire_load, RouteClient, Served, ServedConfig, WireLoadReport};
 pub use publish::{EpochPublisher, PinnedSnapshot, SnapshotReader};

@@ -87,9 +87,10 @@ enum JobKind {
     Ingest,
 }
 
-/// A pooled per-request workspace: the decoded request, the execution
-/// buffers and the encode buffer, all retained across requests so the
-/// warm path allocates nothing.
+/// A pooled per-request workspace: the decoded request and the
+/// execution buffers, retained across requests so the warm path
+/// allocates nothing. (The encode buffer belongs to the shard worker;
+/// see [`worker_loop`].)
 struct WorkItem {
     request_id: u64,
     kind: JobKind,
@@ -97,7 +98,6 @@ struct WorkItem {
     ingest_fabric: u32,
     ingest: Vec<(u32, u32)>,
     out: QueryOutput,
-    wire: Vec<u8>,
     received: Option<Instant>,
     /// Query counts per wire-latency lane: next-hop, cost, path.
     lanes: [u64; 3],
@@ -112,7 +112,6 @@ impl Default for WorkItem {
             ingest_fabric: 0,
             ingest: Vec::new(),
             out: QueryOutput::new(),
-            wire: Vec::new(),
             received: None,
             lanes: [0; 3],
         }
@@ -670,7 +669,13 @@ fn conn_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
 /// Wire-latency lanes, ordered as `WorkItem::lanes`.
 const WIRE_LANES: [SpanId; 3] = [SpanId::NetWireNextHop, SpanId::NetWireCost, SpanId::NetWirePath];
 
+/// Drains one shard's queue. Each answer is encoded into the worker's
+/// own buffer so the pooled [`WorkItem`] can go back to its
+/// connection *before* the answer is written: a closed-loop client's
+/// next request then always finds it in the pool instead of growing a
+/// fresh one from empty buffers.
 fn worker_loop(shared: &Arc<Shared>, shard: usize, mut fabrics: Vec<ServedFabric>) {
+    let mut wire = Vec::new();
     while let Some(job) = shared.queues[shard].pop(&shared.shutdown, &shared.paused) {
         let Job { conn, mut item } = job;
         match item.kind {
@@ -680,13 +685,15 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize, mut fabrics: Vec<ServedFabric
                     shared.frontend.execute_pinned(&mut item.batch, &mut item.out);
                 }
                 let encode_t = shared.metrics.timer();
-                let frame = proto::encode_results(&mut item.wire, item.request_id, &item.out);
+                let frame = proto::encode_results(&mut wire, item.request_id, &item.out);
+                let (received, lanes) = (item.received.take(), item.lanes);
+                conn.put_item(item);
                 conn.write_frame(&shared.metrics, frame);
                 shared.metrics.observe_since(SpanId::NetEncode, encode_t);
-                if let Some(received) = item.received.take() {
+                if let Some(received) = received {
                     let ns = received.elapsed().as_nanos() as u64;
                     for (lane, span) in WIRE_LANES.into_iter().enumerate() {
-                        shared.metrics.observe_n(span, ns, item.lanes[lane]);
+                        shared.metrics.observe_n(span, ns, lanes[lane]);
                     }
                 }
             }
@@ -697,20 +704,16 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize, mut fabrics: Vec<ServedFabric
                         let _exec = shared.metrics.span(SpanId::NetExecute);
                         let (epoch, applied) = side.ingest(&item.ingest);
                         shared.metrics.inc(CounterId::NetIngests);
-                        proto::encode_ingest_ack(&mut item.wire, item.request_id, epoch, applied)
+                        proto::encode_ingest_ack(&mut wire, item.request_id, epoch, applied)
                     }
-                    Some(_) => proto::encode_reject(
-                        &mut item.wire,
-                        item.request_id,
-                        code::INGEST_UNSUPPORTED,
-                    ),
-                    None => {
-                        proto::encode_reject(&mut item.wire, item.request_id, code::UNKNOWN_FABRIC)
+                    Some(_) => {
+                        proto::encode_reject(&mut wire, item.request_id, code::INGEST_UNSUPPORTED)
                     }
+                    None => proto::encode_reject(&mut wire, item.request_id, code::UNKNOWN_FABRIC),
                 };
+                conn.put_item(item);
                 conn.write_frame(&shared.metrics, frame);
             }
         }
-        conn.put_item(item);
     }
 }

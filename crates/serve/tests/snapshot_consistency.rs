@@ -56,12 +56,7 @@ proptest! {
     fn pinned_epochs_match_router_state(
         side in 3usize..7,
         algorithm in prop_oneof![Just(Algorithm::Ear), Just(Algorithm::Sdr)],
-        strategy in prop_oneof![
-            Just(RecomputeStrategy::Full),
-            Just(RecomputeStrategy::AffectedSources),
-            Just(RecomputeStrategy::IncrementalRepair),
-            Just(RecomputeStrategy::Auto),
-        ],
+        strategy in prop_oneof![Just(RecomputeStrategy::Full), Just(RecomputeStrategy::Auto)],
         frames in proptest::collection::vec(
             (proptest::collection::vec(0u32..16, 8), proptest::collection::vec(any::<bool>(), 5)),
             2..7
@@ -131,12 +126,7 @@ proptest! {
             2..5
         ),
     ) {
-        let strategies = [
-            RecomputeStrategy::Full,
-            RecomputeStrategy::AffectedSources,
-            RecomputeStrategy::IncrementalRepair,
-            RecomputeStrategy::Auto,
-        ];
+        let strategies = [RecomputeStrategy::Full, RecomputeStrategy::Auto];
         let graph = mesh_graph(side);
         let k = graph.node_count();
         let modules = module_stripes(k);
@@ -188,12 +178,7 @@ proptest! {
     fn batched_queries_match_routing_state(
         side in 3usize..6,
         algorithm in prop_oneof![Just(Algorithm::Ear), Just(Algorithm::Sdr)],
-        strategy in prop_oneof![
-            Just(RecomputeStrategy::Full),
-            Just(RecomputeStrategy::AffectedSources),
-            Just(RecomputeStrategy::IncrementalRepair),
-            Just(RecomputeStrategy::Auto),
-        ],
+        strategy in prop_oneof![Just(RecomputeStrategy::Full), Just(RecomputeStrategy::Auto)],
         shards in 1usize..5,
         frames in proptest::collection::vec(
             (proptest::collection::vec(0u32..16, 8), proptest::collection::vec(any::<bool>(), 5)),

@@ -348,8 +348,8 @@ pub struct SimConfig {
     pub scripted_revivals: Vec<ScriptedRevival>,
     /// Routing algorithm (EAR or SDR).
     pub algorithm: Algorithm,
-    /// How the controller recomputes routes between TDMA frames. Every
-    /// strategy produces identical routing (and therefore identical
+    /// How the controller recomputes routes between TDMA frames. Both
+    /// strategies produce identical routing (and therefore identical
     /// simulation results); they differ only in controller-side cost.
     pub recompute_strategy: RecomputeStrategy,
     /// How the engine derives each TDMA frame's change set for the

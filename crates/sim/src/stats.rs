@@ -119,8 +119,8 @@ pub struct SimReport {
     /// How many times the routing algorithm ran.
     pub routing_recomputes: u64,
     /// How the routing recomputes split across the phase-2 paths (full /
-    /// affected-sources delta / incremental repair), plus the repair
-    /// pipeline's per-source repaired/fallback tallies.
+    /// incremental repair), plus the repair pipeline's per-source
+    /// repaired/fallback tallies.
     pub recompute: RecomputeStats,
     /// Module remappings (code migrations) the controller performed.
     pub remaps: u64,
@@ -172,12 +172,11 @@ impl fmt::Display for SimReport {
         )?;
         write!(
             f,
-            "recompute paths: {} full, {} delta, {} repair \
+            "recompute paths: {} full, {} repair \
              ({} sources repaired, {} re-run, {} decrease-repaired / {} nodes improved); \
              table: {} delta rebuilds, {} entries ({} challenge-patched); \
              frame scans: {} O(K) skipped, {} nodes scanned",
             self.recompute.full_recomputes,
-            self.recompute.delta_recomputes,
             self.recompute.repair_recomputes,
             self.recompute.repaired_sources,
             self.recompute.fallback_sources,
@@ -242,7 +241,6 @@ mod tests {
             routing_recomputes: 7,
             recompute: RecomputeStats {
                 full_recomputes: 2,
-                delta_recomputes: 0,
                 repair_recomputes: 5,
                 repaired_sources: 40,
                 fallback_sources: 3,

@@ -6,7 +6,7 @@
 //! | field                | encoding     | notes                          |
 //! |----------------------|--------------|--------------------------------|
 //! | magic                | 8 bytes      | `ETXTRACE`                     |
-//! | format version       | `u16`        | currently 1                    |
+//! | format version       | `u16`        | currently 2                    |
 //! | flags                | `u16`        | bit 0: ring-buffer trace       |
 //! | config fingerprint   | `u64`        | FNV-1a of the built `SimConfig`|
 //! | instance             | `u64`        | fleet instance index           |
@@ -18,7 +18,7 @@
 //! Record payload: `frame`, `cycle`, flags byte (bit 0: recomputed),
 //! `routing_version` (varints); `state_digest`, `cost_digest` (`u64`);
 //! `wall_ns` (varint); medium/controller energy (`u64` f64-bits);
-//! `jobs_completed`, `jobs_lost`, the 12 per-frame [`RecomputeStats`]
+//! `jobs_completed`, `jobs_lost`, the 11 per-frame [`RecomputeStats`]
 //! delta counters, and the frame's event stream (varints; events are a
 //! tag byte plus `frame`/`cycle` stamps and tag-specific fields).
 
@@ -33,8 +33,10 @@ use crate::TraceError;
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"ETXTRACE";
 
-/// Current format version.
-pub const FORMAT_VERSION: u16 = 1;
+/// Current format version. Version 2 dropped the counter of the retired
+/// affected-sources recompute strategy from the record payload; this
+/// build refuses version-1 files.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Header flag bit: the trace came from a bounded ring-buffer writer
 /// (only the last `N` frames survive).
@@ -201,7 +203,6 @@ pub(crate) fn encode_record_parts(
     put_uvarint(out, jobs_lost);
     for counter in [
         delta.full_recomputes,
-        delta.delta_recomputes,
         delta.repair_recomputes,
         delta.repaired_sources,
         delta.fallback_sources,
@@ -255,23 +256,22 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<FrameRecord, TraceError> {
     let controller_pj_bits = cur.take_u64()?;
     let jobs_completed = cur.take_uvarint()?;
     let jobs_lost = cur.take_uvarint()?;
-    let mut counters = [0u64; 12];
+    let mut counters = [0u64; 11];
     for slot in &mut counters {
         *slot = cur.take_uvarint()?;
     }
     let recompute_delta = RecomputeStats {
         full_recomputes: counters[0],
-        delta_recomputes: counters[1],
-        repair_recomputes: counters[2],
-        repaired_sources: counters[3],
-        fallback_sources: counters[4],
-        decrease_repairs: counters[5],
-        decrease_nodes_improved: counters[6],
-        table_delta_rebuilds: counters[7],
-        table_entries_rebuilt: counters[8],
-        table_cells_patched: counters[9],
-        frames_oK_skipped: counters[10],
-        nodes_scanned: counters[11],
+        repair_recomputes: counters[1],
+        repaired_sources: counters[2],
+        fallback_sources: counters[3],
+        decrease_repairs: counters[4],
+        decrease_nodes_improved: counters[5],
+        table_delta_rebuilds: counters[6],
+        table_entries_rebuilt: counters[7],
+        table_cells_patched: counters[8],
+        frames_oK_skipped: counters[9],
+        nodes_scanned: counters[10],
     };
     let event_count = cur.take_uvarint()?;
     if event_count > payload.len() as u64 {
@@ -477,6 +477,10 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[8] = 0xff;
         assert!(matches!(Trace::parse(&bad_version), Err(TraceError::BadVersion(_))));
+        // Version-1 files carry one more counter per record: refused.
+        let mut v1 = bytes.clone();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(Trace::parse(&v1), Err(TraceError::BadVersion(1))));
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 3);
         assert!(Trace::parse(&truncated).is_err());

@@ -101,7 +101,6 @@ impl TraceScratch {
         let mut cost_hasher = Fnv64::new();
         for counter in [
             delta.full_recomputes,
-            delta.delta_recomputes,
             delta.repair_recomputes,
             delta.repaired_sources,
             delta.fallback_sources,

@@ -310,8 +310,8 @@ pub fn render_divergence(left_name: &str, right_name: &str, diff: &TraceDiff) ->
     row("recompute delta", &|rec| {
         let d = &rec.recompute_delta;
         format!(
-            "full={} delta={} repair={} entries={}",
-            d.full_recomputes, d.delta_recomputes, d.repair_recomputes, d.table_entries_rebuilt
+            "full={} repair={} entries={}",
+            d.full_recomputes, d.repair_recomputes, d.table_entries_rebuilt
         )
     });
     let l_events = l.map_or(&[][..], |rec| rec.events.as_slice());
