@@ -8,7 +8,7 @@
 //! cargo run -p etx-bench --bin bench_serve --release -- out.json
 //! cargo run -p etx-bench --bin bench_serve --release -- --smoke   # tiny CI sizes
 //! cargo run -p etx-bench --bin bench_serve --release -- \
-//!     --dump out.txt --shards 4 --strategy auto                   # determinism dump
+//!     --dump out.txt --strategy auto                              # determinism dump
 //! ```
 //!
 //! Workloads:
@@ -16,8 +16,8 @@
 //! * `point_32x32` — pure next-hop point lookups on a warm
 //!   32x32-fabric fleet (the ≥ 1M queries/sec acceptance metric),
 //! * `mixed_32x32` — the 8:1:1 point/path/cost mix on the same fleet,
-//! * `point_wide_fleet` — point lookups hash-sharded over hundreds of
-//!   small fabrics,
+//! * `point_wide_fleet` — point lookups spread over hundreds of small
+//!   fabrics,
 //! * `open_loop_32x32` — point lookups arriving on a fixed schedule at
 //!   ~60 % of the measured closed-loop rate, so the tail includes real
 //!   queueing delay.
@@ -29,8 +29,8 @@
 //! of queueing without bound.
 //!
 //! `--dump` renders every query's resolved answer as text: CI diffs the
-//! output across shard counts and across `full` vs `auto` recompute
-//! strategies (published snapshots must be byte-identical).
+//! output across `full` vs `auto` recompute strategies (published
+//! snapshots must be byte-identical).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -198,18 +198,14 @@ fn bench(smoke: bool, out_path: &str) {
     // which the `metrics` JSON block reports at the end.
     let metrics = MetricsHandle::new(Arc::new(Registry::full()));
     eprintln!("building {big_count}x {side}x{side} fleet (warm {warm} cycles each)...");
-    let big =
-        FleetFrontend::from_spec(&fleet_spec(side, big_count, RecomputeStrategy::Auto), warm, 4)
+    let big = FleetFrontend::from_spec(&fleet_spec(side, big_count, RecomputeStrategy::Auto), warm)
+        .expect("serve spec is valid")
+        .with_metrics(metrics.clone());
+    eprintln!("building {wide_count}x {wide_side}x{wide_side} wide fleet...");
+    let wide =
+        FleetFrontend::from_spec(&fleet_spec(wide_side, wide_count, RecomputeStrategy::Auto), warm)
             .expect("serve spec is valid")
             .with_metrics(metrics.clone());
-    eprintln!("building {wide_count}x {wide_side}x{wide_side} wide fleet...");
-    let wide = FleetFrontend::from_spec(
-        &fleet_spec(wide_side, wide_count, RecomputeStrategy::Auto),
-        warm,
-        8,
-    )
-    .expect("serve spec is valid")
-    .with_metrics(metrics.clone());
 
     let mut points = Vec::new();
 
@@ -271,7 +267,7 @@ fn bench(smoke: bool, out_path: &str) {
     );
     json.push_str(
         "  \"workload\": \"epoch-published fleet snapshots; batched (2048) queries sorted by \
-         (shard, fabric, source); SplitMix64 workload streams\",\n",
+         (fabric, source); SplitMix64 workload streams\",\n",
     );
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
@@ -365,12 +361,12 @@ fn bench(smoke: bool, out_path: &str) {
 }
 
 /// Determinism mode: a fixed fleet + fixed workload, every resolved
-/// answer rendered as one line. Byte-identical across `--shards` values
-/// and across `--strategy full|auto` (published snapshots carry no
-/// trace of how phase 2/3 were computed).
-fn dump(path: &str, shards: usize, strategy: RecomputeStrategy) {
+/// answer rendered as one line. Byte-identical across `--strategy
+/// full|auto` (published snapshots carry no trace of how phase 2/3 were
+/// computed).
+fn dump(path: &str, strategy: RecomputeStrategy) {
     let spec = fleet_spec(8, 6, strategy);
-    let frontend = FleetFrontend::from_spec(&spec, 4_000, shards).expect("dump spec is valid");
+    let frontend = FleetFrontend::from_spec(&spec, 4_000).expect("dump spec is valid");
     let mut generator =
         WorkloadGen::new(WorkloadSpec { seed: 77, batch: 512, ..WorkloadSpec::default() });
     let mut batch = QueryBatch::new();
@@ -400,16 +396,12 @@ fn main() {
     let mut smoke = false;
     let mut out_path: Option<String> = None;
     let mut dump_path: Option<String> = None;
-    let mut shards = 2usize;
     let mut strategy = RecomputeStrategy::Auto;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--dump" => dump_path = Some(it.next().expect("--dump needs a path")),
-            "--shards" => {
-                shards = it.next().and_then(|v| v.parse().ok()).expect("--shards needs a count");
-            }
             "--strategy" => {
                 let name = it.next().expect("--strategy needs a name");
                 strategy = RecomputeStrategy::parse(&name)
@@ -420,7 +412,7 @@ fn main() {
         }
     }
     if let Some(path) = dump_path {
-        dump(&path, shards, strategy);
+        dump(&path, strategy);
     } else {
         bench(smoke, &out_path.unwrap_or_else(|| "BENCH_serve.json".to_string()));
     }

@@ -86,9 +86,7 @@ pub mod prelude {
     pub use etx_graph::{topology::Mesh2D, DiGraph, NodeId};
     pub use etx_mapping::{CheckerboardMapping, MappingStrategy, Placement};
     pub use etx_routing::{Algorithm, BatteryWeighting, Router, SystemReport};
-    pub use etx_serve::{
-        FleetFrontend, Query, QueryBatch, QueryOutput, QueryResult, ShardWorkspace,
-    };
+    pub use etx_serve::{FleetFrontend, Query, QueryBatch, QueryOutput, QueryResult};
     pub use etx_sim::{
         BatteryModel, ControllerSetup, DeathCause, JobSource, MappingKind, RemappingPolicy,
         ScriptedFailure, SimConfig, SimPool, SimReport, Simulation, TopologyKind,

@@ -91,9 +91,9 @@ pub enum CounterId {
     NetFramesIn = 23,
     /// Wire frames written back to clients.
     NetFramesOut = 24,
-    /// Payload bytes received (frame payloads, excluding length prefix).
+    /// Bytes received in whole frames (length prefix plus payload).
     NetBytesIn = 25,
-    /// Payload bytes sent (frame payloads, excluding length prefix).
+    /// Bytes sent in whole frames (length prefix plus payload).
     NetBytesOut = 26,
     /// Query batches accepted off the wire.
     NetQueryRequests = 27,
@@ -271,39 +271,37 @@ pub enum SpanId {
     RoutingRepairDecrease = 6,
     /// Repair stage 3: table rebuild-or-patch sweep.
     RoutingRepairTable = 7,
-    /// Serve batch stage: `(shard, fabric, source)` sort.
+    /// Serve batch stage: `(fabric, source)` sort.
     ServeBatchSort = 8,
     /// Serve batch stage: per-type lane split of one fabric group.
     ServeBatchSplit = 9,
-    /// Serve batch stage: sharded-result gather/scatter.
-    ServeBatchGather = 10,
     /// Snapshot publish (epoch swap) latency.
-    ServePublish = 11,
+    ServePublish = 10,
     /// Per-query latency, NextHop lane.
-    ServeLatencyNextHop = 12,
+    ServeLatencyNextHop = 11,
     /// Per-query latency, Cost lane.
-    ServeLatencyCost = 13,
+    ServeLatencyCost = 12,
     /// Per-query latency, Path lane.
-    ServeLatencyPath = 14,
+    ServeLatencyPath = 13,
     /// Daemon connection handshake (accept to HELLO_ACK written).
-    NetAccept = 15,
+    NetAccept = 14,
     /// Wire frame decode (length prefix stripped to work item built).
-    NetDecode = 16,
+    NetDecode = 15,
     /// Shard-worker execution of one wire request.
-    NetExecute = 17,
+    NetExecute = 16,
     /// Response frame encode + socket write.
-    NetEncode = 18,
+    NetEncode = 17,
     /// Wire round-trip share per NextHop query (decode to response written).
-    NetWireNextHop = 19,
+    NetWireNextHop = 18,
     /// Wire round-trip share per Cost query (decode to response written).
-    NetWireCost = 20,
+    NetWireCost = 19,
     /// Wire round-trip share per Path query (decode to response written).
-    NetWirePath = 21,
+    NetWirePath = 20,
 }
 
 impl SpanId {
     /// Number of span/latency histograms in the catalog.
-    pub const COUNT: usize = 22;
+    pub const COUNT: usize = 21;
 
     /// Every span, in export order.
     pub const ALL: [SpanId; SpanId::COUNT] = [
@@ -317,7 +315,6 @@ impl SpanId {
         SpanId::RoutingRepairTable,
         SpanId::ServeBatchSort,
         SpanId::ServeBatchSplit,
-        SpanId::ServeBatchGather,
         SpanId::ServePublish,
         SpanId::ServeLatencyNextHop,
         SpanId::ServeLatencyCost,
@@ -345,7 +342,6 @@ impl SpanId {
             SpanId::RoutingRepairTable => "routing.repair.table",
             SpanId::ServeBatchSort => "serve.batch.sort",
             SpanId::ServeBatchSplit => "serve.batch.split",
-            SpanId::ServeBatchGather => "serve.batch.gather",
             SpanId::ServePublish => "serve.publish",
             SpanId::ServeLatencyNextHop => "serve.latency.next_hop",
             SpanId::ServeLatencyCost => "serve.latency.cost",

@@ -20,8 +20,7 @@
 //!    commutative, so fleet shards can aggregate in any grouping.
 //! 3. **Disabled means free.** A disabled [`Registry`] (the
 //!    [`MetricsHandle::noop`] default) reduces every record call to one
-//!    relaxed load and branch; the `noop` cargo feature compiles even
-//!    that out for A/B overhead audits.
+//!    relaxed load and branch.
 //!
 //! The histogram ([`Histo`]) is the exact-integer log-linear bucket
 //! scheme previously private to `etx_fleet::aggregate::StreamingStat`,

@@ -13,8 +13,7 @@
 //!   atomic RMW, and nothing on the record path orders against anything
 //!   else.
 //! * **Cheap when off** — a disabled registry costs one relaxed bool
-//!   load per record call; the `noop` cargo feature compiles even that
-//!   out.
+//!   load per record call.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
@@ -243,12 +242,9 @@ impl Registry {
     /// Adds `n` to a counter.
     #[inline]
     pub fn add(&self, id: CounterId, n: u64) {
-        #[cfg(not(feature = "noop"))]
         if self.counting.load(Relaxed) {
             self.counters[id.index()].add(n);
         }
-        #[cfg(feature = "noop")]
-        let _ = (id, n);
     }
 
     /// The current value of a counter.
@@ -260,23 +256,17 @@ impl Registry {
     /// Stores a gauge value.
     #[inline]
     pub fn gauge_set(&self, id: GaugeId, v: u64) {
-        #[cfg(not(feature = "noop"))]
         if self.counting.load(Relaxed) {
             self.gauges[id.index()].set(v);
         }
-        #[cfg(feature = "noop")]
-        let _ = (id, v);
     }
 
     /// Raises a gauge to `v` if it is below it.
     #[inline]
     pub fn gauge_raise(&self, id: GaugeId, v: u64) {
-        #[cfg(not(feature = "noop"))]
         if self.counting.load(Relaxed) {
             self.gauges[id.index()].raise(v);
         }
-        #[cfg(feature = "noop")]
-        let _ = (id, v);
     }
 
     /// The current value of a gauge.
@@ -289,14 +279,7 @@ impl Registry {
     /// enabled) — the one branch every span site pays.
     #[inline]
     fn timing_live(&self) -> bool {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.timing.load(Relaxed) && self.spans.is_some()
-        }
-        #[cfg(feature = "noop")]
-        {
-            false
-        }
+        self.timing.load(Relaxed) && self.spans.is_some()
     }
 
     /// Records one raw observation into a span/latency histogram.

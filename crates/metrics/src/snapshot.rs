@@ -36,8 +36,9 @@ impl MetricsSnapshot {
     /// grows or reorders; merging mixed versions is a programming
     /// error). Version 2 appended the `net.*` daemon wire metrics;
     /// version 3 removed the counter of the retired affected-sources
-    /// recompute strategy.
-    pub const VERSION: u32 = 3;
+    /// recompute strategy; version 4 removed the `serve.batch.gather`
+    /// span of the retired sharded query executor.
+    pub const VERSION: u32 = 4;
 
     /// An empty snapshot (all counters/gauges zero, no spans).
     #[must_use]
@@ -286,7 +287,7 @@ mod tests {
     fn deterministic_json_excludes_cost_and_wall() {
         let snap = sample(99);
         let json = snap.to_json();
-        assert!(json.contains("\"metrics_version\": 3"));
+        assert!(json.contains("\"metrics_version\": 4"));
         assert!(json.contains("\"sim.frames\""));
         assert!(!json.contains("routing."), "cost counters leaked into the deterministic export");
         assert!(!json.contains("net."), "wire counters leaked into the deterministic export");

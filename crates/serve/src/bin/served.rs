@@ -165,7 +165,7 @@ fn client_dump(options: &Options, addr: SocketAddr) -> Result<(), String> {
 
 fn local_dump(options: &Options) -> Result<(), String> {
     let warm = options.warm.unwrap_or(options.spec.warm_cycles);
-    let frontend = FleetFrontend::from_spec(&options.spec, warm, options.shards.max(1))?;
+    let frontend = FleetFrontend::from_spec(&options.spec, warm)?;
     let workload =
         WorkloadSpec { seed: options.seed, batch: options.batch, ..WorkloadSpec::default() };
     let mut generator = WorkloadGen::new(workload);

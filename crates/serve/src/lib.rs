@@ -19,7 +19,7 @@
 //!   [`TableObserver`](etx_sim::TableObserver) hook, so every TDMA-frame
 //!   recompute becomes one published epoch;
 //! * [`QueryBatch`] / [`QueryOutput`] — batched next-hop / full-path /
-//!   path-cost queries, sorted by `(shard, fabric, source)` to amortize
+//!   path-cost queries, sorted by `(fabric, source)` to amortize
 //!   cache misses (single-fabric batches skip the sort), split into
 //!   per-type lanes that run cache-blocked over exactly the planes each
 //!   query type reads, answered into caller-owned buffers with zero
@@ -27,8 +27,8 @@
 //! * [`FleetFrontend`] — one query surface over thousands of pooled
 //!   fabric instances (built from an
 //!   [`ScenarioSpec`](etx_fleet::ScenarioSpec) exactly as the fleet
-//!   controller samples them), hash-sharded with byte-identical answers
-//!   across shard counts;
+//!   controller samples them), pinning each fabric's snapshot once per
+//!   batch;
 //! * [`WorkloadGen`] / [`run_load`] — SplitMix64-driven open- and
 //!   closed-loop load generation with HDR-style tail-latency capture
 //!   (the fleet's exact-integer histograms);
@@ -45,7 +45,7 @@
 //! use etx_serve::{FleetFrontend, Query, QueryBatch, QueryOutput, QueryResult};
 //!
 //! let spec = ScenarioSpec { instances: 2, ..ScenarioSpec::smoke() };
-//! let frontend = FleetFrontend::from_spec(&spec, 1_000, 2)?;
+//! let frontend = FleetFrontend::from_spec(&spec, 1_000)?;
 //!
 //! let mut batch = QueryBatch::new();
 //! batch.push(Query::NextHop { fabric: 0, source: NodeId::new(1), module: 0 });
@@ -65,7 +65,7 @@ mod query;
 mod snapshot;
 mod workload;
 
-pub use frontend::{FleetFrontend, ShardWorkspace};
+pub use frontend::FleetFrontend;
 pub use net::{run_wire_load, RouteClient, Served, ServedConfig, WireLoadReport};
 pub use publish::{EpochPublisher, PinnedSnapshot, SnapshotReader};
 pub use query::{Query, QueryBatch, QueryOutput, QueryResult};

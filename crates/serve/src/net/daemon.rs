@@ -12,7 +12,7 @@
 //! the README's wire-protocol section).
 //!
 //! Each worker additionally owns the **write side** of the fabrics
-//! hashed to it: INGEST frames patch the fabric's battery report,
+//! [`FleetFrontend::shard_of`] maps to it: INGEST frames patch the fabric's battery report,
 //! rerun the decrease-half repair, and publish a new epoch — the
 //! network analogue of the engine's per-frame `TableObserver` hook.
 //! Reads never wait on writes: queries answer from the epoch
@@ -405,7 +405,7 @@ impl Served {
                     let fabric = frontend.register(reader, nodes, modules);
                     dims.push(Some((nodes as u32, modules as u32)));
                     let side = ServedFabric::from_sim(fabric, &sim, shared_pub)?;
-                    write_sides[fabric as usize % shards].push(side);
+                    write_sides[frontend.shard_of(fabric) as usize].push(side);
                     sim.recycle_into(&mut pool);
                 }
                 Err(_) => {
@@ -646,7 +646,7 @@ fn conn_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
                     conn.put_item(item);
                     continue;
                 }
-                let queue = &shared.queues[fabric as usize % shared.queues.len()];
+                let queue = &shared.queues[shared.frontend.shard_of(fabric) as usize];
                 if let Err(job) =
                     queue.try_push(Job { conn: Arc::clone(conn), item }, &shared.metrics)
                 {
@@ -682,7 +682,7 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize, mut fabrics: Vec<ServedFabric
             JobKind::Query => {
                 {
                     let _exec = shared.metrics.span(SpanId::NetExecute);
-                    shared.frontend.execute_pinned(&mut item.batch, &mut item.out);
+                    shared.frontend.execute(&mut item.batch, &mut item.out);
                 }
                 let encode_t = shared.metrics.timer();
                 let frame = proto::encode_results(&mut wire, item.request_id, &item.out);

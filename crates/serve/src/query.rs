@@ -2,7 +2,7 @@
 //! the lane-split per-snapshot execution core.
 //!
 //! Queries address a `(fabric, source)` pair; batches sort themselves by
-//! `(shard, fabric, source)` before execution so all lookups against one
+//! `(fabric, source)` before execution so all lookups against one
 //! fabric's snapshot — and within it, one source's table row and
 //! all-pairs rows — land back to back, amortizing cache misses across
 //! the batch (single-fabric batches skip the sort entirely and run in
@@ -127,16 +127,15 @@ pub struct LaneScratch {
 
 /// Executes one fabric group of the sorted order against its pinned
 /// snapshot (`None`: the fabric is unserved — every query answers
-/// [`QueryResult::UnknownFabric`]), delivering each `(submission index,
-/// result)` pair through `sink`.
+/// [`QueryResult::UnknownFabric`]), writing each answer to `results` at
+/// its submission index.
 ///
 /// The group is split into per-type lanes and each lane runs as a tight
 /// loop over its planes. Lanes preserve the group's internal order, and
 /// the Path lane runs **last**, appending to `arena` — since no other
 /// lane touches the arena, the arena bytes (and every result's arena
 /// range) are identical to a query-at-a-time dispatch over the same
-/// order, which is what keeps serial, sharded and AoS-mirror execution
-/// byte-identical.
+/// order.
 pub(crate) fn execute_group(
     metrics: &Registry,
     snapshot: Option<&TableSnapshot>,
@@ -144,11 +143,11 @@ pub(crate) fn execute_group(
     queries: &[Query],
     lanes: &mut LaneScratch,
     arena: &mut Vec<NodeId>,
-    sink: &mut impl FnMut(u32, QueryResult),
+    results: &mut [QueryResult],
 ) {
     let Some(snap) = snapshot else {
         for &oi in order {
-            sink(oi, QueryResult::UnknownFabric);
+            results[oi as usize] = QueryResult::UnknownFabric;
         }
         return;
     };
@@ -199,17 +198,17 @@ pub(crate) fn execute_group(
     let planes = snap.table_planes();
     match (planes.dest.narrow(), planes.next_hop.narrow()) {
         (Some(dest), Some(next)) => {
-            next_hop_lane(snap, dest, next, &lanes.next_hop, sink);
+            next_hop_lane(snap, dest, next, &lanes.next_hop, results);
         }
         _ => {
             let dest = planes.dest.wide().expect("plane widths agree");
             let next = planes.next_hop.wide().expect("plane widths agree");
-            next_hop_lane(snap, dest, next, &lanes.next_hop, sink);
+            next_hop_lane(snap, dest, next, &lanes.next_hop, results);
         }
     }
     metrics.observe_share(SpanId::ServeLatencyNextHop, lane_timer, lanes.next_hop.len() as u64);
     let lane_timer = metrics.timer();
-    cost_lane(snap, &lanes.cost, sink);
+    cost_lane(snap, &lanes.cost, results);
     metrics.observe_share(SpanId::ServeLatencyCost, lane_timer, lanes.cost.len() as u64);
     // Path lane last: the only lane that appends to the arena.
     let lane_timer = metrics.timer();
@@ -219,7 +218,7 @@ pub(crate) fn execute_group(
         };
         let start = arena.len() as u32;
         let entry = snap.path_into(source, module as usize, arena);
-        sink(oi, QueryResult::Path { entry, nodes: (start, arena.len() as u32) });
+        results[oi as usize] = QueryResult::Path { entry, nodes: (start, arena.len() as u32) };
     }
     metrics.observe_share(SpanId::ServeLatencyPath, lane_timer, lanes.path.len() as u64);
 }
@@ -228,7 +227,7 @@ pub(crate) fn execute_group(
 /// entry-distance plane and the validity bitset, monomorphized per lane
 /// width. Flat indices were pre-resolved by the split pass, so each
 /// slot is four plane reads and one result write — and because the lane
-/// preserves the `(shard, fabric, source)` sort, each `LANE_BLOCK`
+/// preserves the `(fabric, source)` sort, each `LANE_BLOCK`
 /// chunk's reads land in a bounded, monotonically advancing segment of
 /// every plane (the blocked schedule falls out of the sort).
 fn next_hop_lane<I: PlaneIdx>(
@@ -236,7 +235,7 @@ fn next_hop_lane<I: PlaneIdx>(
     dest: &[I],
     next: &[I],
     lane: &[(u32, usize)],
-    sink: &mut impl FnMut(u32, QueryResult),
+    results: &mut [QueryResult],
 ) {
     let planes = snap.table_planes();
     let dist: &[f64] = &planes.distance;
@@ -250,19 +249,19 @@ fn next_hop_lane<I: PlaneIdx>(
                 next_hop: NodeId::new(next[flat].expand()),
                 distance: dist[flat],
             });
-            sink(oi, QueryResult::NextHop(entry));
+            results[oi as usize] = QueryResult::NextHop(entry);
         }
     }
 }
 
 /// The Cost lane: a gather over the phase-2 distance plane — the only
 /// plane a cost query reads (8 bytes per slot).
-fn cost_lane(snap: &TableSnapshot, lane: &[(u32, usize)], sink: &mut impl FnMut(u32, QueryResult)) {
+fn cost_lane(snap: &TableSnapshot, lane: &[(u32, usize)], results: &mut [QueryResult]) {
     let dist = snap.dist_plane();
     for block in lane.chunks(LANE_BLOCK) {
         for &(oi, flat) in block {
             let cost = (flat != OUT_OF_RANGE).then(|| dist[flat]).filter(|d| d.is_finite());
-            sink(oi, QueryResult::Cost(cost));
+            results[oi as usize] = QueryResult::Cost(cost);
         }
     }
 }
@@ -273,12 +272,11 @@ fn cost_lane(snap: &TableSnapshot, lane: &[(u32, usize)], sink: &mut impl FnMut(
 pub struct QueryBatch {
     queries: Vec<Query>,
     /// Execution order (indices into `queries`), rebuilt per execute.
-    pub(crate) order: Vec<u32>,
-    /// Packed sort keys (`shard | fabric | source | index`), reused per
-    /// execute so the sort never re-evaluates the shard hash.
+    order: Vec<u32>,
+    /// Packed sort keys (`fabric | source | index`), reused per execute.
     keys: Vec<u128>,
-    /// Lane storage for the serial execute path.
-    pub(crate) lanes: LaneScratch,
+    /// Lane storage for the execute path.
+    lanes: LaneScratch,
 }
 
 impl QueryBatch {
@@ -323,8 +321,8 @@ impl QueryBatch {
     }
 
     /// Rebuilds the execution order: stable on submission index, sorted
-    /// by `(shard, fabric, source)` so each fabric — and each source
-    /// row within it — is visited exactly once per batch.
+    /// by `(fabric, source)` so each fabric — and each source row within
+    /// it — is visited exactly once per batch.
     ///
     /// **Single-fabric fast path**: when every query addresses one
     /// fabric (the per-garment common case), the whole batch is one
@@ -332,43 +330,10 @@ impl QueryBatch {
     /// the identity (submission) order emitted directly — the lane
     /// split downstream still gives each query type its streaming pass.
     ///
-    /// Mixed batches take the packed path: keys are packed into `u128`s
-    /// up front — one `shard_of` hash per query, not per comparison
-    /// (`sort_unstable_by_key` re-evaluates its closure;
-    /// `sort_by_cached_key` caches but allocates, which the steady
-    /// state must not).
-    pub(crate) fn sort_for_execution(&mut self, shard_of: impl Fn(u32) -> u32) {
-        self.order.clear();
-        if let Some(first) = self.queries.first() {
-            let fabric = first.fabric();
-            if self.queries.iter().all(|q| q.fabric() == fabric) {
-                self.order.extend(0..self.queries.len() as u32);
-                return;
-            }
-        }
-        self.keys.clear();
-        self.keys.reserve(self.queries.len());
-        for (i, q) in self.queries.iter().enumerate() {
-            let fabric = q.fabric();
-            let key = (u128::from(shard_of(fabric)) << 96)
-                | (u128::from(fabric) << 64)
-                | (u128::from(q.source().index() as u32) << 32)
-                | i as u128;
-            self.keys.push(key);
-        }
-        self.keys.sort_unstable();
-        self.order.extend(self.keys.iter().map(|&key| (key & u128::from(u32::MAX)) as u32));
-    }
-
-    /// [`QueryBatch::sort_for_execution`] for a batch already known to
-    /// execute on **one shard** — the daemon case, where a connection is
-    /// pinned to its owning shard and every batch it submits runs there.
-    /// With a single shard in play the shard hash can never split the
-    /// order, so it is skipped entirely: keys pack `(fabric, source,
-    /// index)` only, and the single-fabric identity fast path applies
-    /// unchanged. The resulting order is identical to
-    /// [`QueryBatch::sort_for_execution`] with any constant `shard_of`.
-    pub(crate) fn sort_single_shard(&mut self) {
+    /// Mixed batches sort `(fabric, source, index)` keys packed into
+    /// `u128`s up front (`sort_by_cached_key` would allocate, which the
+    /// steady state must not).
+    pub(crate) fn sort_for_execution(&mut self) {
         self.order.clear();
         if let Some(first) = self.queries.first() {
             let fabric = first.fabric();
@@ -463,8 +428,7 @@ mod tests {
         for (f, s) in [(2, 5), (0, 9), (2, 1), (0, 9), (1, 0)] {
             batch.push(q(f, s));
         }
-        // Identity sharding keeps fabric order itself.
-        batch.sort_for_execution(|f| f);
+        batch.sort_for_execution();
         let order: Vec<u32> = batch.order.clone();
         assert_eq!(order, vec![1, 3, 4, 2, 0]);
         assert_eq!(batch.len(), 5);
@@ -477,37 +441,13 @@ mod tests {
         for s in [5, 1, 9, 0] {
             batch.push(q(3, s));
         }
-        // A shard hash that would scramble everything must not even be
-        // consulted: one fabric means one group whatever the order.
-        batch.sort_for_execution(|_| unreachable!("single-fabric batch must not hash"));
+        // One fabric means one group whatever the order.
+        batch.sort_for_execution();
         assert_eq!(batch.order, vec![0, 1, 2, 3], "identity order, not source-sorted");
         // A second fabric reinstates the packed sort.
         batch.push(q(1, 2));
-        batch.sort_for_execution(|f| f);
+        batch.sort_for_execution();
         assert_eq!(batch.order, vec![4, 3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn single_shard_sort_skips_the_shard_hash() {
-        // Mixed fabrics, one shard: the order must match the packed
-        // sort under any constant shard hash — without consulting one.
-        let mut pinned = QueryBatch::new();
-        let mut hashed = QueryBatch::new();
-        for (f, s) in [(2, 5), (0, 9), (2, 1), (0, 9), (1, 0)] {
-            pinned.push(q(f, s));
-            hashed.push(q(f, s));
-        }
-        pinned.sort_single_shard();
-        hashed.sort_for_execution(|_| 7);
-        assert_eq!(pinned.order, hashed.order);
-        assert_eq!(pinned.order, vec![1, 3, 4, 2, 0]);
-        // The single-fabric identity fast path applies here too.
-        let mut single = QueryBatch::new();
-        for s in [5, 1, 9] {
-            single.push(q(3, s));
-        }
-        single.sort_single_shard();
-        assert_eq!(single.order, vec![0, 1, 2], "identity order, not source-sorted");
     }
 
     #[test]
@@ -529,9 +469,9 @@ mod tests {
         Router::new(Algorithm::Ear).compute(&graph, &modules, &report, None)
     }
 
-    /// Runs one mixed group through `execute_group` and collects the
-    /// `(submission index, result)` pairs plus the arena.
-    fn run_group(snap: &TableSnapshot) -> (Vec<(u32, QueryResult)>, Vec<NodeId>) {
+    /// Runs one mixed group through `execute_group` and returns the
+    /// results (submission order) plus the arena.
+    fn run_group(snap: &TableSnapshot) -> (Vec<QueryResult>, Vec<NodeId>) {
         let n = snap.node_count();
         let mut queries = Vec::new();
         for s in 0..n {
@@ -549,21 +489,10 @@ mod tests {
         let order: Vec<u32> = (0..queries.len() as u32).collect();
         let mut lanes = LaneScratch::default();
         let mut arena = Vec::new();
-        let mut got = Vec::new();
+        let mut results = vec![QueryResult::UnknownFabric; queries.len()];
         let metrics = Registry::disabled();
-        execute_group(
-            &metrics,
-            Some(snap),
-            &order,
-            &queries,
-            &mut lanes,
-            &mut arena,
-            &mut |oi, r| {
-                got.push((oi, r));
-            },
-        );
-        got.sort_by_key(|&(oi, _)| oi);
-        (got, arena)
+        execute_group(&metrics, Some(snap), &order, &queries, &mut lanes, &mut arena, &mut results);
+        (results, arena)
     }
 
     #[test]
@@ -580,11 +509,12 @@ mod tests {
         let (wide_results, wide_arena) = run_group(&wide);
         assert_eq!(narrow_results, wide_results);
         assert_eq!(narrow_arena, wide_arena);
+        assert!(!narrow_results.contains(&QueryResult::UnknownFabric), "every query answered");
         // And the in-range next-hop answers agree with the routing
         // state itself (query 3s is source s's next-hop lookup).
-        for (oi, result) in narrow_results {
+        for (oi, result) in narrow_results.into_iter().enumerate() {
             if let QueryResult::NextHop(entry) = result {
-                let source = oi as usize / 3;
+                let source = oi / 3;
                 let want = (source < state.node_count())
                     .then(|| state.route(NodeId::new(source), 0).copied())
                     .flatten();
@@ -599,12 +529,10 @@ mod tests {
         let order = vec![0u32, 1];
         let mut lanes = LaneScratch::default();
         let mut arena = Vec::new();
-        let mut got = Vec::new();
+        let mut results = vec![QueryResult::Cost(None); 2];
         let metrics = Registry::disabled();
-        execute_group(&metrics, None, &order, &queries, &mut lanes, &mut arena, &mut |oi, r| {
-            got.push((oi, r));
-        });
-        assert_eq!(got, vec![(0, QueryResult::UnknownFabric), (1, QueryResult::UnknownFabric)]);
+        execute_group(&metrics, None, &order, &queries, &mut lanes, &mut arena, &mut results);
+        assert_eq!(results, vec![QueryResult::UnknownFabric; 2]);
         assert!(arena.is_empty());
     }
 }

@@ -270,7 +270,7 @@ mod tests {
 
     fn tiny_frontend() -> FleetFrontend {
         let spec = ScenarioSpec { instances: 2, ..ScenarioSpec::smoke() };
-        FleetFrontend::from_spec(&spec, 1_500, 2).expect("smoke spec is valid")
+        FleetFrontend::from_spec(&spec, 1_500).expect("smoke spec is valid")
     }
 
     #[test]

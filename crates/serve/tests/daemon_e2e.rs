@@ -14,8 +14,8 @@ const WARM: u64 = 800;
 
 /// Results are equal when every entry and every materialized path
 /// agrees; the raw arena span offsets inside `QueryResult::Path` are
-/// an internal layout detail (the hashed executor interleaves shards,
-/// the wire decoder rebuilds in result order).
+/// an internal layout detail (the executor fills the arena in sorted
+/// fabric order, the wire decoder rebuilds in result order).
 fn assert_outputs_equal(label: &str, a_out: &QueryOutput, b_out: &QueryOutput) {
     assert_eq!(a_out.results().len(), b_out.results().len(), "{label}: length");
     for (i, (a, b)) in a_out.results().iter().zip(b_out.results()).enumerate() {
@@ -66,7 +66,7 @@ fn assert_wire_matches_local(client: &mut RouteClient, frontend: &FleetFrontend,
 #[test]
 fn wire_answers_match_in_process_frontend() {
     let served = start(1);
-    let frontend = FleetFrontend::from_spec(&spec(), WARM, 1).expect("frontend");
+    let frontend = FleetFrontend::from_spec(&spec(), WARM).expect("frontend");
     let mut client = RouteClient::connect(served.addr()).expect("connect");
 
     assert_eq!(client.fabric_count(), frontend.fabric_count());
@@ -81,9 +81,9 @@ fn wire_answers_match_in_process_frontend() {
 #[test]
 fn sharded_daemon_matches_single_shard_frontend() {
     let served = start(2);
-    // Shard count on the serving side must not change a single answer:
-    // compare against a deliberately different in-process sharding.
-    let frontend = FleetFrontend::from_spec(&spec(), WARM, 1).expect("frontend");
+    // The serving side's shard count must not change a single answer:
+    // the in-process frontend runs the same executor with no workers.
+    let frontend = FleetFrontend::from_spec(&spec(), WARM).expect("frontend");
 
     // Round-robin pinning: consecutive connections land on different
     // shards, and both answer identically.
@@ -96,55 +96,59 @@ fn sharded_daemon_matches_single_shard_frontend() {
     assert_wire_matches_local(&mut second, &frontend, 11);
 }
 
+/// Sends one INGEST and returns its `(epoch, applied)` acknowledgement.
+fn ingest(client: &mut RouteClient, fabric: u32, items: &[(u32, u32)], label: &str) -> (u64, u64) {
+    let mut out = QueryOutput::new();
+    client.send_ingest(fabric, items).expect("send ingest");
+    match client.recv(&mut out).expect("recv ack").kind {
+        ResponseKind::IngestAck { epoch, applied } => (epoch, applied),
+        other => panic!("{label}: expected INGEST_ACK, got {other:?}"),
+    }
+}
+
 #[test]
 fn ingest_advances_epochs_deterministically() {
-    let served = start(1);
-    let mut client = RouteClient::connect(served.addr()).expect("connect");
-    let mut out = QueryOutput::new();
-
-    // First ingest: two distinct telemetry updates. Whatever the warm
-    // state left behind, a second identical ingest must be a pure
-    // no-op — same epoch, zero applied.
-    let items = [(1u32, 1u32), (2, 0)];
-    client.send_ingest(0, &items).expect("send ingest");
-    let first = client.recv(&mut out).expect("recv ack");
-    let (epoch, _applied) = match first.kind {
-        ResponseKind::IngestAck { epoch, applied } => (epoch, applied),
-        other => panic!("expected INGEST_ACK, got {other:?}"),
-    };
-
-    client.send_ingest(0, &items).expect("send repeat ingest");
-    let repeat = client.recv(&mut out).expect("recv repeat ack");
-    match repeat.kind {
-        ResponseKind::IngestAck { epoch: e, applied } => {
-            assert_eq!(applied, 0, "repeated telemetry must apply nothing");
-            assert_eq!(e, epoch, "no-op ingest must not publish a new epoch");
+    // On two shards the write sides split across both workers, so every
+    // fabric's ingest must be routed to the worker that owns it.
+    for shards in [1, 2] {
+        let served = start(shards);
+        let mut client = RouteClient::connect(served.addr()).expect("connect");
+        for fabric in 0..client.fabric_count() as u32 {
+            if client.node_count(fabric).is_none() {
+                continue; // a rejected instance has no write side
+            }
+            let label = format!("{shards} shard(s), fabric {fabric}");
+            // First ingest: two distinct telemetry updates. Whatever the
+            // warm state left behind, a second identical ingest must be a
+            // pure no-op — same epoch, zero applied.
+            let items = [(1u32, 1u32), (2, 0)];
+            let (epoch, _applied) = ingest(&mut client, fabric, &items, &label);
+            assert_eq!(
+                ingest(&mut client, fabric, &items, &label),
+                (epoch, 0),
+                "{label}: repeated telemetry must apply nothing and publish no epoch"
+            );
+            // A genuinely new report advances the epoch by exactly one
+            // recompute and applies exactly the changed nodes.
+            assert_eq!(
+                ingest(&mut client, fabric, &[(1, 5), (2, 5)], &label),
+                (epoch + 1, 2),
+                "{label}: a new report publishes one epoch"
+            );
         }
-        other => panic!("expected INGEST_ACK, got {other:?}"),
-    }
 
-    // A genuinely new report advances the epoch by exactly one
-    // recompute and applies exactly the changed nodes.
-    client.send_ingest(0, &[(1, 5), (2, 5)]).expect("send new ingest");
-    let advanced = client.recv(&mut out).expect("recv new ack");
-    match advanced.kind {
-        ResponseKind::IngestAck { epoch: e, applied } => {
-            assert_eq!(applied, 2);
-            assert_eq!(e, epoch + 1);
-        }
-        other => panic!("expected INGEST_ACK, got {other:?}"),
+        // Post-ingest answers are served from the new tables and are
+        // deterministic: the same batch twice is bit-identical.
+        let workload = WorkloadSpec { seed: 23, batch: 128, ..WorkloadSpec::default() };
+        let mut generator = WorkloadGen::new(workload);
+        let mut batch = QueryBatch::new();
+        generator.fill(&client, &mut batch);
+        let mut out = QueryOutput::new();
+        let mut again = QueryOutput::new();
+        client.query(batch.queries(), &mut out).expect("query");
+        client.query(batch.queries(), &mut again).expect("query again");
+        assert_eq!(out.results(), again.results());
     }
-
-    // Post-ingest answers are served from the new tables and are
-    // deterministic: the same batch twice is bit-identical.
-    let workload = WorkloadSpec { seed: 23, batch: 128, ..WorkloadSpec::default() };
-    let mut generator = WorkloadGen::new(workload);
-    let mut batch = QueryBatch::new();
-    generator.fill(&client, &mut batch);
-    let mut again = QueryOutput::new();
-    client.query(batch.queries(), &mut out).expect("query");
-    client.query(batch.queries(), &mut again).expect("query again");
-    assert_eq!(out.results(), again.results());
 }
 
 #[test]

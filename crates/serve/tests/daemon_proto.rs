@@ -8,10 +8,12 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use etx_fleet::ScenarioSpec;
 use etx_graph::NodeId;
+use etx_metrics::{CounterId, MetricsHandle, Registry};
 use etx_serve::net::proto::{self, code, msg, Reply, DEFAULT_MAX_FRAME_LEN};
 use etx_serve::net::{FrameReader, RouteClient, Served, ServedConfig};
 use etx_serve::{FleetFrontend, Query, QueryBatch, QueryOutput, WorkloadGen, WorkloadSpec};
@@ -217,6 +219,51 @@ fn disconnect_after_queued_batch_leaves_server_healthy() {
     assert_server_healthy(&served);
 }
 
+/// `net.bytes_in` and `net.bytes_out` count whole frames, length
+/// prefix included: after a raw HELLO and one two-query QUERY, they
+/// equal exactly the bytes the client wrote and read.
+#[test]
+fn net_byte_counters_count_whole_frames() {
+    let metrics = MetricsHandle::new(Arc::new(Registry::counters_only()));
+    let mut config = ServedConfig::new(ScenarioSpec { instances: 1, ..ScenarioSpec::smoke() });
+    config.warm_cycles = Some(300);
+    config.metrics = metrics.clone();
+    let mut served = Served::start(config).expect("daemon starts");
+
+    let stream = TcpStream::connect(served.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = FrameReader::new();
+    let mut buf = Vec::new();
+    let queries = [
+        Query::NextHop { fabric: 0, source: NodeId::new(1), module: 0 },
+        Query::Cost { fabric: 0, source: NodeId::new(0), target: NodeId::new(2) },
+    ];
+    let (mut written, mut read) = (0u64, 0u64);
+    let mut exchange = |sent: &[u8]| {
+        written += sent.len() as u64;
+        (&stream).write_all(sent).unwrap();
+        let payload = reader
+            .next_frame(&stream, DEFAULT_MAX_FRAME_LEN)
+            .expect("frame arrives")
+            .expect("stream still open");
+        // Re-frame the payload locally: prefix bytes count too.
+        read += frame(payload).len() as u64;
+        proto::decode_reply(payload).expect("reply decodes")
+    };
+    let ack = exchange(proto::encode_hello(&mut buf));
+    assert!(matches!(ack, Reply::HelloAck { .. }), "{ack:?}");
+    let results = exchange(proto::encode_query(&mut buf, 1, &queries));
+    assert!(matches!(results, Reply::Results { request_id: 1 }), "{results:?}");
+
+    // Joining the workers orders every counter update before the reads.
+    served.shutdown();
+    served.wait();
+    assert_eq!(metrics.counter(CounterId::NetFramesIn), 2);
+    assert_eq!(metrics.counter(CounterId::NetFramesOut), 2);
+    assert_eq!(metrics.counter(CounterId::NetBytesIn), written);
+    assert_eq!(metrics.counter(CounterId::NetBytesOut), read);
+}
+
 fn arbitrary_query() -> impl Strategy<Value = Query> {
     (0u8..3, 0u32..64, 0u32..4096, 0u32..4096).prop_map(|(kind, fabric, a, b)| match kind {
         0 => Query::NextHop { fabric, source: NodeId::new(a as usize), module: b },
@@ -283,7 +330,7 @@ proptest! {
 #[test]
 fn results_frames_round_trip_against_frontend() {
     let spec = ScenarioSpec { instances: 2, ..ScenarioSpec::smoke() };
-    let frontend = FleetFrontend::from_spec(&spec, 300, 1).expect("frontend");
+    let frontend = FleetFrontend::from_spec(&spec, 300).expect("frontend");
     let mut out = QueryOutput::new();
     let mut decoded = QueryOutput::new();
     let mut buf = Vec::new();

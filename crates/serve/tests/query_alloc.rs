@@ -14,8 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use etx_graph::{topology::Mesh2D, NodeId};
 use etx_routing::{Algorithm, Router, RoutingScratch, RoutingState, SystemReport};
 use etx_serve::{
-    EpochPublisher, FleetFrontend, Query, QueryBatch, QueryOutput, ShardWorkspace, WorkloadGen,
-    WorkloadSpec,
+    EpochPublisher, FleetFrontend, Query, QueryBatch, QueryOutput, WorkloadGen, WorkloadSpec,
 };
 use etx_units::Length;
 
@@ -109,7 +108,7 @@ fn steady_publish_and_query_loop_does_not_allocate() {
     // Two fabrics fed by live routers, so the loop exercises publish
     // (with double-buffer reclaim) *and* batched queries of all three
     // kinds against freshly pinned snapshots.
-    let mut frontend = FleetFrontend::new(3);
+    let mut frontend = FleetFrontend::new(1);
     let mut fabrics = Vec::new();
     for side in [6usize, 8] {
         let graph = Mesh2D::square(side, Length::from_centimetres(2.05)).to_graph();
@@ -147,32 +146,6 @@ fn steady_publish_and_query_loop_does_not_allocate() {
     // epochs advanced past the warm-up.
     assert_eq!(out.results().len(), 512);
     assert!(frontend.epoch(0).unwrap() > 16);
-
-    // The shard fan-out preserves the discipline on its serial fallback
-    // (partition, per-shard slots, scatter — all warmed buffers). On a
-    // multi-core host `execute_sharded` spawns scoped threads, which
-    // allocate by design, so the zero-alloc assertion is gated to the
-    // serial case; the output equivalence test covers the parallel
-    // branch.
-    let mut workspace = ShardWorkspace::new();
-    // Warm-up: per-shard arenas converge to their high-water mark over
-    // a few randomized batches (deterministic stream, so stable).
-    for _ in 0..12 {
-        generator.fill(&frontend, &mut batch);
-        frontend.execute_sharded(&mut batch, &mut out, &mut workspace);
-    }
-    let serial_host =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) == 1;
-    if serial_host {
-        let before = allocations();
-        for _ in 0..8 {
-            generator.fill(&frontend, &mut batch);
-            frontend.execute_sharded(&mut batch, &mut out, &mut workspace);
-        }
-        let allocated = allocations() - before;
-        assert_eq!(allocated, 0, "sharded execute allocated {allocated} times over 8 batches");
-    }
-    assert_eq!(out.results().len(), 512);
 
     // Single-fabric fast path: every query addresses fabric 0, so
     // `sort_for_execution` skips the key build + sort entirely and the

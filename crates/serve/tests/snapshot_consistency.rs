@@ -12,7 +12,7 @@ use etx_routing::{
 };
 use etx_serve::{
     EpochPublisher, FleetFrontend, PinnedSnapshot, Query, QueryBatch, QueryOutput, QueryResult,
-    ShardWorkspace, TableSnapshot, WorkloadGen, WorkloadSpec,
+    TableSnapshot, WorkloadGen, WorkloadSpec,
 };
 use etx_sim::FrameFeed;
 use etx_units::Length;
@@ -171,15 +171,13 @@ proptest! {
     /// The lane-split batched execution answers exactly what the
     /// producing `RoutingState` answers: for every epoch of a
     /// drain/churn/reconnect chain (every recompute strategy, both
-    /// algorithms), a frontend batch of all three query types — serial
-    /// and sharded — resolves to the state's own `route`, `distance`
-    /// and successor-walk answers.
+    /// algorithms), a frontend batch of all three query types resolves
+    /// to the state's own `route`, `distance` and successor-walk answers.
     #[test]
     fn batched_queries_match_routing_state(
         side in 3usize..6,
         algorithm in prop_oneof![Just(Algorithm::Ear), Just(Algorithm::Sdr)],
         strategy in prop_oneof![Just(RecomputeStrategy::Full), Just(RecomputeStrategy::Auto)],
-        shards in 1usize..5,
         frames in proptest::collection::vec(
             (proptest::collection::vec(0u32..16, 8), proptest::collection::vec(any::<bool>(), 5)),
             2..5
@@ -193,7 +191,7 @@ proptest! {
         let modules = module_stripes(k);
 
         let (mut publisher, reader) = EpochPublisher::new();
-        let mut frontend = FleetFrontend::new(shards);
+        let mut frontend = FleetFrontend::new(1);
         let fabric = frontend.register(reader, k, modules.len());
 
         let mut scratch = RoutingScratch::new();
@@ -202,9 +200,7 @@ proptest! {
         router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
 
         let mut batch = QueryBatch::new();
-        let mut serial = QueryOutput::new();
-        let mut sharded = QueryOutput::new();
-        let mut workspace = ShardWorkspace::new();
+        let mut out = QueryOutput::new();
         let mut want_path = Vec::new();
 
         for (frame, (levels, dead)) in frames.iter().enumerate() {
@@ -226,10 +222,9 @@ proptest! {
                 }
                 batch.push(Query::Cost { fabric, source, target: NodeId::new((s * 7 + 1) % k) });
             }
-            frontend.execute(&mut batch, &mut serial);
-            frontend.execute_sharded(&mut batch, &mut sharded, &mut workspace);
+            frontend.execute(&mut batch, &mut out);
 
-            for (query, result) in batch.queries().iter().zip(serial.results()) {
+            for (query, result) in batch.queries().iter().zip(out.results()) {
                 match (*query, *result) {
                     (Query::NextHop { source, module, .. }, QueryResult::NextHop(entry)) => {
                         prop_assert_eq!(entry, state.route(source, module as usize).copied());
@@ -256,23 +251,11 @@ proptest! {
                                 want_path.push(entry.destination);
                             }
                         }
-                        prop_assert_eq!(serial.path_nodes(&result), want_path.as_slice());
+                        prop_assert_eq!(out.path_nodes(&result), want_path.as_slice());
                     }
                     (query, result) => {
                         prop_assert!(false, "mismatched kinds: {:?} -> {:?}", query, result);
                     }
-                }
-            }
-            // The sharded fan-out resolves identically (its arena layout
-            // is shard-ordered, so compare at the resolved level).
-            prop_assert_eq!(serial.results().len(), sharded.results().len());
-            for (a, b) in serial.results().iter().zip(sharded.results()) {
-                match (a, b) {
-                    (QueryResult::Path { entry: ea, .. }, QueryResult::Path { entry: eb, .. }) => {
-                        prop_assert_eq!(ea, eb);
-                        prop_assert_eq!(serial.path_nodes(a), sharded.path_nodes(b));
-                    }
-                    _ => prop_assert_eq!(a, b),
                 }
             }
         }
@@ -287,8 +270,8 @@ fn frame_feeds_serve_identical_answers() {
     let base = ScenarioSpec { instances: 3, ..ScenarioSpec::smoke() };
     let bitset_spec = ScenarioSpec { feed: FrameFeed::Bitset, ..base.clone() };
     let diff_spec = ScenarioSpec { feed: FrameFeed::ReportDiff, ..base };
-    let bitset = FleetFrontend::from_spec(&bitset_spec, 1_500, 3).expect("valid spec");
-    let diff = FleetFrontend::from_spec(&diff_spec, 1_500, 3).expect("valid spec");
+    let bitset = FleetFrontend::from_spec(&bitset_spec, 1_500).expect("valid spec");
+    let diff = FleetFrontend::from_spec(&diff_spec, 1_500).expect("valid spec");
 
     let mut generator = WorkloadGen::new(WorkloadSpec { batch: 512, ..WorkloadSpec::default() });
     let mut batch = QueryBatch::new();
