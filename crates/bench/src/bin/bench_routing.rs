@@ -16,20 +16,18 @@
 //! * `full_auto_ns` — the same full recompute under [`PathBackend::Auto`],
 //! * `incremental_repair_ns` — the steady-drain loop the simulator
 //!   actually runs: one battery-bucket drain per frame, recomputed in
-//!   place over a warmed [`RoutingScratch`] through the changed-bitset
-//!   frame feed (`Router::recompute_frame_into`) driving the incremental
-//!   path-repair pipeline,
+//!   place over a warmed [`RoutingScratch`] through the engine's
+//!   dirty-list entry point (`Router::recompute_dirty_into`) driving the
+//!   incremental path-repair pipeline,
 //!
 //! * `churn_repair_ns` — the churn/reconnect loop: per 16-frame period
 //!   a rotating victim is disconnected and revived while recharge
 //!   pulses land on bystanders in between, so every period drives both
 //!   repair halves (increase *and* decrease) through the same
-//!   changed-bitset frame feed,
+//!   dirty-list entry point,
 //!
-//! plus three per-frame observability metrics of the repair loop:
-//! `repair_table_entries_per_frame` (phase-3 delta rebuild),
-//! `nodes_scanned_per_frame` (the changed-bitset feed's node-state
-//! examinations; a report-diff frame would scan all `K`), and
+//! plus two per-frame observability metrics of the repair loop:
+//! `repair_table_entries_per_frame` (phase-3 delta rebuild) and
 //! `decrease_repairs_per_frame` (sources whose repair engaged the
 //! decrease half over the churn loop);
 //!
@@ -51,10 +49,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use etx::graph::{NodeBitset, PathBackend};
+use etx::graph::PathBackend;
 use etx::metrics::{CounterId, GaugeId, MetricsHandle, Registry, SpanId};
 use etx::prelude::*;
-use etx::routing::{FrameDelta, RoutingScratch, RoutingState};
+use etx::routing::{RoutingScratch, RoutingState};
 
 fn best_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -90,10 +88,6 @@ struct Point {
     /// Average `(node, module)` table entries phase 3 refreshed per
     /// steady-drain repair frame (a full rebuild would refresh `3 * K`).
     repair_table_entries_per_frame: f64,
-    /// Average node states the per-frame bookkeeping examined per
-    /// steady-drain repair frame under the changed-bitset feed (a
-    /// report-diff frame scans all `K`).
-    nodes_scanned_per_frame: f64,
     /// Average sources per churn frame whose repair engaged the decrease
     /// half (improvement propagation instead of a conservative re-run).
     decrease_repairs_per_frame: f64,
@@ -129,7 +123,7 @@ fn record_frame_ns(report: &SystemReport, budget: Duration) -> f64 {
         repair_recomputes: 1,
         repaired_sources: 3,
         table_cells_patched: 12,
-        nodes_scanned: 1,
+        nodes_scanned: report.node_count() as u64,
         ..Default::default()
     };
     let mut frame = 0u64;
@@ -163,7 +157,7 @@ fn record_frame_ns(report: &SystemReport, budget: Duration) -> f64 {
 }
 
 /// Individual steady-drain repair frame timings (the same loop as
-/// [`steady_drain_ns`] with the changed-bitset feed), reduced to
+/// [`steady_drain_ns`]), reduced to
 /// `(p50, p90, p99)` — the per-frame latency distribution a frame-trace
 /// timeline would show for this fabric size.
 fn repair_frame_percentiles(
@@ -177,7 +171,6 @@ fn repair_frame_percentiles(
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
     let mut current = report.clone();
-    let mut bits = NodeBitset::with_capacity(k);
     router.compute_into(graph, modules, &current, None, &mut scratch, &mut state);
     let mut frame = 0usize;
     let mut drain_one = move |current: &mut SystemReport,
@@ -187,16 +180,7 @@ fn repair_frame_percentiles(
         let level = current.battery_level(node);
         current.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
         frame += 1;
-        bits.clear();
-        bits.insert(node);
-        router.recompute_frame_into(
-            graph,
-            modules,
-            current,
-            FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
-            scratch,
-            state,
-        );
+        router.recompute_dirty_into(graph, modules, current, &[node], scratch, state);
     };
     for _ in 0..8 {
         drain_one(&mut current, &mut scratch, &mut state);
@@ -213,36 +197,24 @@ fn repair_frame_percentiles(
     (pick(0.50), pick(0.90), pick(0.99))
 }
 
-/// Measures the steady-state per-frame observability counters over a
-/// battery-drain loop on the changed-bitset frame feed: `(table entries
-/// refreshed, node states scanned)` per frame, plus an assertion-grade
-/// check that every steady frame skipped its `O(K)` scan.
-fn steady_frame_stats(
+/// Measures the table entries phase 3 refreshed per frame over a
+/// steady battery-drain loop.
+fn steady_table_entries_per_frame(
     graph: &etx::graph::DiGraph,
     modules: &[Vec<NodeId>],
     report: &SystemReport,
-) -> (f64, f64) {
+) -> f64 {
     let router = Router::new(Algorithm::Ear);
     let k = graph.node_count();
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
     let mut current = report.clone();
-    let mut bits = NodeBitset::with_capacity(k);
     router.compute_into(graph, modules, &current, None, &mut scratch, &mut state);
     let mut drain_one = |frame: usize, scratch: &mut RoutingScratch, state: &mut RoutingState| {
         let node = NodeId::new((frame * 7 + 3) % k);
         let level = current.battery_level(node);
         current.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
-        bits.clear();
-        bits.insert(node);
-        router.recompute_frame_into(
-            graph,
-            modules,
-            &current,
-            FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
-            scratch,
-            state,
-        );
+        router.recompute_dirty_into(graph, modules, &current, &[node], scratch, state);
     };
     // Warm-up frames: the first delta frame after a full recompute finds
     // cold shortest-path trees and re-runs (and re-tables) everything —
@@ -257,15 +229,7 @@ fn steady_frame_stats(
         drain_one(warmup_frames + frame as usize, &mut scratch, &mut state);
     }
     let stats = scratch.stats();
-    assert_eq!(
-        stats.frames_oK_skipped - warmup.frames_oK_skipped,
-        frames,
-        "steady bitset-fed frames must skip the O(K) scan"
-    );
-    (
-        (stats.table_entries_rebuilt - warmup.table_entries_rebuilt) as f64 / frames as f64,
-        (stats.nodes_scanned - warmup.nodes_scanned) as f64 / frames as f64,
-    )
+    (stats.table_entries_rebuilt - warmup.table_entries_rebuilt) as f64 / frames as f64
 }
 
 /// Length of one churn period: a disconnect/reconnect pair followed by
@@ -315,7 +279,7 @@ fn churn_mutate(
 }
 
 /// Times one churn/reconnect cycle (averaged to a per-frame figure) on
-/// the repair pipeline's changed-bitset feed, and measures how many
+/// the repair pipeline, and measures how many
 /// sources per frame the decrease half repaired in place.
 fn churn_repair_stats(
     graph: &etx::graph::DiGraph,
@@ -328,7 +292,6 @@ fn churn_repair_stats(
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
     let mut current = report.clone();
-    let mut bits = NodeBitset::with_capacity(k);
     router.compute_into(graph, modules, &current, None, &mut scratch, &mut state);
     let mut frame = 0usize;
     let mut victim_level = 0u32;
@@ -337,16 +300,7 @@ fn churn_repair_stats(
                               state: &mut RoutingState| {
         let node = churn_mutate(current, frame, k, &mut victim_level);
         frame += 1;
-        bits.clear();
-        bits.insert(node);
-        router.recompute_frame_into(
-            graph,
-            modules,
-            current,
-            FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
-            scratch,
-            state,
-        );
+        router.recompute_dirty_into(graph, modules, current, &[node], scratch, state);
     };
     for _ in 0..CHURN_PERIOD {
         churn_one(&mut current, &mut scratch, &mut state);
@@ -369,7 +323,7 @@ fn churn_repair_stats(
 
 /// Times the simulator's steady-state loop — one battery-bucket drain
 /// per frame, recomputed in place over warmed buffers through the
-/// engine's changed-bitset path (`recompute_frame_into`).
+/// engine's dirty-list entry point (`recompute_dirty_into`).
 ///
 /// Measured as the best complete [`CHURN_PERIOD`]-frame window averaged
 /// to a per-frame figure — the same protocol as
@@ -388,7 +342,6 @@ fn steady_drain_ns(
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
     let mut current = report.clone();
-    let mut bits = NodeBitset::with_capacity(k);
     router.compute_into(graph, modules, &current, None, &mut scratch, &mut state);
     let mut frame = 0usize;
     let mut drain_one = move |current: &mut SystemReport,
@@ -402,16 +355,7 @@ fn steady_drain_ns(
             current.set_battery_level(node, level - 1);
         }
         frame += 1;
-        bits.clear();
-        bits.insert(node);
-        router.recompute_frame_into(
-            graph,
-            modules,
-            current,
-            FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
-            scratch,
-            state,
-        );
+        router.recompute_dirty_into(graph, modules, current, &[node], scratch, state);
     };
     for _ in 0..8 {
         drain_one(&mut current, &mut scratch, &mut state);
@@ -457,13 +401,13 @@ fn steady_drain_ns(
 fn metrics_record_ns(budget: Duration) -> (f64, f64) {
     let registry = Arc::new(Registry::full());
     let metrics = MetricsHandle::new(Arc::clone(&registry));
-    // A representative steady-drain frame's recompute delta: one
-    // repaired source, a phase-3 patch sweep, one node scanned.
+    // A representative K=1024 steady-drain frame's recompute delta: one
+    // repaired source, a phase-3 patch sweep, every node state scanned.
     let delta = etx::routing::RecomputeStats {
         repair_recomputes: 1,
         repaired_sources: 1,
         table_cells_patched: 33,
-        nodes_scanned: 1,
+        nodes_scanned: 1024,
         ..Default::default()
     };
     let mut version = 0u64;
@@ -568,15 +512,14 @@ fn measure(side: usize, budget: Duration) -> Point {
         std::hint::black_box(auto.compute(std::hint::black_box(&graph), &modules, &report, None));
     });
 
-    // The engine's steady-state loop: incremental path repair on the
-    // changed-bitset frame feed.
+    // The engine's steady-state loop: incremental path repair fed one
+    // dirty node per frame.
     let incremental_repair_ns = steady_drain_ns(&graph, &modules, &report, budget);
 
     let (churn_repair_ns, decrease_repairs_per_frame) =
         churn_repair_stats(&graph, &modules, &report, budget);
 
-    let (repair_table_entries_per_frame, nodes_scanned_per_frame) =
-        steady_frame_stats(&graph, &modules, &report);
+    let repair_table_entries_per_frame = steady_table_entries_per_frame(&graph, &modules, &report);
 
     let samples = if budget < Duration::from_millis(100) { 64 } else { 128 };
     let (repair_frame_p50_ns, repair_frame_p90_ns, repair_frame_p99_ns) =
@@ -592,7 +535,6 @@ fn measure(side: usize, budget: Duration) -> Point {
         incremental_repair_ns,
         churn_repair_ns,
         repair_table_entries_per_frame,
-        nodes_scanned_per_frame,
         decrease_repairs_per_frame,
         repair_frame_p50_ns,
         repair_frame_p90_ns,
@@ -605,7 +547,7 @@ fn measure(side: usize, budget: Duration) -> Point {
 fn main() {
     // `--smoke`: small sizes and short budgets — the CI-speed pass that
     // still exercises every measured path and emits the per-frame
-    // observability metrics (`nodes_scanned_per_frame` included).
+    // observability metrics.
     let mut smoke = false;
     let mut out_path = None;
     for arg in std::env::args().skip(1) {
@@ -629,7 +571,7 @@ fn main() {
             "K={:4} ({}x{}, auto={}): full_fw={:.0}ns full_auto={:.0}ns \
              repair={:.0}ns ({:.1}x over seed) churn={:.0}ns \
              ({:.1}x over drain, {:.1} decrease-repairs/frame); \
-             table {:.1}/{} entries, {:.1}/{} nodes scanned per repair frame",
+             table {:.1}/{} entries per repair frame",
             point.k,
             point.side,
             point.side,
@@ -643,8 +585,6 @@ fn main() {
             point.decrease_repairs_per_frame,
             point.repair_table_entries_per_frame,
             3 * point.k,
-            point.nodes_scanned_per_frame,
-            point.k,
         );
         eprintln!(
             "        frame times p50={:.0}ns p90={:.0}ns p99={:.0}ns; trace record {:.0}ns \
@@ -709,7 +649,6 @@ fn main() {
              \"incremental_repair_ns\": {:.0}, \
              \"churn_repair_ns\": {:.0}, \
              \"repair_table_entries_per_frame\": {:.1}, \
-             \"nodes_scanned_per_frame\": {:.1}, \
              \"decrease_repairs_per_frame\": {:.1}, \
              \"repair_frame_p50_ns\": {:.0}, \"repair_frame_p90_ns\": {:.0}, \
              \"repair_frame_p99_ns\": {:.0}, \"record_overhead_ns\": {:.0}, \
@@ -723,7 +662,6 @@ fn main() {
             p.incremental_repair_ns,
             p.churn_repair_ns,
             p.repair_table_entries_per_frame,
-            p.nodes_scanned_per_frame,
             p.decrease_repairs_per_frame,
             p.repair_frame_p50_ns,
             p.repair_frame_p90_ns,

@@ -111,13 +111,8 @@ pub struct RecomputeTally {
     /// The subset of `table_entries_rebuilt` refreshed by the `O(1)`
     /// challenge patch instead of the `O(|S_i|)` duplicate re-scan.
     pub table_cells_patched: u128,
-    /// Recomputes that skipped every per-frame `O(K)` node scan (the
-    /// changed-bitset frame feed maintained the gate inputs in
-    /// `O(changed)`).
-    pub frames_ok_skipped: u128,
     /// Node states examined by per-frame bookkeeping across all
-    /// recomputes (`nodes_scanned / recomputes ≪ K` is the observable
-    /// win of the bitset feed).
+    /// recomputes (`K` per recompute).
     pub nodes_scanned: u128,
 }
 
@@ -132,7 +127,6 @@ impl RecomputeTally {
         self.table_delta_rebuilds += u128::from(stats.table_delta_rebuilds);
         self.table_entries_rebuilt += u128::from(stats.table_entries_rebuilt);
         self.table_cells_patched += u128::from(stats.table_cells_patched);
-        self.frames_ok_skipped += u128::from(stats.frames_oK_skipped);
         self.nodes_scanned += u128::from(stats.nodes_scanned);
     }
 
@@ -146,7 +140,6 @@ impl RecomputeTally {
         self.table_delta_rebuilds += other.table_delta_rebuilds;
         self.table_entries_rebuilt += other.table_entries_rebuilt;
         self.table_cells_patched += other.table_cells_patched;
-        self.frames_ok_skipped += other.frames_ok_skipped;
         self.nodes_scanned += other.nodes_scanned;
     }
 }
@@ -234,7 +227,7 @@ impl FleetAggregate {
         // filter it out and diff the (byte-identical) rest.
         let _ = writeln!(
             out,
-            "  \"recompute\": {{\"full\": {}, \"repair\": {}, \"repaired_sources\": {}, \"fallback_sources\": {}, \"decrease_repairs\": {}, \"decrease_nodes_improved\": {}, \"table_delta_rebuilds\": {}, \"table_entries_rebuilt\": {}, \"table_cells_patched\": {}, \"frames_oK_skipped\": {}, \"nodes_scanned\": {}}},",
+            "  \"recompute\": {{\"full\": {}, \"repair\": {}, \"repaired_sources\": {}, \"fallback_sources\": {}, \"decrease_repairs\": {}, \"decrease_nodes_improved\": {}, \"table_delta_rebuilds\": {}, \"table_entries_rebuilt\": {}, \"table_cells_patched\": {}, \"nodes_scanned\": {}}},",
             self.recompute.full,
             self.recompute.repair,
             self.recompute.repaired_sources,
@@ -244,7 +237,6 @@ impl FleetAggregate {
             self.recompute.table_delta_rebuilds,
             self.recompute.table_entries_rebuilt,
             self.recompute.table_cells_patched,
-            self.recompute.frames_ok_skipped,
             self.recompute.nodes_scanned,
         );
         let _ = writeln!(
@@ -298,7 +290,7 @@ impl fmt::Display for FleetAggregate {
             "recomputes: {} full, {} repair ({} sources repaired, {} re-run, \
              {} decrease-repaired / {} nodes improved); \
              table: {} delta rebuilds, {} entries ({} challenge-patched); \
-             frame scans: {} O(K) skipped, {} nodes",
+             {} nodes scanned",
             self.recompute.full,
             self.recompute.repair,
             self.recompute.repaired_sources,
@@ -308,7 +300,6 @@ impl fmt::Display for FleetAggregate {
             self.recompute.table_delta_rebuilds,
             self.recompute.table_entries_rebuilt,
             self.recompute.table_cells_patched,
-            self.recompute.frames_ok_skipped,
             self.recompute.nodes_scanned,
         )?;
         write!(

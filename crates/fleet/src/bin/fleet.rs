@@ -11,11 +11,9 @@
 //! Options: `--preset NAME` (mixed|smoke|churn), `--spec FILE`,
 //! `--instances N`, `--seed S`, `--shards N`,
 //! `--strategy full|auto` (routing recompute strategy; cost-only,
-//! results are identical),
-//! `--feed bitset|report-diff` (engine frame feed; cost-only, results
-//! are identical), `--json`, `--print-spec`, `--smoke` (shorthand for
-//! `--preset smoke`, defaulting to 2 shards unless `--shards` is
-//! given).
+//! results are identical), `--json`, `--print-spec`, `--smoke`
+//! (shorthand for `--preset smoke`, defaulting to 2 shards unless
+//! `--shards` is given).
 //!
 //! Frame tracing (see the `etx-trace` crate):
 //! `--record DIR` runs every instance with a frame recorder attached
@@ -30,11 +28,11 @@
 //!
 //! Metrics (see the `etx-metrics` crate): `--metrics` prints the run's
 //! deterministic metrics snapshot (stable counters only — byte-identical
-//! across shard counts, frame feeds and recompute strategies) after the
+//! across shard counts and recompute strategies) after the
 //! regular output; `--metrics=FILE` writes it to FILE instead.
 
 use etx_fleet::{FleetController, ScenarioSpec, ShardPlan};
-use etx_sim::{FrameFeed, RecomputeStrategy};
+use etx_sim::RecomputeStrategy;
 use etx_trace::{record_run, render_divergence, RecordMode, RecordOptions, Trace};
 
 struct Options {
@@ -56,7 +54,6 @@ fn parse_args() -> Result<Options, String> {
     let mut instances: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut strategy: Option<RecomputeStrategy> = None;
-    let mut feed: Option<FrameFeed> = None;
     let mut plan: Option<ShardPlan> = None;
     let mut smoke = false;
     let mut json = false;
@@ -103,13 +100,6 @@ fn parse_args() -> Result<Options, String> {
                         .ok_or_else(|| format!("unknown strategy `{name}` (full|auto)"))?,
                 );
             }
-            "--feed" => {
-                let name = args.next().ok_or("--feed needs a value")?;
-                feed = Some(
-                    FrameFeed::parse(&name)
-                        .ok_or_else(|| format!("unknown feed `{name}` (bitset|report-diff)"))?,
-                );
-            }
             "--shards" => {
                 let n = args.next().ok_or("--shards needs a value")?;
                 plan = Some(ShardPlan::Fixed(
@@ -140,7 +130,7 @@ fn parse_args() -> Result<Options, String> {
             other => {
                 return Err(format!(
                     "unknown argument `{other}`\nusage: fleet [--preset NAME | --spec FILE | --smoke] \
-                     [--instances N] [--seed S] [--shards N] [--strategy NAME] [--feed NAME] \
+                     [--instances N] [--seed S] [--shards N] [--strategy NAME] \
                      [--json] [--print-spec] [--metrics[=FILE]] \
                      [--record DIR [--record-no-wall]] [--replay FILE] [--timeline N]"
                 ));
@@ -156,9 +146,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if let Some(s) = strategy {
         spec.strategy = s;
-    }
-    if let Some(f) = feed {
-        spec.feed = f;
     }
     spec.check()?;
     if timeline > 0 && !json {
@@ -354,7 +341,7 @@ fn main() {
     match &options.metrics {
         Some(Some(path)) => {
             // The file form writes *only* the deterministic snapshot, so
-            // CI can byte-diff it across shard counts and frame feeds.
+            // CI can byte-diff it across shard counts and strategies.
             if let Err(e) = std::fs::write(path, result.metrics.to_json() + "\n") {
                 eprintln!("fleet: cannot write `{path}`: {e}");
                 std::process::exit(2);

@@ -13,7 +13,7 @@
 use etx_app::{AppSpec, ModuleSpec};
 use etx_routing::{Algorithm, RecomputeStrategy};
 use etx_sim::{
-    BatteryModel, FrameFeed, JobSource, MappingKind, ScriptedFailure, ScriptedRevival, SimConfig,
+    BatteryModel, JobSource, MappingKind, ScriptedFailure, ScriptedRevival, SimConfig,
     SimConfigBuilder, TopologyKind,
 };
 use etx_units::{Cycles, Energy, Voltage};
@@ -169,10 +169,6 @@ pub struct ScenarioSpec {
     /// a sampled dimension: strategies change controller cost, never
     /// results, so sweeping them would only add noise to a comparison).
     pub strategy: RecomputeStrategy,
-    /// Engine frame feed every instance runs (a fixed knob for the same
-    /// reason as `strategy`: feeds change per-frame bookkeeping cost,
-    /// never results — CI diffs the two).
-    pub feed: FrameFeed,
     /// Battery models drawn uniformly.
     pub battery_models: Vec<BatteryChoice>,
     /// Applications drawn uniformly.
@@ -224,7 +220,6 @@ impl Default for ScenarioSpec {
             topologies: vec![TopologyChoice::Mesh, TopologyChoice::Torus, TopologyChoice::Ring],
             algorithms: vec![Algorithm::Ear, Algorithm::Sdr],
             strategy: RecomputeStrategy::Auto,
-            feed: FrameFeed::Bitset,
             battery_models: vec![BatteryChoice::Ideal, BatteryChoice::ThinFilm],
             apps: vec![AppChoice::Aes, AppChoice::SenseLog],
             battery_pj: (4_000.0, 12_000.0),
@@ -381,7 +376,6 @@ impl ScenarioSpec {
             .source(source)
             .concurrent_jobs(concurrent)
             .recompute_strategy(self.strategy)
-            .frame_feed(self.feed)
             .max_cycles(self.max_cycles)
             .tweak(|c| c.tdma.frame_period = Cycles::new(frame_period))
     }
@@ -427,10 +421,6 @@ impl ScenarioSpec {
                 "strategy" => {
                     spec.strategy = RecomputeStrategy::parse(value)
                         .ok_or_else(|| bad("strategy (full|auto)"))?;
-                }
-                "feed" => {
-                    spec.feed =
-                        FrameFeed::parse(value).ok_or_else(|| bad("feed (bitset|report-diff)"))?;
                 }
                 "battery_model" => {
                     spec.battery_models = parse_list(value, BatteryChoice::parse)
@@ -496,7 +486,6 @@ impl ScenarioSpec {
             .collect();
         let _ = writeln!(out, "algorithm = {}", algos.join(", "));
         let _ = writeln!(out, "strategy = {}", self.strategy.name());
-        let _ = writeln!(out, "feed = {}", self.feed.name());
         let models: Vec<&str> = self.battery_models.iter().map(|m| m.name()).collect();
         let _ = writeln!(out, "battery_model = {}", models.join(", "));
         let apps: Vec<&str> = self.apps.iter().map(|a| a.name()).collect();
@@ -670,6 +659,11 @@ mod tests {
         let strat = ScenarioSpec::parse("strategy = full").expect("strategy key parses");
         assert_eq!(strat.strategy, RecomputeStrategy::Full);
         assert!(ScenarioSpec::parse("strategy = incremental").is_err());
+        // The retired frame-feed key is an unknown key like any other.
+        assert_eq!(
+            ScenarioSpec::parse("feed = bitset"),
+            Err("line 1: unknown key `feed`".to_string())
+        );
 
         assert!(ScenarioSpec::parse("bogus_key = 1").is_err());
         assert!(ScenarioSpec::parse("mesh_side = banana").is_err());

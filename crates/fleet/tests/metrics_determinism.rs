@@ -1,19 +1,17 @@
 //! The fleet-wide metrics contract, property-tested: the deterministic
 //! metrics export (`MetricsSnapshot::to_json`, stable counters only) is
-//! **byte-identical** across shard counts (1/2/3/7 forced workers) and
-//! across both engine frame feeds — the same invariance the fleet
-//! aggregate already guarantees, extended to the observability layer.
+//! **byte-identical** across shard counts (1/2/3/7 forced workers) — the
+//! same invariance the fleet aggregate already guarantees, extended to
+//! the observability layer.
 
 use etx_fleet::{FleetController, ScenarioSpec, ShardPlan};
 use etx_metrics::CounterId;
-use etx_sim::FrameFeed;
 use proptest::prelude::*;
 
-fn fast_spec(seed: u64, instances: usize, feed: FrameFeed) -> ScenarioSpec {
+fn fast_spec(seed: u64, instances: usize) -> ScenarioSpec {
     ScenarioSpec {
         seed,
         instances,
-        feed,
         // Small fabrics and small batteries keep a property case cheap.
         mesh_side: (3, 4),
         battery_pj: (2_500.0, 4_500.0),
@@ -25,34 +23,24 @@ fn fast_spec(seed: u64, instances: usize, feed: FrameFeed) -> ScenarioSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Shard count and frame feed never change the deterministic
-    /// metrics export: per-shard registries merge with exact integer
-    /// arithmetic, and the stable counters count observable events
-    /// that both feeds produce identically.
+    /// Shard count never changes the deterministic metrics export:
+    /// per-shard registries merge with exact integer arithmetic.
     #[test]
-    fn metrics_export_is_shard_and_feed_invariant(
+    fn metrics_export_is_shard_invariant(
         seed in 0u64..10_000,
         instances in 1usize..6,
     ) {
         let baseline = FleetController::new()
             .with_shards(ShardPlan::Fixed(1))
-            .run(&fast_spec(seed, instances, FrameFeed::Bitset))
+            .run(&fast_spec(seed, instances))
             .unwrap();
         let json = baseline.metrics.to_json();
         for shards in [2usize, 3, 7] {
-            for feed in [FrameFeed::Bitset, FrameFeed::ReportDiff] {
-                let run = FleetController::new()
-                    .with_shards(ShardPlan::Fixed(shards))
-                    .run(&fast_spec(seed, instances, feed))
-                    .unwrap();
-                prop_assert_eq!(
-                    &json,
-                    &run.metrics.to_json(),
-                    "shards={} feed={}",
-                    shards,
-                    feed.name()
-                );
-            }
+            let run = FleetController::new()
+                .with_shards(ShardPlan::Fixed(shards))
+                .run(&fast_spec(seed, instances))
+                .unwrap();
+            prop_assert_eq!(&json, &run.metrics.to_json(), "shards={}", shards);
         }
         // The counters agree with the aggregate's own accounting.
         prop_assert_eq!(

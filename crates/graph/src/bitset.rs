@@ -1,24 +1,9 @@
 //! [`NodeBitset`]: a word-packed set of node indices.
 //!
-//! The frame pipeline (engine → router → table) communicates *which*
-//! nodes changed this TDMA frame through one of these: the engine sets a
-//! bit at the drain/death/buffer site where a transition actually
-//! happens, and every consumer downstream iterates **set words** instead
-//! of scanning all `K` nodes. On a quiet fabric that turns per-frame
-//! bookkeeping from `O(K)` into `O(K/64)` word skips plus `O(changed)`
-//! real work.
-//!
-//! # Soundness of the changed-bitset contract
-//!
-//! A node whose bit is clear contributed **no transition** since the bit
-//! was last cleared: nothing mutated its battery bucket, its liveness or
-//! its deadlock flag, so any state derived from those inputs (a cached
-//! report row, a cached liveness snapshot, a table-gate scan
-//! contribution) is still valid and need not be re-examined. Consumers
-//! may therefore restrict themselves to set bits. The reverse is *not*
-//! required: a set bit whose node ended up back at its published value
-//! is an over-approximation the consumers tolerate (they re-check the
-//! actual values), never an error.
+//! One bit per node, 64 nodes per word: the route-table validity plane
+//! and the frame-trace liveness/deadlock digests store node sets this
+//! way, and iteration skips empty words, so a sparse set costs
+//! `O(K/64)` word checks plus its members.
 
 use crate::NodeId;
 
@@ -26,8 +11,7 @@ use crate::NodeId;
 ///
 /// All operations are branch-light and allocation-free after
 /// [`NodeBitset::resize`]; iteration visits indices in ascending order
-/// (the same order a `0..n` scan would), which is what keeps
-/// bitset-driven consumers byte-identical to their full-scan twins.
+/// (the same order a `0..n` scan would).
 ///
 /// # Examples
 ///

@@ -5,14 +5,14 @@
 //!
 //! Each metric carries a determinism [`Class`]:
 //!
-//! * [`Class::Stable`] — identical across shard counts **and** frame
-//!   feeds (and recompute strategies): results-level counts. Only these
+//! * [`Class::Stable`] — identical across shard counts **and**
+//!   recompute strategies: results-level counts. Only these
 //!   appear in the deterministic export
 //!   ([`MetricsSnapshot::to_json`](crate::MetricsSnapshot::to_json)),
 //!   which is what keeps `fleet --metrics` byte-identical across every
 //!   execution plan.
 //! * [`Class::Cost`] — identical across shard counts but legitimately
-//!   feed-/strategy-dependent: the routing recompute cost counters
+//!   strategy-dependent: the routing recompute cost counters
 //!   (exactly the set CI masks with `grep -v '"recompute"'`). The
 //!   `net.*` wire counters also ride in this class: they are
 //!   traffic-shaped rather than results-level, so they must stay out of
@@ -24,9 +24,9 @@
 /// Determinism class of a metric (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
-    /// Identical across shard counts, frame feeds and strategies.
+    /// Identical across shard counts and strategies.
     Stable,
-    /// Identical across shard counts; feed-/strategy-dependent cost.
+    /// Identical across shard counts; strategy-dependent cost.
     Cost,
     /// Wall-clock timing; nondeterministic by nature.
     Wall,
@@ -81,33 +81,31 @@ pub enum CounterId {
     RoutingTableEntriesRebuilt = 18,
     /// Table entries refreshed by the `O(1)` challenge patch.
     RoutingTableCellsPatched = 19,
-    /// Recomputes that skipped every per-frame `O(K)` node scan.
-    RoutingFramesOkSkipped = 20,
     /// Node states examined by per-frame bookkeeping.
-    RoutingNodesScanned = 21,
+    RoutingNodesScanned = 20,
     /// Daemon connections accepted.
-    NetConnections = 22,
+    NetConnections = 21,
     /// Wire frames decoded off client connections.
-    NetFramesIn = 23,
+    NetFramesIn = 22,
     /// Wire frames written back to clients.
-    NetFramesOut = 24,
+    NetFramesOut = 23,
     /// Bytes received in whole frames (length prefix plus payload).
-    NetBytesIn = 25,
+    NetBytesIn = 24,
     /// Bytes sent in whole frames (length prefix plus payload).
-    NetBytesOut = 26,
+    NetBytesOut = 25,
     /// Query batches accepted off the wire.
-    NetQueryRequests = 27,
+    NetQueryRequests = 26,
     /// Telemetry-ingest frames applied to a served fabric.
-    NetIngests = 28,
+    NetIngests = 27,
     /// Requests shed by a full shard queue (load-shedding responses).
-    NetShedTotal = 29,
+    NetShedTotal = 28,
     /// Malformed/oversized/unknown frames answered with an error frame.
-    NetProtocolErrors = 30,
+    NetProtocolErrors = 29,
 }
 
 impl CounterId {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 30;
 
     /// Every counter, in export order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -131,7 +129,6 @@ impl CounterId {
         CounterId::RoutingTableDeltaRebuilds,
         CounterId::RoutingTableEntriesRebuilt,
         CounterId::RoutingTableCellsPatched,
-        CounterId::RoutingFramesOkSkipped,
         CounterId::RoutingNodesScanned,
         CounterId::NetConnections,
         CounterId::NetFramesIn,
@@ -168,7 +165,6 @@ impl CounterId {
             CounterId::RoutingTableDeltaRebuilds => "routing.table_delta_rebuilds",
             CounterId::RoutingTableEntriesRebuilt => "routing.table_entries_rebuilt",
             CounterId::RoutingTableCellsPatched => "routing.table_cells_patched",
-            CounterId::RoutingFramesOkSkipped => "routing.frames_ok_skipped",
             CounterId::RoutingNodesScanned => "routing.nodes_scanned",
             CounterId::NetConnections => "net.connections",
             CounterId::NetFramesIn => "net.frames_in",

@@ -14,8 +14,8 @@
 //! 2. **Deterministic export.** Counters are classed ([`Class`]) by
 //!    what they may vary with; the deterministic JSON export
 //!    ([`MetricsSnapshot::to_json`]) includes only [`Class::Stable`]
-//!    counters and is byte-identical across shard counts, frame feeds
-//!    and recompute strategies. Merging ([`MetricsSnapshot::merge`],
+//!    counters and is byte-identical across shard counts and recompute
+//!    strategies. Merging ([`MetricsSnapshot::merge`],
 //!    exact integer arithmetic throughout) is associative and
 //!    commutative, so fleet shards can aggregate in any grouping.
 //! 3. **Disabled means free.** A disabled [`Registry`] (the

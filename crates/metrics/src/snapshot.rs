@@ -37,8 +37,9 @@ impl MetricsSnapshot {
     /// error). Version 2 appended the `net.*` daemon wire metrics;
     /// version 3 removed the counter of the retired affected-sources
     /// recompute strategy; version 4 removed the `serve.batch.gather`
-    /// span of the retired sharded query executor.
-    pub const VERSION: u32 = 4;
+    /// span of the retired sharded query executor; version 5 removed
+    /// the routing counter of the retired changed-bitset frame feed.
+    pub const VERSION: u32 = 5;
 
     /// An empty snapshot (all counters/gauges zero, no spans).
     #[must_use]
@@ -118,8 +119,8 @@ impl MetricsSnapshot {
 
     /// Renders the **deterministic** export: the layout version plus
     /// every [`Class::Stable`] counter, in catalog order. This is the
-    /// `fleet --metrics` payload — byte-identical across shard counts,
-    /// frame feeds and recompute strategies, with no filtering needed,
+    /// `fleet --metrics` payload — byte-identical across shard counts
+    /// and recompute strategies, with no filtering needed,
     /// because cost counters and wall-clock spans are excluded by
     /// class.
     #[must_use]
@@ -140,7 +141,7 @@ impl MetricsSnapshot {
 
     /// Renders everything: stable counters, cost counters, gauges and
     /// span/latency percentile summaries — the `metrics` block of the
-    /// bench JSONs. Cost counters vary across frame feeds and the span
+    /// bench JSONs. Cost counters vary across strategies and the span
     /// section is wall-clock, so this form is *not* byte-stable; diff
     /// [`MetricsSnapshot::to_json`] instead.
     #[must_use]
@@ -287,7 +288,7 @@ mod tests {
     fn deterministic_json_excludes_cost_and_wall() {
         let snap = sample(99);
         let json = snap.to_json();
-        assert!(json.contains("\"metrics_version\": 4"));
+        assert!(json.contains("\"metrics_version\": 5"));
         assert!(json.contains("\"sim.frames\""));
         assert!(!json.contains("routing."), "cost counters leaked into the deterministic export");
         assert!(!json.contains("net."), "wire counters leaked into the deterministic export");

@@ -16,8 +16,7 @@
 //!    variant (Fig 5, `O(K³)`), an all-sources Dijkstra
 //!    (`O(K·E log K)`, the winner on sparse fabrics past a few dozen
 //!    nodes), or `Auto`, which picks by node count and edge density.
-//!    Between TDMA frames, [`Router::recompute_frame_into`] (fed a
-//!    changed-node bitset), [`Router::recompute_dirty_into`] (a dirty
+//!    Between TDMA frames, [`Router::recompute_dirty_into`] (fed a dirty
 //!    list) and the report-diffing [`Router::recompute_into`] advance
 //!    the state through a staged pipeline — weight-delta extraction,
 //!    path repair or re-solve, table rebuild — selected by
@@ -68,7 +67,7 @@ mod weights;
 
 pub use etx_graph::{NodeBitset, PathBackend};
 pub use report::SystemReport;
-pub use router::{Algorithm, FrameDelta, RecomputeStrategy, Router};
+pub use router::{Algorithm, RecomputeStrategy, Router};
 pub use scratch::{RecomputeStats, RoutingScratch};
 pub use table::{RouteEntry, RouteTablePlanes, RoutingState};
 pub use weighting::BatteryWeighting;

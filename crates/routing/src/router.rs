@@ -4,8 +4,8 @@
 use core::fmt;
 
 use etx_graph::{
-    dijkstra_source_tree_into, repair_source, DiGraph, NodeBitset, NodeId, PathBackend,
-    RepairOutcome, ResolvedBackend,
+    dijkstra_source_tree_into, repair_source, DiGraph, NodeId, PathBackend, RepairOutcome,
+    ResolvedBackend,
 };
 use etx_metrics::SpanId;
 
@@ -51,12 +51,11 @@ impl fmt::Display for Algorithm {
     }
 }
 
-/// How the delta-aware entry points ([`Router::recompute_into`],
-/// [`Router::recompute_dirty_into`], [`Router::recompute_frame_into`])
-/// turn a frame's weight deltas into fresh all-pairs rows (phase 2 of
-/// the staged pipeline). Both strategies produce **identical** routing
-/// state (property-tested, distances *and* successors); they differ
-/// only in cost.
+/// How the delta-aware entry points ([`Router::recompute_into`] and
+/// [`Router::recompute_dirty_into`]) turn a frame's weight deltas into
+/// fresh all-pairs rows (phase 2 of the staged pipeline). Both
+/// strategies produce **identical** routing state (property-tested,
+/// distances *and* successors); they differ only in cost.
 ///
 /// | Strategy | Phase-2 work per frame | Role |
 /// |---|---|---|
@@ -100,46 +99,6 @@ impl fmt::Display for RecomputeStrategy {
     }
 }
 
-/// One TDMA frame's change summary, as an engine that maintains its
-/// frame state *incrementally* hands it to
-/// [`Router::recompute_frame_into`]: the changed-node bitset plus the
-/// per-frame aggregates the engine already tracked at the transition
-/// sites, so the router never has to rediscover them with `O(K)` scans.
-///
-/// # Soundness contract
-///
-/// A node **absent** from `changed` contributed no battery-bucket or
-/// liveness transition since the recompute that produced the paired
-/// routing state. Its cached phase-1 weight rows, its entry in the
-/// router's cached liveness snapshot, and its contribution to the
-/// table-rebuild gate are therefore still valid, which is what lets the
-/// router restrict every per-frame node scan to the set bits.
-/// Over-approximation is safe (a set bit whose node is back at its
-/// published value contributes no weight deltas); a *missing* changed
-/// node is not. The two flags carry the same obligation: `any_deadlock`
-/// must be `true` iff some node in `report` has its deadlock flag set,
-/// and `placement_changed` must be `true` whenever `module_nodes`
-/// differs from the previous recompute's placement.
-#[derive(Debug, Clone, Copy)]
-pub struct FrameDelta<'a> {
-    /// Nodes whose battery bucket or liveness changed since the last
-    /// recompute.
-    pub changed: &'a NodeBitset,
-    /// Whether any node currently reports a deadlock (engine-maintained
-    /// aggregate; replaces the router's per-node deadlock scan).
-    pub any_deadlock: bool,
-    /// Whether the module placement changed since the last recompute
-    /// (a remap); replaces the router's placement deep-compare.
-    pub placement_changed: bool,
-}
-
-/// Internal per-frame metadata threaded through the staged pipeline.
-#[derive(Debug, Clone, Copy)]
-struct FrameMeta {
-    any_deadlock: bool,
-    placement_changed: bool,
-}
-
 /// The online routing engine run by the central controller.
 ///
 /// "For a fair comparison, the proposed energy-aware routing strategy and
@@ -152,7 +111,7 @@ struct FrameMeta {
 /// Between TDMA frames the router advances its state through three
 /// explicit stages:
 ///
-/// 1. **Weight-delta extraction** — the dirty-node feed (from the caller
+/// 1. **Weight-delta extraction** — the dirty-node list (from the caller
 ///    or a report diff) becomes an edge-delta stream against the cached
 ///    phase-1 matrix.
 /// 2. **Path repair or re-solve** — selected by [`RecomputeStrategy`]:
@@ -289,9 +248,8 @@ impl Router {
     ///
     /// Always performs a *full* phase-2 recompute; the simulation engine
     /// calls it once at start-up, then steps its frames through
-    /// [`Router::recompute_frame_into`] (the default changed-bitset
-    /// feed) or [`Router::recompute_dirty_into`] (the report-diff feed),
-    /// which repair only what the frame's changes touched.
+    /// [`Router::recompute_dirty_into`], which repairs only what the
+    /// frame's changes touched.
     ///
     /// # Panics
     ///
@@ -315,7 +273,7 @@ impl Router {
             _ => scratch.prev_hops.clear(),
         }
         let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
-        self.full_recompute(graph, module_nodes, report, key, None, scratch, out);
+        self.full_recompute(graph, module_nodes, report, key, scratch, out);
     }
 
     /// Delta-aware recompute from consecutive reports: `out` must hold
@@ -365,19 +323,20 @@ impl Router {
         }
         self.snapshot_prev_hops(graph, module_nodes, scratch, out);
         let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
-        self.staged_recompute(graph, module_nodes, new_report, key, None, scratch, out);
+        self.staged_recompute(graph, module_nodes, new_report, key, scratch, out);
     }
 
-    /// Delta-aware recompute from an explicit **dirty-node feed**
-    /// instead of a report diff (the engine's report-diff feed and the
-    /// daemon's telemetry ingest both call it). `dirty` lists every
-    /// node whose battery bucket or liveness changed since the recompute
-    /// that produced `out`; the router turns it into an edge-delta
-    /// stream against its cached weights (stage 1), repairs or re-solves
-    /// the all-pairs rows (stage 2, per [`RecomputeStrategy`]) and
-    /// rebuilds the table (stage 3).
+    /// Delta-aware recompute from an explicit **dirty-node list**
+    /// instead of a report diff (the engine's TDMA frame, which diffs the
+    /// rebuilt report as it builds it, and the daemon's telemetry ingest
+    /// both call it). `dirty` lists every node whose battery bucket or
+    /// liveness changed since the recompute that produced `out`; the
+    /// router turns it into an edge-delta stream against its cached
+    /// weights (stage 1), repairs or re-solves the all-pairs rows
+    /// (stage 2, per [`RecomputeStrategy`]) and rebuilds the table
+    /// (stage 3).
     ///
-    /// An over-approximate feed is safe (a listed node whose weights did
+    /// An over-approximate list is safe (a listed node whose weights did
     /// not change contributes no deltas), and so is a node listed more
     /// than once; a *missing* dirty node is not.
     ///
@@ -403,50 +362,7 @@ impl Router {
         }));
         self.snapshot_prev_hops(graph, module_nodes, scratch, out);
         let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
-        self.staged_recompute(graph, module_nodes, report, key, None, scratch, out);
-    }
-
-    /// The engine's **frame-state** entry point: like
-    /// [`Router::recompute_dirty_into`], but fed by the changed-node
-    /// bitset and per-frame aggregates an incrementally-maintained
-    /// engine already has (see [`FrameDelta`] and its soundness
-    /// contract), so the steady-state frame runs in `O(changed)` —
-    /// the `O(K)` liveness/deadlock scan behind the table-rebuild gate
-    /// and the `O(K)` cache refresh are both restricted to the set bits
-    /// ([`RecomputeStats::frames_oK_skipped`] counts exactly those
-    /// frames, and [`RecomputeStats::nodes_scanned`] the node states
-    /// actually examined).
-    ///
-    /// Produces state bit-identical to [`Router::recompute_dirty_into`]
-    /// over the dense changed list (property-tested, every strategy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `report` covers a different node count than `graph`, or
-    /// the bitset's capacity does not match the graph.
-    pub fn recompute_frame_into(
-        &self,
-        graph: &DiGraph,
-        module_nodes: &[Vec<NodeId>],
-        report: &SystemReport,
-        frame: FrameDelta<'_>,
-        scratch: &mut RoutingScratch,
-        out: &mut RoutingState,
-    ) {
-        let n = graph.node_count();
-        assert_eq!(frame.changed.capacity(), n, "changed bitset does not cover the graph");
-        scratch.dirty.clear();
-        scratch.dirty.reserve(n);
-        // Phase-1 extraction consumes the set *words*: empty words — the
-        // overwhelming majority on a quiet frame — cost one compare.
-        scratch.dirty.extend(frame.changed.iter().map(NodeId::index));
-        self.snapshot_prev_hops(graph, module_nodes, scratch, out);
-        let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
-        let meta = FrameMeta {
-            any_deadlock: frame.any_deadlock,
-            placement_changed: frame.placement_changed,
-        };
-        self.staged_recompute(graph, module_nodes, report, key, Some(meta), scratch, out);
+        self.staged_recompute(graph, module_nodes, report, key, scratch, out);
     }
 
     /// Snapshots `out`'s first hops for phase 3's deadlock avoidance.
@@ -478,14 +394,12 @@ impl Router {
     /// configured strategy and the cache/backend gates, then runs it.
     /// Expects `scratch.dirty` populated and `scratch.prev_hops`
     /// snapshotted.
-    #[allow(clippy::too_many_arguments)] // the staged pipeline's shared signature
     fn staged_recompute(
         &self,
         graph: &DiGraph,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         key: WeightsKey,
-        frame: Option<FrameMeta>,
         scratch: &mut RoutingScratch,
         out: &mut RoutingState,
     ) {
@@ -502,9 +416,9 @@ impl Router {
         #[allow(clippy::cast_precision_loss)]
         let few_dirty = scratch.dirty.len() as f64 <= DELTA_MAX_DIRTY_FRACTION * n as f64;
         if self.strategy == RecomputeStrategy::Auto && cache_ok && few_dirty {
-            self.repair_recompute(graph, module_nodes, report, frame, scratch, out);
+            self.repair_recompute(graph, module_nodes, report, scratch, out);
         } else {
-            self.full_recompute(graph, module_nodes, report, key, frame, scratch, out);
+            self.full_recompute(graph, module_nodes, report, key, scratch, out);
         }
     }
 
@@ -517,7 +431,6 @@ impl Router {
         graph: &DiGraph,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
-        frame: Option<FrameMeta>,
         scratch: &mut RoutingScratch,
         out: &mut RoutingState,
     ) {
@@ -586,7 +499,7 @@ impl Router {
         // cells (its row distances went infinite), a revived one
         // improves into them (its row distances dropped from infinity,
         // putting it in every repaired source's improved set).
-        let table_patchable = Self::table_delta_ok(module_nodes, report, frame, scratch, out);
+        let table_patchable = Self::table_delta_ok(module_nodes, report, scratch, out);
         let masks_ok = scratch.dup_mask.len() == n
             && m_count <= 64
             && out.module_count() == m_count
@@ -787,20 +700,18 @@ impl Router {
                 scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
             }
         }
-        Self::cache_table_inputs(module_nodes, report, frame, scratch);
+        Self::cache_table_inputs(module_nodes, report, scratch);
         scratch.stats.repair_recomputes += 1;
     }
 
     /// Full phases 1–3 into `out`, refreshing the scratch caches.
     /// Expects `scratch.prev_hops` to be snapshotted already.
-    #[allow(clippy::too_many_arguments)] // the staged pipeline's shared signature
     fn full_recompute(
         &self,
         graph: &DiGraph,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         key: WeightsKey,
-        frame: Option<FrameMeta>,
         scratch: &mut RoutingScratch,
         out: &mut RoutingState,
     ) {
@@ -830,7 +741,7 @@ impl Router {
         let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
         out.rebuild_table(&scratch.weights, module_nodes, report, prev);
         scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
-        Self::cache_table_inputs(module_nodes, report, frame, scratch);
+        Self::cache_table_inputs(module_nodes, report, scratch);
         scratch.stats.full_recomputes += 1;
     }
 
@@ -852,20 +763,13 @@ impl Router {
     /// source's improved set and challenges its cells). With cold masks
     /// any liveness change forces a full rebuild.
     ///
-    /// With a [`FrameMeta`] the whole decision is `O(changed)`:
-    /// deadlock presence and placement identity come from the engine's
-    /// aggregates, and the liveness comparison is restricted to the
-    /// changed nodes — a node outside the bitset contributed no
-    /// transition, so its cached liveness entry still matches (the
-    /// [`FrameDelta`] soundness contract). Without one, deadlock
-    /// presence falls back to the `O(K)` scan over the report, while
-    /// the liveness comparison still needs only the dirty set: the
-    /// cached snapshot is re-anchored to the previous report every
-    /// frame, and the dirty set contains every node that changed since.
+    /// Deadlock presence is an `O(K)` scan over the report; the liveness
+    /// comparison needs only the dirty set, because the cached snapshot
+    /// is re-anchored to the previous report every frame and the dirty
+    /// set contains every node that changed since.
     fn table_delta_ok(
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
-        frame: Option<FrameMeta>,
         scratch: &mut RoutingScratch,
         out: &RoutingState,
     ) -> bool {
@@ -874,21 +778,9 @@ impl Router {
             || scratch.prev_any_deadlock
             || scratch.prev_alive.len() != n
             || out.module_count() != module_nodes.len()
+            || scratch.prev_modules.as_slice() != module_nodes
+            || (0..n).any(|i| report.is_deadlocked(NodeId::new(i)))
         {
-            return false;
-        }
-        let structure_ok = match frame {
-            Some(meta) => {
-                !meta.any_deadlock
-                    && !meta.placement_changed
-                    && scratch.prev_modules.len() == module_nodes.len()
-            }
-            None => {
-                scratch.prev_modules.as_slice() == module_nodes
-                    && (0..n).all(|i| !report.is_deadlocked(NodeId::new(i)))
-            }
-        };
-        if !structure_ok {
             return false;
         }
         let masks_warm =
@@ -908,37 +800,12 @@ impl Router {
     /// Records the table-relevant report state (liveness, deadlock
     /// presence) and placement the table was just built against, so the
     /// next frame's [`Router::table_delta_ok`] can compare.
-    ///
-    /// A frame whose cached inputs are still structurally valid is
-    /// patched **in place** from the changed set — `O(changed)` instead
-    /// of the `O(K)` rebuild — which is the second half of what
-    /// [`RecomputeStats::frames_oK_skipped`] counts. Sound for the same
-    /// reason the gate's restriction is: an unchanged node's cached
-    /// liveness entry is already correct, and the placement caches
-    /// (`prev_modules`, `dup_mask`) only depend on a placement the
-    /// engine vouched did not change.
     fn cache_table_inputs(
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
-        frame: Option<FrameMeta>,
         scratch: &mut RoutingScratch,
     ) {
         let n = report.node_count();
-        let fast = frame.is_some_and(|meta| !meta.placement_changed)
-            && scratch.table_cache_valid
-            && scratch.prev_alive.len() == n
-            && scratch.dup_mask.len() == n
-            && scratch.prev_modules.len() == module_nodes.len();
-        if fast {
-            for &d in &scratch.dirty {
-                scratch.prev_alive[d] = report.is_alive(NodeId::new(d));
-            }
-            scratch.prev_any_deadlock =
-                frame.expect("fast path requires frame metadata").any_deadlock;
-            scratch.stats.frames_oK_skipped += 1;
-            scratch.stats.nodes_scanned += scratch.dirty.len() as u64;
-            return;
-        }
         scratch.stats.nodes_scanned += n as u64;
         scratch.prev_alive.clear();
         scratch.prev_alive.reserve(n);

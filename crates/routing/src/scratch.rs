@@ -50,7 +50,6 @@ impl WeightsKey {
 /// controller aggregates it fleet-wide, so the cost profile of the
 /// routing pipeline is user-visible end to end.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(non_snake_case)] // `frames_oK_skipped` is named for what it skips
 pub struct RecomputeStats {
     /// Recomputes that ran a full phase 2 (all sources from scratch).
     pub full_recomputes: u64,
@@ -84,16 +83,8 @@ pub struct RecomputeStats {
     /// improved) and only the repair's improved duplicates were
     /// considered — instead of the `O(|S_i|)` duplicate re-scan.
     pub table_cells_patched: u64,
-    /// Recomputes that maintained the table-gate inputs (liveness
-    /// snapshot, deadlock presence) in `O(changed)` from the frame's
-    /// changed bitset, skipping the per-frame `O(K)` node scan entirely
-    /// (only possible through `Router::recompute_frame_into`).
-    pub frames_oK_skipped: u64,
-    /// Node states examined across all recomputes by the per-frame
-    /// bookkeeping (dirty extraction, liveness gate, cache refresh): the
-    /// changed-node count on bitset-fed frames, `K` when an `O(K)` scan
-    /// ran. `nodes_scanned / recomputes ≪ K` is the observable win of
-    /// the changed-bitset feed.
+    /// Node states examined across all recomputes by the table-input
+    /// cache refresh: `K` per recompute.
     pub nodes_scanned: u64,
 }
 
@@ -101,7 +92,7 @@ impl RecomputeStats {
     /// Field-wise difference against an earlier snapshot of the same
     /// counters: what happened *since* `prev`. Per-frame consumers (the
     /// frame recorder, fleet tallies, benches) diff two cumulative
-    /// snapshots instead of hand-rolling eleven subtractions each.
+    /// snapshots instead of hand-rolling ten subtractions each.
     ///
     /// Counters are monotone while a scratch lives, but a recycle zeroes
     /// them mid-stream; `wrapping_sub` keeps the helper total so a stale
@@ -122,7 +113,6 @@ impl RecomputeStats {
                 .table_entries_rebuilt
                 .wrapping_sub(prev.table_entries_rebuilt),
             table_cells_patched: self.table_cells_patched.wrapping_sub(prev.table_cells_patched),
-            frames_oK_skipped: self.frames_oK_skipped.wrapping_sub(prev.frames_oK_skipped),
             nodes_scanned: self.nodes_scanned.wrapping_sub(prev.nodes_scanned),
         }
     }
@@ -142,7 +132,6 @@ impl RecomputeStats {
         registry.add(CounterId::RoutingTableDeltaRebuilds, self.table_delta_rebuilds);
         registry.add(CounterId::RoutingTableEntriesRebuilt, self.table_entries_rebuilt);
         registry.add(CounterId::RoutingTableCellsPatched, self.table_cells_patched);
-        registry.add(CounterId::RoutingFramesOkSkipped, self.frames_oK_skipped);
         registry.add(CounterId::RoutingNodesScanned, self.nodes_scanned);
     }
 }
@@ -289,7 +278,6 @@ mod tests {
             table_delta_rebuilds: 8,
             table_entries_rebuilt: 9,
             table_cells_patched: 10,
-            frames_oK_skipped: 11,
             nodes_scanned: 12,
         };
         let now = RecomputeStats {
@@ -302,7 +290,6 @@ mod tests {
             table_delta_rebuilds: 88,
             table_entries_rebuilt: 99,
             table_cells_patched: 110,
-            frames_oK_skipped: 121,
             nodes_scanned: 132,
         };
         let delta = now.delta_since(&prev);
@@ -318,7 +305,6 @@ mod tests {
                 table_delta_rebuilds: 80,
                 table_entries_rebuilt: 90,
                 table_cells_patched: 100,
-                frames_oK_skipped: 110,
                 nodes_scanned: 120,
             }
         );
@@ -343,7 +329,6 @@ mod tests {
             table_delta_rebuilds: 8,
             table_entries_rebuilt: 9,
             table_cells_patched: 10,
-            frames_oK_skipped: 11,
             nodes_scanned: 12,
         };
         let registry = Registry::counters_only();
@@ -351,7 +336,6 @@ mod tests {
         stats.record_into(&registry); // additive, like the counters themselves
         assert_eq!(registry.counter(CounterId::RoutingFullRecomputes), 2);
         assert_eq!(registry.counter(CounterId::RoutingDecreaseNodesImproved), 14);
-        assert_eq!(registry.counter(CounterId::RoutingFramesOkSkipped), 22);
         assert_eq!(registry.counter(CounterId::RoutingNodesScanned), 24);
     }
 }

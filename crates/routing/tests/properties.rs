@@ -1,9 +1,9 @@
 //! Property tests for the routing kernel's fast paths: scratch reuse,
 //! delta-aware recompute, strategy equivalence, and backend equivalence.
 
-use etx_graph::{topology::Mesh2D, NodeBitset, NodeId, PathBackend};
+use etx_graph::{topology::Mesh2D, NodeId, PathBackend};
 use etx_routing::{
-    Algorithm, FrameDelta, RecomputeStrategy, Router, RoutingScratch, RoutingState, SystemReport,
+    Algorithm, RecomputeStrategy, Router, RoutingScratch, RoutingState, SystemReport,
 };
 use etx_units::Length;
 use proptest::prelude::*;
@@ -45,6 +45,17 @@ fn apply_diff(report: &mut SystemReport, ops: &[(u8, usize, u32)]) {
             _ => {} // no-op step: recompute with an unchanged report
         }
     }
+}
+
+/// The nodes whose battery bucket or liveness differs between two
+/// reports — the dirty list an engine frame hands the router.
+fn changed_nodes(old: &SystemReport, new: &SystemReport) -> Vec<NodeId> {
+    (0..new.node_count())
+        .map(NodeId::new)
+        .filter(|&n| {
+            new.battery_level(n) != old.battery_level(n) || new.is_alive(n) != old.is_alive(n)
+        })
+        .collect()
 }
 
 /// Regression: a different graph with identical node/edge *counts* (only
@@ -145,10 +156,13 @@ proptest! {
         }
     }
 
-    /// The `Auto` strategy lands in **identical** routing state —
-    /// distances *and* chosen successors — over chains of random
-    /// drain/churn/scripted-failure mutations. The reference is a
-    /// `Full`-strategy recompute of each frame.
+    /// The `Auto` strategy, fed the engine's dirty list, lands in
+    /// **identical** routing state — distances, chosen successors *and*
+    /// the phase-3 table — over chains of random drain / churn /
+    /// deadlock-raise-and-clear mutations. The reference is a
+    /// `Full`-strategy recompute of each frame. The dirty list repeats
+    /// some of its nodes, as a daemon ingest naming one node twice hands
+    /// it to the router.
     #[test]
     fn strategies_equal_full_over_drain_and_churn(
         side in 2usize..8,
@@ -158,6 +172,7 @@ proptest! {
             proptest::collection::vec((0u8..5, 0usize..64, 0u32..32), 0..4),
             1..6
         ),
+        repeats in proptest::collection::vec(0usize..64, 0..4),
     ) {
         // Explicit Dijkstra backend so the fast paths engage at every
         // mesh size, not just past the Auto crossover.
@@ -178,7 +193,14 @@ proptest! {
             let old_report = report.clone();
             let previous = state.clone();
             apply_diff(&mut report, ops);
-            router.recompute_into(&graph, &modules, &old_report, &report, &mut scratch, &mut state);
+            let mut dirty = changed_nodes(&old_report, &report);
+            for &r in &repeats {
+                if !dirty.is_empty() {
+                    let node = dirty[r % dirty.len()];
+                    dirty.insert(r % (dirty.len() + 1), node);
+                }
+            }
+            router.recompute_dirty_into(&graph, &modules, &report, &dirty, &mut scratch, &mut state);
             let reference = reference_router.compute(&graph, &modules, &report, Some(&previous));
             prop_assert_eq!(&state, &reference, "side {} after ops {:?}", side, ops);
         }
@@ -190,91 +212,12 @@ proptest! {
         );
     }
 
-    /// The changed-bitset frame feed (`recompute_frame_into`) is
-    /// byte-identical — distances, successors, *and* the phase-3 table —
-    /// to the dense dirty-list feed (`recompute_dirty_into`) across
-    /// chains of drain / churn / deadlock-raise-and-clear mutations,
-    /// under every [`RecomputeStrategy`]. This is the property that
-    /// makes the engine's `O(changed)` frame state safe to trust. The
-    /// dirty list repeats some of its nodes, as a daemon ingest naming
-    /// one node twice hands it to the router.
-    #[test]
-    fn bitset_frame_feed_equals_dirty_feed(
-        side in 2usize..8,
-        algorithm in prop_oneof![Just(Algorithm::Sdr), Just(Algorithm::Ear)],
-        strategy in prop_oneof![Just(RecomputeStrategy::Full), Just(RecomputeStrategy::Auto)],
-        levels in proptest::collection::vec(0u32..16, 8),
-        diffs in proptest::collection::vec(
-            proptest::collection::vec((0u8..5, 0usize..64, 0u32..32), 0..4),
-            1..6
-        ),
-        repeats in proptest::collection::vec(0usize..64, 0..4),
-    ) {
-        let router = Router::new(algorithm)
-            .with_backend(PathBackend::DijkstraAllPairs)
-            .with_strategy(strategy);
-        let graph = mesh_graph(side);
-        let k = graph.node_count();
-        let modules = module_stripes(k);
-
-        let mut report = report_from(&levels, &[false], &[false], k);
-        let mut a_scratch = RoutingScratch::new();
-        let mut a_state = RoutingState::empty();
-        let mut b_scratch = RoutingScratch::new();
-        let mut b_state = RoutingState::empty();
-        router.compute_into(&graph, &modules, &report, None, &mut a_scratch, &mut a_state);
-        router.compute_into(&graph, &modules, &report, None, &mut b_scratch, &mut b_state);
-
-        let mut bits = NodeBitset::with_capacity(k);
-        for ops in &diffs {
-            let old_report = report.clone();
-            apply_diff(&mut report, ops);
-            // The engine's contract: the bitset holds exactly the nodes
-            // whose battery bucket or liveness moved; deadlock presence
-            // arrives as a cached aggregate.
-            bits.clear();
-            let mut dirty = Vec::new();
-            let mut any_deadlock = false;
-            for i in 0..k {
-                let node = NodeId::new(i);
-                if report.battery_level(node) != old_report.battery_level(node)
-                    || report.is_alive(node) != old_report.is_alive(node)
-                {
-                    bits.insert(node);
-                    dirty.push(node);
-                }
-                any_deadlock |= report.is_deadlocked(node);
-            }
-            for &r in &repeats {
-                if !dirty.is_empty() {
-                    let node = dirty[r % dirty.len()];
-                    dirty.insert(r % (dirty.len() + 1), node);
-                }
-            }
-            router.recompute_dirty_into(
-                &graph, &modules, &report, &dirty, &mut a_scratch, &mut a_state,
-            );
-            router.recompute_frame_into(
-                &graph,
-                &modules,
-                &report,
-                FrameDelta { changed: &bits, any_deadlock, placement_changed: false },
-                &mut b_scratch,
-                &mut b_state,
-            );
-            prop_assert_eq!(&a_state, &b_state,
-                "strategy {:?} side {} after ops {:?}", strategy, side, ops);
-        }
-        // The frame feed may only ever *skip* node scans, never add any.
-        prop_assert!(b_scratch.stats().nodes_scanned <= a_scratch.stats().nodes_scanned);
-    }
-
     /// The incremental repair stays exact when consecutive reports are
     /// built *independently* — including disconnect/reconnect
     /// transitions (nodes flipping dead→alive revive edges, weight
     /// decreases the repair's improvement pass patches in place) and
     /// mass changes that trip the combined-frontier fallback — fed
-    /// through the engine's changed-bitset entry point
+    /// through the engine's dirty-list entry point
     /// (`delta_recompute_equals_full_across_independent_reports` feeds
     /// the same kind of chain through the report diff).
     #[test]
@@ -296,28 +239,12 @@ proptest! {
         let mut report = report_from(&frames[0].0, &frames[0].1, &[false], k);
         router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
 
-        let mut bits = NodeBitset::with_capacity(k);
         for (levels, dead) in &frames[1..] {
             let old_report = report;
             let previous = state.clone();
             report = report_from(levels, dead, &[false], k);
-            bits.clear();
-            for i in 0..k {
-                let node = NodeId::new(i);
-                if report.battery_level(node) != old_report.battery_level(node)
-                    || report.is_alive(node) != old_report.is_alive(node)
-                {
-                    bits.insert(node);
-                }
-            }
-            router.recompute_frame_into(
-                &graph,
-                &modules,
-                &report,
-                FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
-                &mut scratch,
-                &mut state,
-            );
+            let dirty = changed_nodes(&old_report, &report);
+            router.recompute_dirty_into(&graph, &modules, &report, &dirty, &mut scratch, &mut state);
             let reference = router.compute(&graph, &modules, &report, Some(&previous));
             prop_assert_eq!(&state, &reference, "side {} frame levels {:?}", side, levels);
         }
@@ -419,13 +346,7 @@ proptest! {
                     None => report.set_dead(node),
                 }
             }
-            let dirty: Vec<NodeId> = (0..k)
-                .map(NodeId::new)
-                .filter(|&n| {
-                    report.battery_level(n) != old_report.battery_level(n)
-                        || report.is_alive(n) != old_report.is_alive(n)
-                })
-                .collect();
+            let dirty = changed_nodes(&old_report, &report);
             router.recompute_dirty_into(&graph, &modules, &report, &dirty, &mut scratch, &mut state);
             let reference = reference_router.compute(&graph, &modules, &report, Some(&previous));
             prop_assert_eq!(&state, &reference, "frame {} of chain on side {}", fi, side);

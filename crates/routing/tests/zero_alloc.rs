@@ -1,8 +1,8 @@
-//! Proves the zero-allocation claim of `Router::recompute_into`: once a
-//! `RoutingScratch`/`RoutingState` pair has warmed up on the system's
-//! dimensions, steady-state recomputes perform **no heap allocation** —
-//! under both phase-2 backends, on the incremental repair path and on
-//! full recomputes.
+//! Proves the zero-allocation claim of `Router::recompute_into` and
+//! `Router::recompute_dirty_into`: once a `RoutingScratch`/`RoutingState`
+//! pair has warmed up on the system's dimensions, steady-state
+//! recomputes perform **no heap allocation** — under both phase-2
+//! backends, on the incremental repair path and on full recomputes.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single test so no concurrent test case can pollute the
@@ -11,8 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use etx_graph::{topology::Mesh2D, NodeBitset, NodeId};
-use etx_routing::{Algorithm, FrameDelta, Router, RoutingScratch, RoutingState, SystemReport};
+use etx_graph::{topology::Mesh2D, NodeId};
+use etx_routing::{Algorithm, Router, RoutingScratch, RoutingState, SystemReport};
 use etx_units::Length;
 
 struct CountingAllocator;
@@ -149,9 +149,8 @@ fn steady_state_recompute_does_not_allocate() {
         assert_eq!(state.paths().successors(), reference.paths().successors());
     }
 
-    // The changed-bitset frame feed (`recompute_frame_into`) holds the
-    // same guarantee — and, being the O(changed) path, must also skip
-    // the per-frame O(K) scans on every steady frame.
+    // The engine's dirty-list entry point (`recompute_dirty_into`)
+    // holds the same guarantee.
     let graph = Mesh2D::square(8, Length::from_centimetres(2.05)).to_graph();
     let k = graph.node_count();
     let modules = module_stripes(k);
@@ -159,40 +158,23 @@ fn steady_state_recompute_does_not_allocate() {
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
     let mut report = SystemReport::fresh(k, 16);
-    let mut bits = NodeBitset::with_capacity(k);
     router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
     let drain_frame = |frame: usize,
                        report: &mut SystemReport,
-                       bits: &mut NodeBitset,
                        scratch: &mut RoutingScratch,
                        state: &mut RoutingState| {
         let node = NodeId::new((frame * 7 + 3) % k);
         report.set_battery_level(node, report.battery_level(node).saturating_sub(1));
-        bits.clear();
-        bits.insert(node);
-        router.recompute_frame_into(
-            &graph,
-            &modules,
-            report,
-            FrameDelta { changed: bits, any_deadlock: false, placement_changed: false },
-            scratch,
-            state,
-        );
+        router.recompute_dirty_into(&graph, &modules, report, &[node], scratch, state);
     };
     for frame in 0..8 {
-        drain_frame(frame, &mut report, &mut bits, &mut scratch, &mut state);
+        drain_frame(frame, &mut report, &mut scratch, &mut state);
     }
-    let skipped_before = scratch.stats().frames_oK_skipped;
     let before = allocations();
     for frame in 8..40 {
-        drain_frame(frame, &mut report, &mut bits, &mut scratch, &mut state);
+        drain_frame(frame, &mut report, &mut scratch, &mut state);
     }
-    assert_eq!(allocations() - before, 0, "bitset-fed frames allocated");
-    assert_eq!(
-        scratch.stats().frames_oK_skipped - skipped_before,
-        32,
-        "every steady bitset-fed frame must skip the O(K) scan"
-    );
+    assert_eq!(allocations() - before, 0, "dirty-list frames allocated");
     let reference = router.compute(&graph, &modules, &report, None);
     assert_eq!(state.paths().distances(), reference.paths().distances());
     assert_eq!(state.paths().successors(), reference.paths().successors());
@@ -204,7 +186,6 @@ fn steady_state_recompute_does_not_allocate() {
     // the allocation counter stands still.
     let pulse_frame = |frame: usize,
                        report: &mut SystemReport,
-                       bits: &mut NodeBitset,
                        scratch: &mut RoutingScratch,
                        state: &mut RoutingState| {
         let node = NodeId::new((frame * 5 + 2) % k);
@@ -212,24 +193,15 @@ fn steady_state_recompute_does_not_allocate() {
         let level =
             if frame.is_multiple_of(2) { level.saturating_sub(1) } else { (level + 1).min(15) };
         report.set_battery_level(node, level);
-        bits.clear();
-        bits.insert(node);
-        router.recompute_frame_into(
-            &graph,
-            &modules,
-            report,
-            FrameDelta { changed: bits, any_deadlock: false, placement_changed: false },
-            scratch,
-            state,
-        );
+        router.recompute_dirty_into(&graph, &modules, report, &[node], scratch, state);
     };
     for frame in 0..8 {
-        pulse_frame(frame, &mut report, &mut bits, &mut scratch, &mut state);
+        pulse_frame(frame, &mut report, &mut scratch, &mut state);
     }
     let decreases_before = scratch.stats().decrease_repairs;
     let before = allocations();
     for frame in 8..40 {
-        pulse_frame(frame, &mut report, &mut bits, &mut scratch, &mut state);
+        pulse_frame(frame, &mut report, &mut scratch, &mut state);
     }
     assert_eq!(allocations() - before, 0, "decrease-repair frames allocated");
     assert!(

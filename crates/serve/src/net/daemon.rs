@@ -231,10 +231,6 @@ struct ServedFabric {
     report: SystemReport,
     publisher: Arc<Mutex<EpochPublisher>>,
     dirty: Vec<NodeId>,
-    /// `false` when the engine configuration (a remapping policy)
-    /// moves modules outside this write side's model — such fabrics
-    /// answer queries but refuse ingests.
-    ingestable: bool,
 }
 
 impl ServedFabric {
@@ -256,7 +252,6 @@ impl ServedFabric {
             report: sim.last_report().clone(),
             publisher,
             dirty: Vec::new(),
-            ingestable: cfg.remapping.is_none(),
         })
     }
 
@@ -700,14 +695,11 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize, mut fabrics: Vec<ServedFabric
             JobKind::Ingest => {
                 let side = fabrics.iter_mut().find(|f| f.fabric == item.ingest_fabric);
                 let frame = match side {
-                    Some(side) if side.ingestable => {
+                    Some(side) => {
                         let _exec = shared.metrics.span(SpanId::NetExecute);
                         let (epoch, applied) = side.ingest(&item.ingest);
                         shared.metrics.inc(CounterId::NetIngests);
                         proto::encode_ingest_ack(&mut wire, item.request_id, epoch, applied)
-                    }
-                    Some(_) => {
-                        proto::encode_reject(&mut wire, item.request_id, code::INGEST_UNSUPPORTED)
                     }
                     None => proto::encode_reject(&mut wire, item.request_id, code::UNKNOWN_FABRIC),
                 };

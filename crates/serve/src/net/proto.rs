@@ -72,10 +72,6 @@ pub mod code {
     /// An INGEST addressed a fabric this daemon does not serve.
     /// Non-fatal.
     pub const UNKNOWN_FABRIC: u8 = 7;
-    /// An INGEST addressed a fabric whose engine configuration (a
-    /// remapping policy) makes external table patching unsound.
-    /// Non-fatal.
-    pub const INGEST_UNSUPPORTED: u8 = 8;
 }
 
 /// Per-fabric dimensions advertised in HELLO_ACK: `None` for fabric

@@ -5,16 +5,14 @@
 //! [`RecomputeStrategy`] (whose in-place delta/repair recomputes and
 //! delta-aware table rebuilds must never leak into a published epoch).
 
-use etx_fleet::ScenarioSpec;
 use etx_graph::{topology::Mesh2D, NodeId, PathBackend};
 use etx_routing::{
     Algorithm, RecomputeStrategy, Router, RoutingScratch, RoutingState, SystemReport,
 };
 use etx_serve::{
     EpochPublisher, FleetFrontend, PinnedSnapshot, Query, QueryBatch, QueryOutput, QueryResult,
-    TableSnapshot, WorkloadGen, WorkloadSpec,
+    TableSnapshot,
 };
-use etx_sim::FrameFeed;
 use etx_units::Length;
 use proptest::prelude::*;
 
@@ -258,32 +256,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-}
-
-/// Both engine frame feeds publish byte-identical tables, so frontends
-/// built over either feed answer byte-identical batches (results and
-/// path-arena bytes).
-#[test]
-fn frame_feeds_serve_identical_answers() {
-    let base = ScenarioSpec { instances: 3, ..ScenarioSpec::smoke() };
-    let bitset_spec = ScenarioSpec { feed: FrameFeed::Bitset, ..base.clone() };
-    let diff_spec = ScenarioSpec { feed: FrameFeed::ReportDiff, ..base };
-    let bitset = FleetFrontend::from_spec(&bitset_spec, 1_500).expect("valid spec");
-    let diff = FleetFrontend::from_spec(&diff_spec, 1_500).expect("valid spec");
-
-    let mut generator = WorkloadGen::new(WorkloadSpec { batch: 512, ..WorkloadSpec::default() });
-    let mut batch = QueryBatch::new();
-    let mut out_bitset = QueryOutput::new();
-    let mut out_diff = QueryOutput::new();
-    for _ in 0..4 {
-        generator.fill(&bitset, &mut batch);
-        bitset.execute(&mut batch, &mut out_bitset);
-        diff.execute(&mut batch, &mut out_diff);
-        assert_eq!(out_bitset.results(), out_diff.results());
-        for (a, b) in out_bitset.results().iter().zip(out_diff.results()) {
-            assert_eq!(out_bitset.path_nodes(a), out_diff.path_nodes(b));
         }
     }
 }

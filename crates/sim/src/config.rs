@@ -68,65 +68,6 @@ impl BatteryModel {
     }
 }
 
-/// How the engine derives each TDMA frame's change set for the router.
-///
-/// Both feeds land in **identical** simulation results (the recompute
-/// decisions and router inputs are equal by construction, and the
-/// property suite pins it); they differ only in what each frame costs:
-///
-/// * [`FrameFeed::Bitset`] (the default) — the engine maintains its
-///   frame state *incrementally*: liveness and deadlock transitions are
-///   recorded at the death/buffer sites where they happen,
-///   battery-bucket transitions are absorbed by the TDMA upload pass
-///   (which must drain every live node anyway — the bucket sample rides
-///   along for free, and job-site drains pay nothing), the persistent
-///   [`SystemReport`](etx_routing::SystemReport) is patched in place,
-///   and the router is fed a changed-node bitset plus cached aggregates
-///   (live count, any-deadlock flag) through
-///   `Router::recompute_frame_into` — everything past the physical
-///   upload pass is `O(changed)`, not `O(K)`.
-/// * [`FrameFeed::ReportDiff`] — the pre-bitset path: rebuild the whole
-///   report every frame and diff it against the last published one.
-///   Kept as the reference implementation (CI diffs the two) and as the
-///   fallback the engine picks automatically when a remapping policy is
-///   configured (remapping drains a donor *after* the frame snapshot,
-///   which only the rebuild path represents faithfully).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrameFeed {
-    /// Engine-maintained changed-bitset frame state (`O(changed)`).
-    #[default]
-    Bitset,
-    /// Full per-frame report rebuild + diff (`O(K)`; the reference).
-    ReportDiff,
-}
-
-impl FrameFeed {
-    /// CLI/spec-file name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FrameFeed::Bitset => "bitset",
-            FrameFeed::ReportDiff => "report-diff",
-        }
-    }
-
-    /// Parses a CLI/spec-file name.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "bitset" => Some(FrameFeed::Bitset),
-            "report-diff" | "reportdiff" | "diff" => Some(FrameFeed::ReportDiff),
-            _ => None,
-        }
-    }
-}
-
-impl core::fmt::Display for FrameFeed {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// How the platform's central controllers are provisioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControllerSetup {
@@ -352,11 +293,6 @@ pub struct SimConfig {
     /// strategies produce identical routing (and therefore identical
     /// simulation results); they differ only in controller-side cost.
     pub recompute_strategy: RecomputeStrategy,
-    /// How the engine derives each TDMA frame's change set for the
-    /// router. Both feeds produce identical simulation results
-    /// (property-tested); they differ only in per-frame bookkeeping
-    /// cost.
-    pub frame_feed: FrameFeed,
     /// EAR battery weighting (`N_B`, `Q`).
     pub weighting: BatteryWeighting,
     /// TDMA schedule.
@@ -538,7 +474,6 @@ impl Default for SimConfig {
             scripted_revivals: Vec::new(),
             algorithm: Algorithm::Ear,
             recompute_strategy: RecomputeStrategy::Auto,
-            frame_feed: FrameFeed::Bitset,
             weighting: BatteryWeighting::default(),
             tdma: TdmaConfig::default(),
             auto_medium_length: true,
@@ -591,14 +526,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn recompute_strategy(mut self, strategy: RecomputeStrategy) -> Self {
         self.config.recompute_strategy = strategy;
-        self
-    }
-
-    /// Sets the engine's frame feed (default [`FrameFeed::Bitset`]).
-    /// Results are identical either way; only per-frame cost differs.
-    #[must_use]
-    pub fn frame_feed(mut self, feed: FrameFeed) -> Self {
-        self.config.frame_feed = feed;
         self
     }
 

@@ -1,14 +1,14 @@
 //! The [`Simulation`] engine: the cycle loop of `et_sim`.
 
 use etx_control::{ControlLedger, ControllerBank, ControllerEnergyModel};
-use etx_graph::{DiGraph, NodeBitset, NodeId};
+use etx_graph::{DiGraph, NodeId};
 use etx_mapping::Placement;
 use etx_metrics::{CounterId, GaugeId, MetricsHandle, MetricsSnapshot, SpanId};
-use etx_routing::{FrameDelta, RecomputeStats, Router, RoutingScratch, RoutingState, SystemReport};
+use etx_routing::{RecomputeStats, Router, RoutingScratch, RoutingState, SystemReport};
 use etx_units::Energy;
 
 use crate::config::{
-    ControllerSetup, FrameFeed, JobSource, ScriptedFailure, ScriptedRevival, SimConfig, SimError,
+    ControllerSetup, JobSource, ScriptedFailure, ScriptedRevival, SimConfig, SimError,
 };
 use crate::job::{Job, JobPhase};
 use crate::node::{DrainKind, NodeState};
@@ -33,11 +33,11 @@ pub trait TableObserver: Send {
 /// Everything the engine exposes about one *completed* TDMA frame — the
 /// input of the [`FrameRecorder`] hook.
 ///
-/// The snapshot is taken at the same point on both [`FrameFeed`] paths:
-/// after the frame's recompute/publish work, *before* the edge-triggered
-/// deadlock flags are cleared (so `report` still shows the deadlocks the
-/// controller just serviced). Every field except the cost counters in
-/// `recompute` is therefore byte-identical across the two feeds.
+/// The snapshot is taken after the frame's recompute/publish work,
+/// *before* the edge-triggered deadlock flags are cleared (so `report`
+/// still shows the deadlocks the controller just serviced). Every field
+/// except the cost counters in `recompute` is byte-identical across
+/// recompute strategies.
 #[derive(Debug)]
 pub struct FrameSnapshot<'a> {
     /// 1-based frame number (the engine's monotonically increasing
@@ -83,7 +83,7 @@ pub struct FrameSnapshot<'a> {
 /// sibling of [`TableObserver`], which only sees recompute frames).
 ///
 /// Attached with [`Simulation::set_frame_recorder`]; called once per
-/// completed TDMA frame on both feed paths. Frames that die mid-frame
+/// completed TDMA frame. Frames that die mid-frame
 /// (controller death, module extinction during upload) are not
 /// delivered — a replay of the same config dies at the same point.
 pub trait FrameRecorder: Send {
@@ -120,42 +120,13 @@ pub struct Simulation {
     /// instead of re-solving it.
     routing_scratch: RoutingScratch,
     /// The frame's routing delta feed: nodes whose battery bucket or
-    /// liveness changed since the last published report (dense
-    /// changed-index scratch; under the bitset feed, extracted from
-    /// `touched_bits` in `O(changed)`).
+    /// liveness changed since the last published report.
     dirty_nodes: Vec<NodeId>,
+    /// The report the current routing tables were computed from.
     last_report: SystemReport,
-    /// Under [`FrameFeed::Bitset`]: the **persistent** current report,
-    /// patched in place at every transition site (death, deadlock
-    /// raise/clear) and by the upload pass's fused battery-bucket
-    /// sampling — `tdma_frame` never rebuilds it. Under
-    /// [`FrameFeed::ReportDiff`]: the recycled build buffer of the
-    /// legacy rebuild-and-diff path.
-    frame_state: SystemReport,
-    /// `true` when this run uses the incrementally-maintained frame
-    /// state (the configured [`FrameFeed::Bitset`], which the engine
-    /// drops back to report-diff when a remapping policy is set: a remap
-    /// drains its donor *after* the frame snapshot, which only the
-    /// rebuild path represents faithfully).
-    bitset_feed: bool,
-    /// Nodes with a recorded transition since the last published
-    /// baseline (raw marks; may over-approximate — a bucket that moved
-    /// and moved back stays marked until the next publish clears it).
-    touched_bits: NodeBitset,
-    /// Per-frame filtered changed set (marks whose value actually
-    /// differs from the published baseline) — what the router consumes.
-    dirty_bits: NodeBitset,
-    /// Nodes whose deadlock flag is currently set in `frame_state`.
-    deadlocked_bits: NodeBitset,
-    /// `deadlocked_bits.count()`, maintained `O(1)` per transition.
-    deadlocked_count: u32,
-    /// Live-node count, maintained at death sites (the download-energy
-    /// multiplier, formerly an `O(K)` report scan).
-    live_nodes: usize,
-    /// A published deadlock flag was cleared at the previous frame's
-    /// edge-trigger reset; like a report diff would, the next frame must
-    /// recompute (deadlock-port avoidance has to be dropped).
-    pending_deadlock_cleared: bool,
+    /// The recycled buffer each frame rebuilds its report into; it swaps
+    /// with `last_report` whenever the frame recomputes.
+    report_buf: SystemReport,
     bank: ControllerBank,
     controller_model: ControllerEnergyModel,
     ledger: ControlLedger,
@@ -255,7 +226,7 @@ impl Simulation {
         mut routing_scratch: RoutingScratch,
         mut routing: RoutingState,
         mut report: SystemReport,
-        report_buf: SystemReport,
+        mut report_buf: SystemReport,
     ) -> Self {
         let graph = cfg.build_graph();
         let gateway = cfg.gateway_node();
@@ -293,9 +264,7 @@ impl Simulation {
             &mut routing,
         );
         let node_count = nodes.len();
-        let bitset_feed = cfg.frame_feed == FrameFeed::Bitset && cfg.remapping.is_none();
-        let mut frame_state = report_buf;
-        frame_state.clone_from(&report);
+        report_buf.clone_from(&report);
         Simulation {
             cfg,
             gateway,
@@ -307,14 +276,7 @@ impl Simulation {
             routing_scratch,
             dirty_nodes: Vec::with_capacity(node_count),
             last_report: report,
-            frame_state,
-            bitset_feed,
-            touched_bits: NodeBitset::with_capacity(node_count),
-            dirty_bits: NodeBitset::with_capacity(node_count),
-            deadlocked_bits: NodeBitset::with_capacity(node_count),
-            deadlocked_count: 0,
-            live_nodes: node_count,
-            pending_deadlock_cleared: false,
+            report_buf,
             bank,
             controller_model,
             ledger: ControlLedger::new(),
@@ -420,7 +382,7 @@ impl Simulation {
         let scratch = std::mem::take(&mut self.routing_scratch);
         let routing = std::mem::replace(&mut self.routing, RoutingState::empty());
         let report = std::mem::replace(&mut self.last_report, SystemReport::fresh(0, 1));
-        let report_buf = std::mem::replace(&mut self.frame_state, SystemReport::fresh(0, 1));
+        let report_buf = std::mem::replace(&mut self.report_buf, SystemReport::fresh(0, 1));
         pool.put(scratch, routing, report, report_buf);
     }
 
@@ -551,25 +513,9 @@ impl Simulation {
         let threshold = self.cfg.deadlock_threshold.count();
         for job in &self.jobs {
             if job.stuck_for(self.now) > threshold {
-                let node = job.location;
-                // Edge-triggered: a job stays stuck for many cycles, so
-                // the raise fires once per frame window — re-raises are
-                // no-ops and must stay one load cheap.
-                if !self.nodes[node.index()].deadlock_flag {
-                    self.nodes[node.index()].deadlock_flag = true;
-                    // Transition recording at the raise site: the frame
-                    // state and its aggregates stay current without any
-                    // per-frame flag scan. (For a live node the node
-                    // flag and the frame-state flag always move
-                    // together; a dead holder keeps its stale node flag
-                    // and no frame-state entry, matching what the
-                    // rebuilt report would say.)
-                    if self.bitset_feed && !self.nodes[node.index()].is_dead() {
-                        self.frame_state.set_deadlocked(node, true);
-                        self.deadlocked_bits.insert(node);
-                        self.deadlocked_count += 1;
-                    }
-                }
+                // Edge-triggered: the flag stays raised until the next
+                // frame uploads it, then clears.
+                self.nodes[job.location.index()].deadlock_flag = true;
             }
         }
 
@@ -620,7 +566,7 @@ impl Simulation {
         let scratch = std::mem::take(&mut self.routing_scratch);
         let routing = std::mem::replace(&mut self.routing, RoutingState::empty());
         let report = std::mem::replace(&mut self.last_report, SystemReport::fresh(0, 1));
-        let report_buf = std::mem::replace(&mut self.frame_state, SystemReport::fresh(0, 1));
+        let report_buf = std::mem::replace(&mut self.report_buf, SystemReport::fresh(0, 1));
         pool.put(scratch, routing, report, report_buf);
         self.finish_report(cause, recompute)
     }
@@ -640,18 +586,6 @@ impl Simulation {
 
     /// Handles a node death: checks for module extinction and gateway loss.
     fn on_node_death(&mut self, node: NodeId) {
-        self.live_nodes = self.live_nodes.saturating_sub(1);
-        if self.bitset_feed {
-            // Death is a liveness transition (and clears any reported
-            // deadlock — dead nodes hold no jobs): patch the frame state
-            // where it happens.
-            if self.frame_state.is_deadlocked(node) {
-                self.deadlocked_bits.remove(node);
-                self.deadlocked_count -= 1;
-            }
-            self.frame_state.set_dead(node);
-            self.touched_bits.insert(node);
-        }
         let module = self.placement.module_of(node);
         self.trace.record(self.now, TraceEvent::NodeDied { node, module });
         let extinct =
@@ -668,15 +602,6 @@ impl Simulation {
     /// charge its battery held while disconnected — a weight *decrease*
     /// the routing repair path absorbs without a full re-run.
     fn on_node_revival(&mut self, node: NodeId) {
-        self.live_nodes += 1;
-        if self.bitset_feed {
-            // Revival is a liveness transition: patch the frame state
-            // where it happens, exactly like the death site does.
-            let level =
-                self.nodes[node.index()].battery.reported_level(self.cfg.weighting.levels());
-            self.frame_state.revive(node, level);
-            self.touched_bits.insert(node);
-        }
         let module = self.placement.module_of(node);
         self.trace.record(self.now, TraceEvent::NodeRevived { node, module });
     }
@@ -695,199 +620,17 @@ impl Simulation {
         ok
     }
 
-    /// One TDMA frame: uploads, change collection, optional recompute
-    /// plus downloads. Returns a death cause if the controllers die.
+    /// One TDMA frame, as the paper's controller sees it: every live
+    /// node uploads its status, the controller rebuilds the system
+    /// report from those uploads, diffs it against the last published
+    /// one and, when anything changed, recomputes routes and downloads
+    /// them. Returns a death cause if the controllers die.
     fn tdma_frame(&mut self) -> Option<DeathCause> {
-        if self.bitset_feed {
-            self.tdma_frame_bitset()
-        } else {
-            self.tdma_frame_report_diff()
-        }
-    }
-
-    /// The incrementally-maintained frame: liveness and deadlock
-    /// transitions were recorded at the death/raise sites where they
-    /// happened, and battery buckets are sampled **inside the upload
-    /// pass** — the TDMA physics already drains every live node there,
-    /// so the bucket check rides along at one `reported_level` per live
-    /// node per frame (job-site drains pay nothing; their cumulative
-    /// effect is what the next upload sample sees, exactly like the
-    /// rebuilt report saw it). No report is ever rebuilt and nothing
-    /// else scans all `K` nodes: the routing feed is the changed bitset
-    /// filtered against the published baseline — `O(touched)` — plus
-    /// the cached live-count / any-deadlock aggregates, handed to
-    /// `Router::recompute_frame_into`.
-    ///
-    /// Byte-identical to [`Simulation::tdma_frame_report_diff`] in every
-    /// observable (recompute decisions, router inputs, energy ledger,
-    /// traces) — property-tested; only the recompute *cost counters*
-    /// differ.
-    fn tdma_frame_bitset(&mut self) -> Option<DeathCause> {
         self.frames += 1;
         self.trace.set_frame(self.frames);
         // Phase spans borrow the registry while the frame mutates
         // `self`, so hold the handle locally (an `Arc` bump, no
         // allocation).
-        let metrics = self.metrics.clone();
-        metrics.inc(CounterId::SimFrames);
-        let upload = self.cfg.tdma.upload_energy_per_node(&self.cfg.line_model);
-        let levels = self.cfg.weighting.levels();
-
-        // Upload phase: every live node drives its status slot, and the
-        // frame state absorbs its battery-bucket transition in the same
-        // pass (a node that died mid-drive was already patched at the
-        // death site).
-        {
-            let _upload_span = metrics.span(SpanId::SimFrameUpload);
-            for i in 0..self.nodes.len() {
-                let node = NodeId::new(i);
-                if self.nodes[i].is_dead() {
-                    continue;
-                }
-                self.drain_node(node, upload, DrainKind::Control);
-                self.ledger.record_upload(upload);
-                if !self.nodes[i].is_dead() {
-                    let bucket = self.nodes[i].battery.reported_level(levels);
-                    if bucket != self.frame_state.battery_level(node) {
-                        self.frame_state.set_battery_level(node, bucket);
-                        self.touched_bits.insert(node);
-                    }
-                }
-            }
-        }
-        if let Some(cause) = self.pending_death.take() {
-            return Some(cause);
-        }
-
-        // Controller leakage since the previous frame.
-        let live_before = self.bank.live_count();
-        let leak = self.controller_model.leakage_energy(self.cfg.tdma.frame_period);
-        self.ledger.record_controller_compute(leak);
-        if !self.bank.charge(leak) {
-            self.trace.record(self.now, TraceEvent::ControllerFailover { remaining: 0 });
-            return Some(DeathCause::ControllersDead);
-        }
-        if self.bank.live_count() < live_before {
-            self.trace.record(
-                self.now,
-                TraceEvent::ControllerFailover { remaining: self.bank.live_count() },
-            );
-        }
-
-        // Dirty extraction, O(touched): of the raw transition marks,
-        // keep the nodes whose bucket or liveness actually differs from
-        // the published baseline (a mark that drifted back is dropped —
-        // exactly what the report diff would conclude).
-        self.dirty_bits.clear();
-        self.dirty_nodes.clear();
-        {
-            let Simulation {
-                touched_bits, dirty_bits, dirty_nodes, frame_state, last_report, ..
-            } = self;
-            for node in touched_bits.iter() {
-                if frame_state.battery_level(node) != last_report.battery_level(node)
-                    || frame_state.is_alive(node) != last_report.is_alive(node)
-                {
-                    dirty_bits.insert(node);
-                    dirty_nodes.push(node);
-                }
-            }
-        }
-
-        // Deadlock reports: only the flagged nodes, in ascending order —
-        // the same visit order the full scan produced.
-        if self.deadlocked_count > 0 {
-            for node in self.deadlocked_bits.iter() {
-                self.deadlock_reports += 1;
-                self.trace.record(self.now, TraceEvent::DeadlockReported { node });
-            }
-        }
-
-        let any_deadlock = self.deadlocked_count > 0;
-        let deadlock_cleared = std::mem::take(&mut self.pending_deadlock_cleared);
-
-        let recomputed = !self.dirty_nodes.is_empty() || any_deadlock || deadlock_cleared;
-        if recomputed {
-            // Routing recomputation: the controller actively computes for
-            // the duration of the frame.
-            let active =
-                self.controller_model.active_energy(self.cfg.tdma.frame_cycles(self.nodes.len()));
-            self.ledger.record_controller_compute(active);
-            if !self.bank.charge(active) {
-                return Some(DeathCause::ControllersDead);
-            }
-            // Download phase: fresh next hops to every live node (the
-            // live count is a cached aggregate, not a report scan).
-            let down_each = self.cfg.tdma.download_energy_per_node(&self.cfg.line_model);
-            #[allow(clippy::cast_precision_loss)]
-            let down_total = down_each * self.live_nodes as f64;
-            self.ledger.record_download(down_total);
-            if !self.bank.charge(down_total) {
-                return Some(DeathCause::ControllersDead);
-            }
-            {
-                let _recompute_span = metrics.span(SpanId::SimFrameRecompute);
-                self.router.recompute_frame_into(
-                    &self.graph,
-                    self.placement.module_nodes(),
-                    &self.frame_state,
-                    FrameDelta {
-                        changed: &self.dirty_bits,
-                        any_deadlock,
-                        // Remapping runs on the report-diff path, so the
-                        // placement can never change under this feed.
-                        placement_changed: false,
-                    },
-                    &mut self.routing_scratch,
-                    &mut self.routing,
-                );
-            }
-            self.routing_recomputes += 1;
-            self.routing_version += 1;
-            metrics.inc(CounterId::SimRecomputes);
-            self.trace
-                .record(self.now, TraceEvent::RoutingRecomputed { version: self.routing_version });
-            // Publish hook: read-side services snapshot the fresh tables
-            // before any job consults them.
-            if let Some(observer) = self.table_observer.as_mut() {
-                let _publish_span = metrics.span(SpanId::SimFramePublish);
-                observer.on_tables(self.routing_version, &self.routing, &self.frame_state);
-            }
-            // The published baseline catches up with the patched frame
-            // state (three contiguous-buffer copies, no allocation), and
-            // the transition marks it absorbed are retired.
-            self.last_report.clone_from(&self.frame_state);
-            self.touched_bits.clear();
-        }
-
-        // Recording hook: the frame is complete; deadlock flags are
-        // still visible in the frame state (cleared just below).
-        self.record_frame(recomputed, false);
-
-        // Deadlock flags are edge-triggered: once uploaded and serviced,
-        // clear them — flagged nodes only, and note the clear so the
-        // next frame drops the deadlock-port avoidance like a report
-        // diff would.
-        if self.deadlocked_count > 0 {
-            let Simulation { deadlocked_bits, nodes, frame_state, .. } = self;
-            for node in deadlocked_bits.iter() {
-                nodes[node.index()].deadlock_flag = false;
-                frame_state.set_deadlocked(node, false);
-            }
-            self.deadlocked_bits.clear();
-            self.deadlocked_count = 0;
-            self.pending_deadlock_cleared = true;
-        }
-        None
-    }
-
-    /// The legacy frame: rebuild the whole report, diff it against the
-    /// last published one (`O(K)` per frame regardless of what changed).
-    /// Reference implementation for the bitset feed, and the path remap-
-    /// enabled runs take.
-    fn tdma_frame_report_diff(&mut self) -> Option<DeathCause> {
-        self.frames += 1;
-        self.trace.set_frame(self.frames);
         let metrics = self.metrics.clone();
         metrics.inc(CounterId::SimFrames);
         let upload = self.cfg.tdma.upload_energy_per_node(&self.cfg.line_model);
@@ -929,7 +672,7 @@ impl Simulation {
         // recycled buffer; steady-state frames allocate nothing) and, in
         // the same pass, the routing delta feed: the nodes whose battery
         // bucket or liveness changed since the last published report.
-        let mut report = std::mem::replace(&mut self.frame_state, SystemReport::fresh(0, 1));
+        let mut report = std::mem::replace(&mut self.report_buf, SystemReport::fresh(0, 1));
         let (any_deadlock, deadlock_cleared) = self.build_report_and_deltas_into(&mut report);
         for i in 0..self.nodes.len() {
             if report.is_deadlocked(NodeId::new(i)) {
@@ -963,7 +706,7 @@ impl Simulation {
             // its cached weights, repairs (or re-solves, per the
             // configured strategy) only the affected shortest-path work,
             // and reuses all scratch storage (zero steady-state
-            // allocation). No report diffing happens on this path.
+            // allocation).
             {
                 let _recompute_span = metrics.span(SpanId::SimFrameRecompute);
                 self.router.recompute_dirty_into(
@@ -988,16 +731,15 @@ impl Simulation {
             }
             // The new report becomes the baseline; the old baseline's
             // buffers are recycled for the next frame.
-            self.frame_state = std::mem::replace(&mut self.last_report, report);
+            self.report_buf = std::mem::replace(&mut self.last_report, report);
         } else {
-            self.frame_state = report;
+            self.report_buf = report;
         }
 
-        // Recording hook: on this path the frame's report sits in
-        // `last_report` when the frame recomputed (the swap above),
-        // otherwise in `frame_state`. Same observation point as the
-        // bitset path: before the deadlock flags drop.
-        self.record_frame(recomputed, recomputed);
+        // Recording hook: the frame's report sits in `last_report` when
+        // the frame recomputed (the swap above), otherwise in
+        // `report_buf`; deadlock flags are still set (cleared below).
+        self.record_frame(recomputed);
 
         // Deadlock flags are edge-triggered: once uploaded and serviced,
         // clear them; still-stuck jobs will re-raise them.
@@ -1011,9 +753,9 @@ impl Simulation {
     /// recompute delta (the single source every consumer shares), feeds
     /// it to the metrics registry, and delivers the frame to the
     /// attached [`FrameRecorder`] (if any), draining the trace tap. The
-    /// frame's report lives in `last_report` when `report_in_last`
-    /// (report-diff recompute frames), else in `frame_state`.
-    fn record_frame(&mut self, recomputed: bool, report_in_last: bool) {
+    /// frame's report lives in `last_report` when the frame recomputed,
+    /// else in `report_buf`.
+    fn record_frame(&mut self, recomputed: bool) {
         let stats = self.routing_scratch.stats();
         let recompute_delta = stats.delta_since(&self.prev_frame_stats);
         self.prev_frame_stats = stats;
@@ -1026,7 +768,7 @@ impl Simulation {
         let _record_span = metrics.span(SpanId::SimFrameRecord);
         let Simulation {
             frame_recorder,
-            frame_state,
+            report_buf,
             last_report,
             trace,
             ledger,
@@ -1038,7 +780,7 @@ impl Simulation {
             ..
         } = self;
         let recorder = frame_recorder.as_mut().expect("checked above");
-        let report: &SystemReport = if report_in_last { last_report } else { frame_state };
+        let report: &SystemReport = if recomputed { last_report } else { report_buf };
         recorder.on_frame(&FrameSnapshot {
             frame: *frames,
             cycle: *now,
@@ -1464,64 +1206,6 @@ mod tests {
         assert_eq!(full.recompute.repair_recomputes, 0);
         assert!(auto.recompute.repair_recomputes > 0, "{auto}");
         assert!(auto.recompute.repaired_sources > 0, "{auto}");
-    }
-
-    #[test]
-    fn frame_feeds_produce_identical_runs() {
-        // The engine-maintained bitset frame state and the legacy
-        // rebuild-and-diff path must land in identical simulation
-        // outcomes — recompute decisions, routing, energy, traces —
-        // across drain, churn, concurrency and battery recovery. Only
-        // the recompute *cost* counters may differ.
-        use crate::config::SimConfigBuilder;
-        use etx_routing::RecomputeStats;
-        let configs: Vec<SimConfigBuilder> = vec![
-            SimConfig::builder()
-                .mesh_square(8)
-                .mapping(MappingKind::Proportional)
-                .battery(BatteryModel::Ideal)
-                .battery_capacity_picojoules(8_000.0)
-                .scripted_failures(vec![
-                    ScriptedFailure { at_cycle: 400, node: 13 },
-                    ScriptedFailure { at_cycle: 900, node: 27 },
-                ])
-                .scripted_revivals(vec![ScriptedRevival { at_cycle: 700, node: 13 }]),
-            SimConfig::builder()
-                .mesh_square(4)
-                .battery(BatteryModel::ThinFilm)
-                .battery_capacity_picojoules(30_000.0)
-                .concurrent_jobs(4),
-            SimConfig::builder()
-                .mesh_square(5)
-                .source(JobSource::Broadcast)
-                .mapping(MappingKind::Proportional)
-                .battery(BatteryModel::ThinFilm)
-                .battery_capacity_picojoules(20_000.0),
-        ];
-        for (i, builder) in configs.into_iter().enumerate() {
-            let run = |feed: crate::config::FrameFeed| {
-                builder.clone().frame_feed(feed).build().expect("valid config").run()
-            };
-            let mut bitset = run(crate::config::FrameFeed::Bitset);
-            let mut diff = run(crate::config::FrameFeed::ReportDiff);
-            assert!(
-                bitset.recompute.frames_oK_skipped > 0,
-                "config {i}: bitset feed never engaged"
-            );
-            assert_eq!(diff.recompute.frames_oK_skipped, 0, "config {i}: diff path cannot skip");
-            assert!(
-                bitset.recompute.nodes_scanned < diff.recompute.nodes_scanned,
-                "config {i}: bitset feed must scan fewer node states \
-                 ({} vs {})",
-                bitset.recompute.nodes_scanned,
-                diff.recompute.nodes_scanned
-            );
-            // Outcomes must be byte-identical once the cost counters are
-            // masked out.
-            bitset.recompute = RecomputeStats::default();
-            diff.recompute = RecomputeStats::default();
-            assert_eq!(bitset, diff, "config {i}: frame feeds diverged");
-        }
     }
 
     #[test]

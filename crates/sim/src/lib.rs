@@ -57,8 +57,8 @@ mod stats;
 mod trace;
 
 pub use config::{
-    BatteryModel, ControllerSetup, FrameFeed, JobSource, MappingKind, RemappingPolicy,
-    ScriptedFailure, ScriptedRevival, SimConfig, SimConfigBuilder, SimError, TopologyKind,
+    BatteryModel, ControllerSetup, JobSource, MappingKind, RemappingPolicy, ScriptedFailure,
+    ScriptedRevival, SimConfig, SimConfigBuilder, SimError, TopologyKind,
 };
 pub use engine::{FrameRecorder, FrameSnapshot, Simulation, TableObserver};
 pub use etx_routing::{RecomputeStats, RecomputeStrategy};

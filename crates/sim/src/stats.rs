@@ -175,7 +175,7 @@ impl fmt::Display for SimReport {
             "recompute paths: {} full, {} repair \
              ({} sources repaired, {} re-run, {} decrease-repaired / {} nodes improved); \
              table: {} delta rebuilds, {} entries ({} challenge-patched); \
-             frame scans: {} O(K) skipped, {} nodes scanned",
+             {} nodes scanned",
             self.recompute.full_recomputes,
             self.recompute.repair_recomputes,
             self.recompute.repaired_sources,
@@ -185,7 +185,6 @@ impl fmt::Display for SimReport {
             self.recompute.table_delta_rebuilds,
             self.recompute.table_entries_rebuilt,
             self.recompute.table_cells_patched,
-            self.recompute.frames_oK_skipped,
             self.recompute.nodes_scanned,
         )
     }
@@ -249,7 +248,6 @@ mod tests {
                 table_delta_rebuilds: 4,
                 table_entries_rebuilt: 60,
                 table_cells_patched: 12,
-                frames_oK_skipped: 5,
                 nodes_scanned: 70,
             },
             remaps: 0,

@@ -1,10 +1,9 @@
-//! Counting-allocator proof for the engine's incrementally-maintained
-//! frame state: once a simulation has warmed up (routing caches sized,
-//! job vectors at their high-water mark), steady-state stepping — TDMA
-//! frames included — performs **no heap allocation**. The frame path
-//! patches the persistent `SystemReport` in place, accumulates changed
-//! bits in fixed-size word arrays, and publishes by `clone_from` into
-//! equal-capacity buffers; nothing in the loop grows.
+//! Counting-allocator proof for the engine's frame path: once a
+//! simulation has warmed up (routing caches sized, job vectors at their
+//! high-water mark), steady-state stepping — TDMA frames and their
+//! routing recomputes included — performs **no heap allocation**. Each
+//! frame rebuilds its `SystemReport` into a recycled buffer and swaps it
+//! with the published one; nothing in the loop grows.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this
 //! file contains a single test so no concurrent test case can pollute
@@ -72,6 +71,7 @@ fn steady_state_stepping_does_not_allocate() {
     let recomputes_before = sim.trace().events().len(); // trace disabled: 0
     assert_eq!(recomputes_before, 0, "tracing must be off for this measurement");
 
+    let version_before = sim.routing_version();
     let before = allocations();
     for _ in 0..6_000 {
         assert!(sim.step().is_none(), "system died during the measured window");
@@ -79,13 +79,11 @@ fn steady_state_stepping_does_not_allocate() {
     let allocated = allocations() - before;
     assert_eq!(allocated, 0, "steady-state stepping allocated {allocated} times");
 
-    // The window wasn't trivially idle: frames elapsed and the engine's
-    // O(changed) bookkeeping actually skipped O(K) scans.
-    let report = sim.run();
-    assert!(report.frames > 0);
-    assert!(report.recompute.frames_oK_skipped > 0, "bitset feed never engaged:\n{report}");
+    // The window wasn't trivially idle: frames in it recomputed and
+    // published fresh routing tables.
+    let version_after = sim.routing_version();
     assert!(
-        report.recompute.nodes_scanned < report.recompute.frames_oK_skipped * 64,
-        "per-frame scans should examine far fewer than K=64 nodes:\n{report}"
+        version_after > version_before,
+        "no routing recompute in the measured window (version {version_before})"
     );
 }

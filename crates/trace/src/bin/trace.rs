@@ -8,10 +8,10 @@
 //! ```
 //!
 //! `diff` and `bisect` exit 0 when the traces are semantically
-//! identical (cost-counter drift between frame feeds is reported but
-//! tolerated) and 1 on the first state divergence. Replaying a trace
-//! against a live engine is `fleet --replay` (the scenario registry
-//! lives there).
+//! identical (cost-counter drift between recompute strategies is
+//! reported but tolerated) and 1 on the first state divergence.
+//! Replaying a trace against a live engine is `fleet --replay` (the
+//! scenario registry lives there).
 
 use std::process::ExitCode;
 

@@ -6,7 +6,7 @@
 //! | field                | encoding     | notes                          |
 //! |----------------------|--------------|--------------------------------|
 //! | magic                | 8 bytes      | `ETXTRACE`                     |
-//! | format version       | `u16`        | currently 2                    |
+//! | format version       | `u16`        | currently 3                    |
 //! | flags                | `u16`        | bit 0: ring-buffer trace       |
 //! | config fingerprint   | `u64`        | FNV-1a of the built `SimConfig`|
 //! | instance             | `u64`        | fleet instance index           |
@@ -18,7 +18,7 @@
 //! Record payload: `frame`, `cycle`, flags byte (bit 0: recomputed),
 //! `routing_version` (varints); `state_digest`, `cost_digest` (`u64`);
 //! `wall_ns` (varint); medium/controller energy (`u64` f64-bits);
-//! `jobs_completed`, `jobs_lost`, the 11 per-frame [`RecomputeStats`]
+//! `jobs_completed`, `jobs_lost`, the 10 per-frame [`RecomputeStats`]
 //! delta counters, and the frame's event stream (varints; events are a
 //! tag byte plus `frame`/`cycle` stamps and tag-specific fields).
 
@@ -34,9 +34,10 @@ use crate::TraceError;
 pub const MAGIC: [u8; 8] = *b"ETXTRACE";
 
 /// Current format version. Version 2 dropped the counter of the retired
-/// affected-sources recompute strategy from the record payload; this
-/// build refuses version-1 files.
-pub const FORMAT_VERSION: u16 = 2;
+/// affected-sources recompute strategy from the record payload, and
+/// version 3 the counter of the retired changed-bitset frame feed; this
+/// build refuses files of any other version.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Header flag bit: the trace came from a bounded ring-buffer writer
 /// (only the last `N` frames survive).
@@ -78,7 +79,7 @@ pub struct FrameRecord {
     /// [`digest_frame`](crate::digest_frame)).
     pub state_digest: u64,
     /// Digest of the frame's recompute *cost* counters. Split from
-    /// `state_digest` because the two `FrameFeed`s are byte-identical in
+    /// `state_digest` because recompute strategies are byte-identical in
     /// semantics but legitimately differ in cost.
     pub cost_digest: u64,
     /// Wall-clock time this frame took, in nanoseconds (0 when the
@@ -211,7 +212,6 @@ pub(crate) fn encode_record_parts(
         delta.table_delta_rebuilds,
         delta.table_entries_rebuilt,
         delta.table_cells_patched,
-        delta.frames_oK_skipped,
         delta.nodes_scanned,
     ] {
         put_uvarint(out, counter);
@@ -256,7 +256,7 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<FrameRecord, TraceError> {
     let controller_pj_bits = cur.take_u64()?;
     let jobs_completed = cur.take_uvarint()?;
     let jobs_lost = cur.take_uvarint()?;
-    let mut counters = [0u64; 11];
+    let mut counters = [0u64; 10];
     for slot in &mut counters {
         *slot = cur.take_uvarint()?;
     }
@@ -270,8 +270,7 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<FrameRecord, TraceError> {
         table_delta_rebuilds: counters[6],
         table_entries_rebuilt: counters[7],
         table_cells_patched: counters[8],
-        frames_oK_skipped: counters[9],
-        nodes_scanned: counters[10],
+        nodes_scanned: counters[9],
     };
     let event_count = cur.take_uvarint()?;
     if event_count > payload.len() as u64 {
@@ -477,10 +476,12 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[8] = 0xff;
         assert!(matches!(Trace::parse(&bad_version), Err(TraceError::BadVersion(_))));
-        // Version-1 files carry one more counter per record: refused.
-        let mut v1 = bytes.clone();
-        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(Trace::parse(&v1), Err(TraceError::BadVersion(1))));
+        // Older files carry more counters per record: refused.
+        for old in [1u16, 2] {
+            let mut stale = bytes.clone();
+            stale[8..10].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(Trace::parse(&stale), Err(TraceError::BadVersion(v)) if v == old));
+        }
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 3);
         assert!(Trace::parse(&truncated).is_err());

@@ -2,8 +2,8 @@
 //!
 //! The TDMA frame loop in `etx-sim` is deterministic: the same
 //! [`SimConfig`](etx_sim::SimConfig) always produces the same sequence
-//! of deaths, recomputes, and job outcomes, on either frame feed. This
-//! crate turns that property into an observability tool:
+//! of deaths, recomputes, and job outcomes, under either recompute
+//! strategy. This crate turns that property into an observability tool:
 //!
 //! - [`TraceRecorder`] hooks into the engine (via
 //!   [`FrameRecorder`](etx_sim::FrameRecorder)) and writes a compact
@@ -19,7 +19,7 @@
 //! - [`diff_traces`] / [`render_divergence`] bisect two traces to the
 //!   first diverging frame and print both frames' digest components and
 //!   event streams side by side. Cost-counter drift (expected between
-//!   frame feeds) is tallied but never treated as divergence.
+//!   recompute strategies) is tallied but never treated as divergence.
 //!
 //! The `trace` binary exposes `info`, `diff`, and `bisect` over trace
 //! files; `fleet --record` / `--replay` wire recording into scenario

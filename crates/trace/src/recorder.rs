@@ -17,11 +17,11 @@ use crate::TraceError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameDigest {
     /// Semantic state: battery buckets, live/deadlock membership,
-    /// routing version. Identical across `FrameFeed`s, strategies, and
-    /// any other cost-only knob.
+    /// routing version. Identical across recompute strategies and any
+    /// other cost-only knob.
     pub state: u64,
-    /// Recompute cost counters. Legitimately differs between
-    /// bitset-fed and report-diff runs of the same scenario.
+    /// Recompute cost counters. Legitimately differs between `Full`
+    /// and `Auto` runs of the same scenario.
     pub cost: u64,
 }
 
@@ -109,7 +109,6 @@ impl TraceScratch {
             delta.table_delta_rebuilds,
             delta.table_entries_rebuilt,
             delta.table_cells_patched,
-            delta.frames_oK_skipped,
             delta.nodes_scanned,
         ] {
             cost_hasher.write_u64(counter);
@@ -202,7 +201,7 @@ impl TraceRecorder {
 
     /// Enables or disables per-frame wall-time capture (on by default).
     /// With it off the recorded bytes are a pure function of the run —
-    /// what golden traces and feed-equivalence diffs want.
+    /// what golden traces and strategy-equivalence diffs want.
     #[must_use]
     pub fn with_wall_time(mut self, enabled: bool) -> Self {
         self.wall_time = enabled;

@@ -121,7 +121,7 @@ pub struct TraceDiff {
     /// component).
     pub frames_compared: u64,
     /// Frames whose *cost* digests differed — recompute-counter drift
-    /// only, expected between `FrameFeed`s and strategies; never a
+    /// only, expected between recompute strategies; never a
     /// divergence.
     pub cost_only_frames: u64,
     /// The first semantic divergence, if any.

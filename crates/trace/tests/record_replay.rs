@@ -3,16 +3,14 @@
 //! 1. **Round trip** — recording a run and replaying it from the
 //!    trace's embedded config reproduces every frame byte-identically
 //!    (state digests *and* event streams), across drain / churn /
-//!    reconnect scenarios and both frame feeds;
+//!    reconnect scenarios;
 //! 2. **Ring = tail of full** — a bounded ring recording of a run is
 //!    record-for-record equal to the last frames of the full recording;
-//! 3. **Feed equivalence** — the bitset and report-diff feeds record
-//!    state-identical traces (cost counters may drift, semantics never);
-//! 4. **Bisection** — a divergence (scripted or synthetic) is
+//! 3. **Bisection** — a divergence (scripted or synthetic) is
 //!    pinpointed to the exact first diverging frame.
 
 use etx_fleet::ScenarioSpec;
-use etx_sim::{FrameFeed, ScriptedFailure, SimConfigBuilder};
+use etx_sim::{ScriptedFailure, SimConfigBuilder};
 use etx_trace::{
     diff_traces, record_run, render_divergence, replay, DivergenceComponent, RecordMode,
     RecordOptions, Trace, TraceError,
@@ -21,7 +19,7 @@ use proptest::prelude::*;
 
 /// A scenario spec whose single instance is cheap to run but still
 /// crosses topology / algorithm / battery / churn dimensions.
-fn fast_spec(seed: u64, revive: bool, feed: FrameFeed) -> ScenarioSpec {
+fn fast_spec(seed: u64, revive: bool) -> ScenarioSpec {
     ScenarioSpec {
         seed,
         instances: 1,
@@ -30,7 +28,6 @@ fn fast_spec(seed: u64, revive: bool, feed: FrameFeed) -> ScenarioSpec {
         churn: (0, 2),
         churn_horizon: 10_000,
         revival_fraction: if revive { 0.8 } else { 0.0 },
-        feed,
         max_cycles: 200_000,
         ..ScenarioSpec::smoke()
     }
@@ -46,14 +43,6 @@ fn record_instance(spec: &ScenarioSpec, mode: RecordMode) -> Option<Trace> {
     record_run(spec.sample(0), &record_options(spec, mode)).ok().map(|(_report, trace)| trace)
 }
 
-fn feed_of(tag: u8) -> FrameFeed {
-    if tag == 0 {
-        FrameFeed::Bitset
-    } else {
-        FrameFeed::ReportDiff
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -65,9 +54,8 @@ proptest! {
     fn replay_reproduces_recorded_runs(
         seed in 0u64..10_000,
         revive in 0u8..2,
-        feed in 0u8..2,
     ) {
-        let spec = fast_spec(seed, revive == 1, feed_of(feed));
+        let spec = fast_spec(seed, revive == 1);
         let Some(trace) = record_instance(&spec, RecordMode::Full) else {
             return Ok(()); // rejected instance: nothing to replay
         };
@@ -92,9 +80,8 @@ proptest! {
     fn ring_tail_matches_full_trace(
         seed in 0u64..10_000,
         capacity in 1usize..6,
-        feed in 0u8..2,
     ) {
-        let spec = fast_spec(seed, true, feed_of(feed));
+        let spec = fast_spec(seed, true);
         let Some(full) = record_instance(&spec, RecordMode::Full) else {
             return Ok(());
         };
@@ -112,28 +99,6 @@ proptest! {
         let diff = diff_traces(&full, &ring);
         prop_assert!(diff.identical());
         prop_assert_eq!(diff.frames_compared as usize, tail_len);
-    }
-
-    /// The two frame feeds record state-identical traces of the same
-    /// scenario; only cost counters (and the config fingerprint, which
-    /// covers the feed knob) may differ.
-    #[test]
-    fn feeds_record_state_identical_traces(seed in 0u64..10_000, revive in 0u8..2) {
-        let bitset_spec = fast_spec(seed, revive == 1, FrameFeed::Bitset);
-        let diff_spec = fast_spec(seed, revive == 1, FrameFeed::ReportDiff);
-        let (Some(a), Some(b)) = (
-            record_instance(&bitset_spec, RecordMode::Full),
-            record_instance(&diff_spec, RecordMode::Full),
-        ) else {
-            return Ok(());
-        };
-        let diff = diff_traces(&a, &b);
-        prop_assert!(
-            diff.identical(),
-            "feeds diverged semantically:\n{}",
-            render_divergence("bitset", "report-diff", &diff)
-        );
-        prop_assert_eq!(diff.frames_compared as usize, a.records.len());
     }
 }
 
@@ -228,9 +193,9 @@ fn truncated_trace_is_a_presence_divergence() {
 /// any cycle runs.
 #[test]
 fn replay_rejects_mismatched_config() {
-    let spec = fast_spec(42, false, FrameFeed::Bitset);
+    let spec = fast_spec(42, false);
     let trace = record_instance(&spec, RecordMode::Full).expect("seed 42 samples a valid config");
-    let other = fast_spec(43, false, FrameFeed::Bitset);
+    let other = fast_spec(43, false);
     let err = replay(other.sample(0), &trace).expect_err("different config must be rejected");
     assert!(
         matches!(err, TraceError::FingerprintMismatch { .. }),
