@@ -39,8 +39,8 @@ pub fn reachable_from<F: Fn(NodeId) -> bool>(
 
 /// `true` if every node can reach every other node.
 ///
-/// Uses forward BFS from node 0 plus a BFS on the transposed graph, which
-/// suffices for strong connectivity.
+/// Uses forward BFS from node 0 plus a BFS over the in-links (the
+/// transposed graph), which suffices for strong connectivity.
 #[must_use]
 pub fn is_strongly_connected(graph: &DiGraph) -> bool {
     let n = graph.node_count();
@@ -58,8 +58,8 @@ pub fn is_strongly_connected(graph: &DiGraph) -> bool {
     queue.push_back(start);
     let mut count = 1;
     while let Some(cur) = queue.pop_front() {
-        for from in graph.nodes() {
-            if !visited[from.index()] && graph.has_edge(from, cur) {
+        for (from, _) in graph.in_neighbors(cur) {
+            if !visited[from.index()] {
                 visited[from.index()] = true;
                 count += 1;
                 queue.push_back(from);

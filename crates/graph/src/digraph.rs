@@ -59,9 +59,12 @@ fn fresh_version_stamp() -> u64 {
 
 /// A directed graph over dense node ids, with [`Length`]-weighted edges.
 ///
-/// Stored as a dense adjacency matrix of `Option<Length>` — the paper's
-/// algorithms are `O(n^3)` over the full matrix anyway, and e-textile
-/// networks are "tens to a few hundreds of nodes".
+/// Stored sparsely: every node keeps its out-links and its in-links, each
+/// sorted by neighbour id. E-textile fabrics are meshes of degree ≤ 4, so
+/// [`DiGraph::neighbors`], [`DiGraph::in_neighbors`] and the edge lookups
+/// cost `O(degree)`, [`DiGraph::edges`] costs `O(E)`, and a graph takes
+/// `O(K + E)` memory instead of a `K × K` matrix. Keeping both directions
+/// lets the routing pipeline touch only a changed node's own links.
 ///
 /// # Examples
 ///
@@ -75,24 +78,44 @@ fn fresh_version_stamp() -> u64 {
 /// assert_eq!(g.edge_count(), 2);
 /// assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
 /// assert!(!g.has_edge(NodeId::new(1), NodeId::new(0)));
+/// assert_eq!(g.in_neighbors(NodeId::new(1)).count(), 1);
 /// # Ok::<(), etx_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct DiGraph {
-    node_count: usize,
-    adjacency: Matrix<Option<Length>>,
+    /// `out_links[u]`: the edges `u -> v` as `(v, length)`, ascending by `v`.
+    out_links: Vec<Vec<(NodeId, Length)>>,
+    /// `in_links[v]`: the edges `u -> v` as `(u, length)`, ascending by `u`.
+    in_links: Vec<Vec<(NodeId, Length)>>,
     edge_count: usize,
     version_stamp: u64,
 }
 
 /// Equality compares the graph *content* (nodes and edges); the version
-/// stamp is an identity aid for caches and is excluded.
+/// stamp is an identity aid for caches and is excluded. The in-links
+/// mirror the out-links, so comparing the out-links suffices.
 impl PartialEq for DiGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.node_count == other.node_count
-            && self.edge_count == other.edge_count
-            && self.adjacency == other.adjacency
+        self.edge_count == other.edge_count && self.out_links == other.out_links
     }
+}
+
+/// Inserts or replaces `(key, length)` in a link list sorted by node id;
+/// returns the replaced length.
+fn upsert_link(links: &mut Vec<(NodeId, Length)>, key: NodeId, length: Length) -> Option<Length> {
+    match links.binary_search_by_key(&key, |&(id, _)| id) {
+        Ok(pos) => Some(core::mem::replace(&mut links[pos].1, length)),
+        Err(pos) => {
+            links.insert(pos, (key, length));
+            None
+        }
+    }
+}
+
+/// Removes `key` from a link list sorted by node id; returns its length.
+fn remove_link(links: &mut Vec<(NodeId, Length)>, key: NodeId) -> Option<Length> {
+    let pos = links.binary_search_by_key(&key, |&(id, _)| id).ok()?;
+    Some(links.remove(pos).1)
 }
 
 impl DiGraph {
@@ -100,8 +123,8 @@ impl DiGraph {
     #[must_use]
     pub fn new(node_count: usize) -> Self {
         DiGraph {
-            node_count,
-            adjacency: Matrix::filled(node_count, node_count, None),
+            out_links: vec![Vec::new(); node_count],
+            in_links: vec![Vec::new(); node_count],
             edge_count: 0,
             version_stamp: fresh_version_stamp(),
         }
@@ -121,7 +144,7 @@ impl DiGraph {
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.node_count
+        self.out_links.len()
     }
 
     /// Number of directed edges.
@@ -132,20 +155,20 @@ impl DiGraph {
 
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.node_count).map(NodeId::new)
+        (0..self.node_count()).map(NodeId::new)
     }
 
     /// Checks whether `node` belongs to this graph.
     #[must_use]
     pub fn contains(&self, node: NodeId) -> bool {
-        node.index() < self.node_count
+        node.index() < self.node_count()
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), GraphError> {
         if self.contains(node) {
             Ok(())
         } else {
-            Err(GraphError::NodeOutOfRange { node, node_count: self.node_count })
+            Err(GraphError::NodeOutOfRange { node, node_count: self.node_count() })
         }
     }
 
@@ -168,7 +191,8 @@ impl DiGraph {
         if from == to {
             return Err(GraphError::SelfLoop(from));
         }
-        let prev = self.adjacency[(from, to)].replace(length);
+        let prev = upsert_link(&mut self.out_links[from.index()], to, length);
+        upsert_link(&mut self.in_links[to.index()], from, length);
         if prev.is_none() {
             self.edge_count += 1;
         }
@@ -197,12 +221,11 @@ impl DiGraph {
         if !self.contains(from) || !self.contains(to) {
             return None;
         }
-        let prev = self.adjacency[(from, to)].take();
-        if prev.is_some() {
-            self.edge_count -= 1;
-            self.version_stamp = fresh_version_stamp();
-        }
-        prev
+        let prev = remove_link(&mut self.out_links[from.index()], to)?;
+        remove_link(&mut self.in_links[to.index()], from);
+        self.edge_count -= 1;
+        self.version_stamp = fresh_version_stamp();
+        Some(prev)
     }
 
     /// `true` if the directed edge `from -> to` exists.
@@ -211,35 +234,40 @@ impl DiGraph {
         self.edge_length(from, to).is_some()
     }
 
-    /// The length of edge `from -> to`, if present.
+    /// The length of edge `from -> to`, if present: a search of
+    /// `from`'s out-links.
     #[must_use]
     pub fn edge_length(&self, from: NodeId, to: NodeId) -> Option<Length> {
-        if self.contains(from) && self.contains(to) {
-            self.adjacency[(from, to)]
-        } else {
-            None
-        }
+        let links = self.out_links.get(from.index())?;
+        let pos = links.binary_search_by_key(&to, |&(id, _)| id).ok()?;
+        Some(links[pos].1)
     }
 
-    /// Iterates over all directed edges.
+    /// Iterates over all directed edges, ordered by source and then by
+    /// destination id.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.adjacency.entries().filter_map(|(r, c, len)| {
-            len.map(|length| Edge { from: NodeId::new(r), to: NodeId::new(c), length })
+        self.out_links.iter().enumerate().flat_map(|(from, links)| {
+            links.iter().map(move |&(to, length)| Edge { from: NodeId::new(from), to, length })
         })
     }
 
-    /// Iterates over the out-neighbours of `node` (with edge lengths).
+    /// Iterates over the out-neighbours of `node` (with edge lengths),
+    /// ascending by id; empty for an unknown node.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, Length)> + '_ {
-        let row = node.index();
-        (0..self.node_count).filter_map(move |c| {
-            self.adjacency.get(row, c).and_then(|len| len.map(|l| (NodeId::new(c), l)))
-        })
+        self.out_links.get(node.index()).map_or(&[][..], Vec::as_slice).iter().copied()
+    }
+
+    /// Iterates over the in-neighbours of `node` (with edge lengths),
+    /// ascending by id: every `(u, length)` with an edge `u -> node`.
+    /// Empty for an unknown node.
+    pub fn in_neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, Length)> + '_ {
+        self.in_links.get(node.index()).map_or(&[][..], Vec::as_slice).iter().copied()
     }
 
     /// Out-degree of `node`.
     #[must_use]
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.neighbors(node).count()
+        self.out_links.get(node.index()).map_or(0, Vec::len)
     }
 
     /// Builds a cost matrix from the adjacency structure.
@@ -250,7 +278,7 @@ impl DiGraph {
     /// phase 1 (for both SDR and EAR, which differ only in `cost`).
     #[must_use]
     pub fn weight_matrix<F: FnMut(Edge) -> f64>(&self, mut cost: F) -> Matrix<f64> {
-        let n = self.node_count;
+        let n = self.node_count();
         let mut w = Matrix::filled(n, n, crate::INFINITE_DISTANCE);
         for i in 0..n {
             w[(i, i)] = 0.0;
@@ -265,6 +293,7 @@ impl DiGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cm(v: f64) -> Length {
         Length::from_centimetres(v)
@@ -333,6 +362,21 @@ mod tests {
     }
 
     #[test]
+    fn in_neighbors_list_reverse_links() {
+        let mut g = DiGraph::new(4);
+        g.add_edge(NodeId::new(2), NodeId::new(1), cm(3.0)).unwrap();
+        g.add_edge(NodeId::new(0), NodeId::new(1), cm(1.0)).unwrap();
+        g.add_edge(NodeId::new(1), NodeId::new(3), cm(2.0)).unwrap();
+        let ins: Vec<_> = g.in_neighbors(NodeId::new(1)).collect();
+        assert_eq!(ins, vec![(NodeId::new(0), cm(1.0)), (NodeId::new(2), cm(3.0))]);
+        assert_eq!(g.in_neighbors(NodeId::new(0)).count(), 0);
+        assert_eq!(g.in_neighbors(NodeId::new(9)).count(), 0, "unknown node has no links");
+        g.remove_edge(NodeId::new(0), NodeId::new(1));
+        let ins: Vec<_> = g.in_neighbors(NodeId::new(1)).collect();
+        assert_eq!(ins, vec![(NodeId::new(2), cm(3.0))]);
+    }
+
+    #[test]
     fn weight_matrix_structure() {
         let mut g = DiGraph::new(3);
         g.add_edge(NodeId::new(0), NodeId::new(1), cm(4.0)).unwrap();
@@ -341,5 +385,63 @@ mod tests {
         assert_eq!(w[(0, 1)], 4.0);
         assert_eq!(w[(1, 0)], crate::INFINITE_DISTANCE);
         assert_eq!(w[(2, 2)], 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sparse link lists against a dense `K × K` reference kept
+        /// here: after random adds, replacements and removals (one-way
+        /// edges included), `edges()` lists exactly the reference's
+        /// entries in row-major order, `neighbors` reads its rows,
+        /// `in_neighbors` its columns, and every lookup agrees.
+        #[test]
+        fn sparse_links_match_a_dense_reference(
+            n in 1usize..10,
+            ops in proptest::collection::vec((0usize..10, 0usize..10, 0u8..4, 1u32..50), 0..60),
+        ) {
+            let mut g = DiGraph::new(n);
+            let mut dense: Matrix<Option<Length>> = Matrix::filled(n, n, None);
+            for (a, b, kind, len) in ops {
+                let (a, b) = (a % n, b % n);
+                if a == b {
+                    continue;
+                }
+                let (from, to) = (NodeId::new(a), NodeId::new(b));
+                let length = cm(f64::from(len));
+                if kind == 0 {
+                    prop_assert_eq!(g.remove_edge(from, to), dense[(a, b)].take());
+                } else {
+                    prop_assert_eq!(g.add_edge(from, to, length).unwrap(), dense[(a, b)].replace(length));
+                }
+            }
+            let expected: Vec<Edge> = dense
+                .entries()
+                .filter_map(|(r, c, len)| {
+                    len.map(|length| Edge { from: NodeId::new(r), to: NodeId::new(c), length })
+                })
+                .collect();
+            prop_assert_eq!(g.edges().collect::<Vec<_>>(), expected.clone());
+            prop_assert_eq!(g.edge_count(), expected.len());
+            for u in 0..n {
+                let node = NodeId::new(u);
+                let row: Vec<_> = (0..n)
+                    .filter_map(|c| dense[(u, c)].map(|l| (NodeId::new(c), l)))
+                    .collect();
+                let column: Vec<_> = (0..n)
+                    .filter_map(|r| dense[(r, u)].map(|l| (NodeId::new(r), l)))
+                    .collect();
+                prop_assert_eq!(g.neighbors(node).collect::<Vec<_>>(), row.clone());
+                prop_assert_eq!(g.out_degree(node), row.len());
+                prop_assert_eq!(g.in_neighbors(node).collect::<Vec<_>>(), column);
+                for v in 0..n {
+                    prop_assert_eq!(g.edge_length(node, NodeId::new(v)), dense[(u, v)]);
+                }
+                // Every out-link appears in its head's in-links.
+                for (v, l) in g.neighbors(node) {
+                    prop_assert!(g.in_neighbors(v).any(|(w, m)| w == node && m == l));
+                }
+            }
+        }
     }
 }

@@ -486,8 +486,9 @@ pub fn dijkstra_source_tree_into(
 /// fraction of the source's settled nodes is affected by the increase
 /// subtrees plus the improvement propagation, the bookkeeping stops
 /// paying for itself and [`RepairOutcome::Rerun`] is returned (the
-/// increase gate declines before mutating; the decrease gate may abort
-/// mid-improvement — see [`RepairOutcome::Rerun`]).
+/// increase gate declines before mutating, checked inside the affected
+/// walk so a declined source never finishes it; the decrease gate may
+/// abort mid-improvement — see [`RepairOutcome::Rerun`]).
 ///
 /// # Panics
 ///
@@ -528,6 +529,15 @@ pub fn repair_source(
     // the nodes whose tree path uses an increased edge, enumerated
     // through the child links. No settle-order scan, no `O(K)` walk —
     // an unaffected source pays `O(#increases)` and nothing else.
+    //
+    // Cost gate: past `limit` affected nodes a fresh Dijkstra is cheaper
+    // than the repair bookkeeping (measured; see the routing crate's
+    // REPAIR_MAX_AFFECTED_FRACTION). The set only grows, so the gate is
+    // checked after seeding and at every discovery: a doomed source
+    // stops walking the moment it passes, still before any mutation,
+    // and the outcome equals a check after the complete walk.
+    #[allow(clippy::cast_precision_loss)]
+    let limit = max_affected_fraction * settled as f64;
     repair.bump_stamp(n);
     repair.touched.clear();
     repair.stack.clear();
@@ -541,23 +551,23 @@ pub fn repair_source(
     if repair.touched.is_empty() && !any_relevant_decrease {
         return RepairOutcome::Unchanged;
     }
+    #[allow(clippy::cast_precision_loss)]
+    if repair.touched.len() as f64 > limit {
+        return RepairOutcome::Rerun;
+    }
     while let Some(v) = repair.stack.pop() {
         let mut child = first_child_row[v as usize];
         while child != NO_PARENT {
             if repair.mark(child) {
                 repair.touched.push(child);
+                #[allow(clippy::cast_precision_loss)]
+                if repair.touched.len() as f64 > limit {
+                    return RepairOutcome::Rerun;
+                }
                 repair.stack.push(child);
             }
             child = next_row[child as usize];
         }
-    }
-
-    // Cost gate: past this frontier size a fresh Dijkstra is cheaper
-    // than the repair bookkeeping (measured; see the routing crate's
-    // REPAIR_MAX_AFFECTED_FRACTION).
-    #[allow(clippy::cast_precision_loss)]
-    if repair.touched.len() as f64 > max_affected_fraction * settled as f64 {
-        return RepairOutcome::Rerun;
     }
 
     // Phase B — invalidate and seed: affected entries unlink from their
@@ -907,10 +917,8 @@ mod tests {
             weights[(d.from as usize, d.to as usize)] = d.new;
         }
         for d in deltas {
-            solved.adjacency.sync_node(d.to as usize, weights);
-            solved.adjacency.sync_node(d.from as usize, weights);
-            solved.in_adjacency.sync_node_transpose(d.to as usize, weights);
-            solved.in_adjacency.sync_node_transpose(d.from as usize, weights);
+            solved.adjacency.set_edge(d.from as usize, d.to as usize, d.new);
+            solved.in_adjacency.set_edge(d.to as usize, d.from as usize, d.new);
         }
         let mut repair = RepairScratch::new();
         repair.prepare(deltas, n);
@@ -1100,13 +1108,21 @@ mod tests {
         assert_eq!(t.neighbors(1), &[(0, 1.0), (2, 3.0)]);
         assert_eq!(t.neighbors(0), &[(3, 1.0)]);
         assert_eq!(t.edge_count(), 4);
-        // Incremental sync equals a fresh transpose rebuild.
-        w[(2, 1)] = INFINITE_DISTANCE;
-        w[(1, 0)] = 2.5;
-        t.sync_node_transpose(1, &w);
+        // Setting the changed edges equals a fresh rebuild, for both the
+        // out-lists and the transpose: a removal, an insertion and an
+        // update.
+        let mut out = AdjacencyList::new();
+        out.rebuild(&w);
+        for (from, to, weight) in [(2, 1, INFINITE_DISTANCE), (1, 0, 2.5), (3, 0, 4.0)] {
+            w[(from, to)] = weight;
+            out.set_edge(from, to, weight);
+            t.set_edge(to, from, weight);
+        }
         let mut fresh = AdjacencyList::new();
         fresh.rebuild_transpose(&w);
         assert_eq!(t, fresh);
+        fresh.rebuild(&w);
+        assert_eq!(out, fresh);
     }
 
     proptest! {

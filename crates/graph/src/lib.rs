@@ -12,7 +12,8 @@
 //! * [`Matrix`] — a dense row-major matrix used for weights, distances and
 //!   successors,
 //! * [`DiGraph`] — a directed graph whose edges carry physical
-//!   [`Length`](etx_units::Length)s (textile transmission lines),
+//!   [`Length`](etx_units::Length)s (textile transmission lines), stored
+//!   as per-node out- and in-link lists sorted by neighbour id,
 //! * [`floyd_warshall`] / [`ShortestPaths`] — the all-pairs computation
 //!   (plus [`dijkstra_all_pairs`], an `O(K·E log K)` alternative backend
 //!   that beats `O(K³)` on sparse fabrics),

@@ -356,89 +356,31 @@ impl AdjacencyList {
         }
     }
 
-    /// [`AdjacencyList::sync_node`] for a transposed list built by
-    /// [`AdjacencyList::rebuild_transpose`]: re-synchronizes every edge
-    /// touching node `j` (its in-list, and its entry in every other
-    /// in-list) with `weights`.
+    /// Sets the weight of the list entry `u -> v`: inserted at its
+    /// sorted position, updated in place, or removed when `weight` is
+    /// infinite — `O(deg u)`. On a list built by
+    /// [`AdjacencyList::rebuild`] this is the edge `u -> v`; on one built
+    /// by [`AdjacencyList::rebuild_transpose`] pass the reversed pair
+    /// (`v`'s in-list gains `u`). Setting every edge whose weight changed
+    /// equals a full rebuild from the new weights, which is how the
+    /// routing pipeline applies a frame's edge-delta stream.
     ///
     /// # Panics
     ///
-    /// Panics if `j` or the list dimensions do not match `weights`.
-    pub fn sync_node_transpose(&mut self, j: usize, weights: &Matrix<f64>) {
-        let n = weights.rows();
-        assert_eq!(self.lists.len(), n, "adjacency does not match weights");
-        assert!(j < n, "node {j} out of range");
-        // In-edges of j: rebuild its list from column j in one pass.
-        self.edge_count -= self.lists[j].len();
-        self.lists[j].clear();
-        for r in 0..n {
-            let w = weights[(r, j)];
-            if r != j && w.is_finite() {
-                self.lists[j].push((r, w));
+    /// Panics if `u` is out of range.
+    pub fn set_edge(&mut self, u: usize, v: usize, weight: f64) {
+        let list = &mut self.lists[u];
+        match list.binary_search_by_key(&v, |&(c, _)| c) {
+            Ok(pos) if weight.is_finite() => list[pos].1 = weight,
+            Ok(pos) => {
+                list.remove(pos);
+                self.edge_count -= 1;
             }
-        }
-        self.edge_count += self.lists[j].len();
-        // Out-edges of j: fix the (sorted) position of j in every list.
-        for (i, list) in self.lists.iter_mut().enumerate() {
-            if i == j {
-                continue;
+            Err(pos) if weight.is_finite() => {
+                list.insert(pos, (v, weight));
+                self.edge_count += 1;
             }
-            let w = weights[(j, i)];
-            match list.binary_search_by_key(&j, |&(c, _)| c) {
-                Ok(pos) if w.is_finite() => list[pos].1 = w,
-                Ok(pos) => {
-                    list.remove(pos);
-                    self.edge_count -= 1;
-                }
-                Err(pos) if w.is_finite() => {
-                    list.insert(pos, (j, w));
-                    self.edge_count += 1;
-                }
-                Err(_) => {}
-            }
-        }
-    }
-
-    /// Re-synchronizes the edges touching node `j` with `weights`: its
-    /// out-list is rebuilt and its entry in every other out-list is
-    /// inserted, updated, or removed. Equivalent to a full
-    /// [`AdjacencyList::rebuild`] when only edges incident to `j` changed,
-    /// at `O(K + Σ deg)` instead of `O(K²)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` or the list dimensions do not match `weights`.
-    pub fn sync_node(&mut self, j: usize, weights: &Matrix<f64>) {
-        let n = weights.rows();
-        assert_eq!(self.lists.len(), n, "adjacency does not match weights");
-        assert!(j < n, "node {j} out of range");
-        // Out-edges of j: rebuild the list in one pass.
-        self.edge_count -= self.lists[j].len();
-        self.lists[j].clear();
-        for (c, w) in weights.row_slice(j).iter().enumerate() {
-            if j != c && w.is_finite() {
-                self.lists[j].push((c, *w));
-            }
-        }
-        self.edge_count += self.lists[j].len();
-        // In-edges of j: fix the (sorted) position of j in every list.
-        for (i, list) in self.lists.iter_mut().enumerate() {
-            if i == j {
-                continue;
-            }
-            let w = weights[(i, j)];
-            match list.binary_search_by_key(&j, |&(c, _)| c) {
-                Ok(pos) if w.is_finite() => list[pos].1 = w,
-                Ok(pos) => {
-                    list.remove(pos);
-                    self.edge_count -= 1;
-                }
-                Err(pos) if w.is_finite() => {
-                    list.insert(pos, (j, w));
-                    self.edge_count += 1;
-                }
-                Err(_) => {}
-            }
+            Err(_) => {}
         }
     }
 }

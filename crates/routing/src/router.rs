@@ -10,7 +10,7 @@ use etx_graph::{
 use etx_metrics::SpanId;
 
 use crate::scratch::WeightsKey;
-use crate::table::PathPolicy;
+use crate::table::{module_masks_into, PathPolicy};
 use crate::weights::collect_node_weight_deltas;
 use crate::{
     ear_weights_into, sdr_weights_into, update_node_weights, BatteryWeighting, RoutingScratch,
@@ -27,8 +27,10 @@ const DELTA_MAX_DIRTY_FRACTION: f64 = 0.25;
 /// 32×32 steady-drain loop (`bench_routing`): a repaired node pays for
 /// its relaxations *plus* an achiever scan and a settle-order merge slot
 /// — roughly twice a plain relaxation — so repair keeps winning to about
-/// half the tree; 0.6 leaves margin because the `O(settled)` affected
-/// walk is paid on the re-run path too.
+/// half the tree; 0.6 leaves margin because the affected walk is paid
+/// on the re-run path too. That walk is bounded by the gate itself: it
+/// is checked at every discovered node, so a re-run source walks at most
+/// this fraction of its tree before giving up.
 const REPAIR_MAX_AFFECTED_FRACTION: f64 = 0.6;
 
 /// Which routing algorithm the central controller runs.
@@ -113,11 +115,13 @@ impl fmt::Display for RecomputeStrategy {
 ///
 /// 1. **Weight-delta extraction** — the dirty-node list (from the caller
 ///    or a report diff) becomes an edge-delta stream against the cached
-///    phase-1 matrix.
+///    phase-1 matrix, in `O(degree)` per changed node: only the changed
+///    nodes' own links are read and rewritten.
 /// 2. **Path repair or re-solve** — selected by [`RecomputeStrategy`]:
 ///    incremental tree repair or a full phase 2.
 /// 3. **Table rebuild** — phase 3 (nearest-duplicate selection with
-///    deadlock-port avoidance) always refreshes.
+///    deadlock-port avoidance) always refreshes: changed cells in place,
+///    whole rows in one pass over the source's distance row.
 ///
 /// # Examples
 ///
@@ -515,13 +519,17 @@ impl Router {
             // the increase span otherwise, so the two repair regimes get
             // separate latency distributions.
             let stage2_timer = metrics.timer();
-            // Stage 1b — apply the stream: weight matrix and both
-            // adjacency mirrors.
+            // Stage 1b — apply the stream: the dirty nodes' links in the
+            // weight matrix, and every changed edge in both adjacency
+            // mirrors (`O(degree)` per changed node throughout).
             for &d in &scratch.dirty {
                 update_node_weights(graph, report, weighting, NodeId::new(d), &mut scratch.weights);
-                scratch.adjacency.sync_node(d, &scratch.weights);
+            }
+            for delta in &scratch.deltas {
+                let (from, to) = (delta.from as usize, delta.to as usize);
+                scratch.adjacency.set_edge(from, to, delta.new);
                 if trees_ok {
-                    scratch.in_adjacency.sync_node_transpose(d, &scratch.weights);
+                    scratch.in_adjacency.set_edge(to, from, delta.new);
                 }
             }
 
@@ -673,7 +681,13 @@ impl Router {
                         continue;
                     }
                     if mask == u64::MAX {
-                        out.rebuild_table_row(s, &scratch.weights, module_nodes, report, None);
+                        out.rebuild_table_row(
+                            s,
+                            &scratch.weights,
+                            module_nodes,
+                            report,
+                            &scratch.dup_mask,
+                        );
                         rebuilt += m as u64;
                     } else {
                         let mut bits = mask;
@@ -695,9 +709,7 @@ impl Router {
                 scratch.stats.table_cells_patched += patched_entries - patched_full;
                 scratch.stats.table_delta_rebuilds += 1;
             } else {
-                let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
-                out.rebuild_table(&scratch.weights, module_nodes, report, prev);
-                scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
+                Self::rebuild_full_table(module_nodes, report, scratch, out);
             }
         }
         Self::cache_table_inputs(module_nodes, report, scratch);
@@ -738,11 +750,25 @@ impl Router {
         // The trees describe the pre-recompute weights; a later repair
         // frame must rebuild them (recorded re-runs) before repairing.
         scratch.trees_valid = false;
-        let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
-        out.rebuild_table(&scratch.weights, module_nodes, report, prev);
-        scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
+        Self::rebuild_full_table(module_nodes, report, scratch, out);
         Self::cache_table_inputs(module_nodes, report, scratch);
         scratch.stats.full_recomputes += 1;
+    }
+
+    /// Phase 3 in full: refreshes the placement's module masks, then
+    /// rebuilds every table row against them (deadlock detours read the
+    /// snapshotted `prev_hops`).
+    fn rebuild_full_table(
+        module_nodes: &[Vec<NodeId>],
+        report: &SystemReport,
+        scratch: &mut RoutingScratch,
+        out: &mut RoutingState,
+    ) {
+        let n = report.node_count();
+        module_masks_into(module_nodes, n, &mut scratch.dup_mask);
+        let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
+        out.rebuild_table(&scratch.weights, module_nodes, report, prev, &scratch.dup_mask);
+        scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
     }
 
     /// Whether stage 3 may refresh only the changed entries of `out`'s
@@ -824,20 +850,9 @@ impl Router {
         for src in &module_nodes[scratch.prev_modules.len()..] {
             scratch.prev_modules.push(src.clone());
         }
-        // Duplicate-membership masks: bit `m` of `dup_mask[node]` says
-        // the node hosts module `m` (only meaningful up to 64 modules;
-        // larger systems fall back to whole-row rebuilds).
-        scratch.dup_mask.clear();
-        scratch.dup_mask.resize(n, 0);
-        if module_nodes.len() <= 64 {
-            for (m, hosts) in module_nodes.iter().enumerate() {
-                for &host in hosts {
-                    if host.index() < n {
-                        scratch.dup_mask[host.index()] |= 1u64 << m;
-                    }
-                }
-            }
-        }
+        // The module masks (`dup_mask`) were refreshed by the last full
+        // table build; delta frames keep the placement, so they stay
+        // valid alongside `prev_modules`.
         scratch.table_cache_valid = true;
     }
 }

@@ -186,8 +186,9 @@ pub struct RoutingScratch {
     /// whole-row rebuild (re-run sources, or > 64 modules).
     pub(crate) row_mask: Vec<u64>,
     /// Per-node bitmask of the modules hosting the node (the
-    /// touched-set → changed-entries translation table), refreshed with
-    /// the cached table inputs.
+    /// touched-set → changed-entries translation table, and the key of
+    /// the one-pass table row fill), refreshed before every full table
+    /// build; empty past 64 modules.
     pub(crate) dup_mask: Vec<u64>,
     /// Per-node liveness the current table was built against.
     pub(crate) prev_alive: Vec<bool>,

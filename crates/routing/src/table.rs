@@ -237,7 +237,9 @@ impl RoutingState {
                 p.module_count() == module_nodes.len() && p.node_count() == state.paths.node_count()
             })
             .map(RoutingState::next_hop_snapshot);
-        state.rebuild_table(weights, module_nodes, report, prev_hops.as_deref());
+        let mut dup_mask = Vec::new();
+        module_masks_into(module_nodes, state.paths.node_count(), &mut dup_mask);
+        state.rebuild_table(weights, module_nodes, report, prev_hops.as_deref(), &dup_mask);
         state
     }
 
@@ -287,7 +289,10 @@ impl RoutingState {
     ///
     /// `prev_hops` is a [`RoutingState::next_hop_snapshot`] of the
     /// previous controller invocation (deadlock-port avoidance); its
-    /// length must be `n * module_nodes.len()` if present.
+    /// length must be `n * module_nodes.len()` if present. `dup_mask`
+    /// holds the placement's per-node module masks
+    /// ([`module_masks_into`]), which let each live, non-deadlocked row
+    /// fill in one pass over its distance row.
     ///
     /// # Panics
     ///
@@ -299,6 +304,7 @@ impl RoutingState {
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         prev_hops: Option<&[Option<NodeId>]>,
+        dup_mask: &[u64],
     ) {
         let n = self.paths.node_count();
         assert_eq!(
@@ -324,6 +330,7 @@ impl RoutingState {
                 module_nodes,
                 report,
                 prev_hops,
+                dup_mask,
             );
         }
     }
@@ -332,7 +339,8 @@ impl RoutingState {
     /// data — the delta-aware stage 3: when the router knows which
     /// sources' all-pairs rows changed (and that liveness, deadlock flags
     /// and placement did not), refreshing only those rows is exactly
-    /// equivalent to a full [`RoutingState::rebuild_table`].
+    /// equivalent to a full [`RoutingState::rebuild_table`]. Only sound
+    /// on deadlock-free frames (no `prev_hops` detour).
     ///
     /// # Panics
     ///
@@ -344,7 +352,7 @@ impl RoutingState {
         weights: &Matrix<f64>,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
-        prev_hops: Option<&[Option<NodeId>]>,
+        dup_mask: &[u64],
     ) {
         let m = module_nodes.len();
         assert_eq!(m, self.modules, "table was built for a different module count");
@@ -355,7 +363,8 @@ impl RoutingState {
             weights,
             module_nodes,
             report,
-            prev_hops,
+            None,
+            dup_mask,
         );
     }
 
@@ -549,15 +558,7 @@ impl RoutingState {
                     };
                     RouteEntry { destination: dest, next_hop, distance }
                 };
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        candidate.distance < b.distance
-                            || (candidate.distance == b.distance
-                                && candidate.destination < b.destination)
-                    }
-                };
-                if better {
+                if beats(&candidate, best.as_ref()) {
                     best = Some(candidate);
                 }
             }
@@ -632,10 +633,44 @@ impl RoutingState {
     }
 }
 
+/// Writes the per-node module masks of a placement into `out`: bit `m`
+/// of `out[x]` says node `x` hosts module `m`. Only placements of at
+/// most 64 modules have masks; larger ones leave `out` empty, and every
+/// consumer then falls back to per-module duplicate scans.
+pub(crate) fn module_masks_into(module_nodes: &[Vec<NodeId>], n: usize, out: &mut Vec<u64>) {
+    out.clear();
+    if module_nodes.len() > 64 {
+        return;
+    }
+    out.resize(n, 0);
+    for (m, hosts) in module_nodes.iter().enumerate() {
+        for &host in hosts {
+            if host.index() < n {
+                out[host.index()] |= 1u64 << m;
+            }
+        }
+    }
+}
+
+/// `true` when `candidate` beats `best` in the table's `(distance, lower
+/// destination id)` order; an exact tie on both keeps `best`.
+fn beats(candidate: &RouteEntry, best: Option<&RouteEntry>) -> bool {
+    best.is_none_or(|b| {
+        candidate.distance < b.distance
+            || (candidate.distance == b.distance && candidate.destination < b.destination)
+    })
+}
+
 /// Fills one node's table row (the paper's Fig 6 body for a single
 /// origin): for every module, the nearest live duplicate by phase-2
 /// distance, with the deadlock-port detour scan when the node is flagged.
 /// Dead origins get all-`None` rows.
+///
+/// A live, non-deadlocked row with module masks takes one pass over the
+/// node's distance row ([`fill_row_one_pass`]); a deadlocked row with a
+/// previous table takes the detour fill ([`fill_detour_row`]); anything
+/// else (more than 64 modules) fills cell by cell.
+#[allow(clippy::too_many_arguments)] // the Fig-6 input set plus the placement masks
 fn fill_table_row(
     paths: &ShortestPaths,
     row: &mut [Option<RouteEntry>],
@@ -644,20 +679,140 @@ fn fill_table_row(
     module_nodes: &[Vec<NodeId>],
     report: &SystemReport,
     prev_hops: Option<&[Option<NodeId>]>,
+    dup_mask: &[u64],
+) {
+    let node = NodeId::new(node_idx);
+    if !report.is_alive(node) {
+        row.fill(None);
+        return;
+    }
+    if let Some(prev) = prev_hops.filter(|_| report.is_deadlocked(node)) {
+        fill_detour_row(paths, row, node_idx, weights, module_nodes, report, prev);
+    } else if dup_mask.len() == paths.node_count() {
+        fill_row_one_pass(paths, row, node_idx, report, dup_mask);
+    } else {
+        let m = module_nodes.len();
+        for (module, duplicates) in module_nodes.iter().enumerate() {
+            fill_table_cell(
+                paths,
+                &mut row[module],
+                node_idx,
+                module,
+                duplicates,
+                weights,
+                report,
+                None,
+                m,
+            );
+        }
+    }
+}
+
+/// The live, non-deadlocked row of `node_idx` in one ascending pass over
+/// its distance row: every live host `x` (a set bit in `dup_mask[x]`)
+/// offers one entry to each module it hosts, and each cell keeps the
+/// lowest `(distance, id)` — ascending ids make a later exact tie lose,
+/// which is [`fill_table_cell`]'s lower-id tie-break. The row itself is
+/// the per-module accumulator, so the pass allocates nothing.
+fn fill_row_one_pass(
+    paths: &ShortestPaths,
+    row: &mut [Option<RouteEntry>],
+    node_idx: usize,
+    report: &SystemReport,
+    dup_mask: &[u64],
+) {
+    row.fill(None);
+    let dist_row = paths.distances().row_slice(node_idx);
+    let succ_row = paths.successors().row_slice(node_idx);
+    for (x, &hosted) in dup_mask.iter().enumerate() {
+        if hosted == 0 {
+            continue;
+        }
+        // Self-hosting: distance 0, and no packet leaves the node.
+        let distance = if x == node_idx { 0.0 } else { dist_row[x] };
+        let dest = NodeId::new(x);
+        if !distance.is_finite() || !report.is_alive(dest) {
+            continue;
+        }
+        let mut bits = hosted;
+        while bits != 0 {
+            let slot = &mut row[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+            if slot.as_ref().is_none_or(|best| distance < best.distance) {
+                // The first hop is read only when the candidate wins.
+                let Some(next_hop) = (if x == node_idx { Some(dest) } else { succ_row[x] }) else {
+                    break;
+                };
+                *slot = Some(RouteEntry { destination: dest, next_hop, distance });
+            }
+        }
+    }
+}
+
+/// The row of a deadlocked `node_idx`. Cells without a blocked port (no
+/// previous first hop) take the plain nearest-duplicate pick. A blocked
+/// cell starts from its self-hosting entry, if any, and then scans the
+/// node's out-links once for the whole row: each live link other than
+/// the cell's blocked port offers `W(n, hop) + D(hop, j)` to every live
+/// duplicate `j`. Links come in ascending id, so among exact `(distance,
+/// destination)` ties the lowest hop wins — the same pick as
+/// [`fill_table_cell`]'s per-duplicate detour scan, at one pass over the
+/// weight row instead of one per duplicate.
+fn fill_detour_row(
+    paths: &ShortestPaths,
+    row: &mut [Option<RouteEntry>],
+    node_idx: usize,
+    weights: &Matrix<f64>,
+    module_nodes: &[Vec<NodeId>],
+    report: &SystemReport,
+    prev_hops: &[Option<NodeId>],
 ) {
     let m = module_nodes.len();
+    let node = NodeId::new(node_idx);
+    let blocked = &prev_hops[node_idx * m..(node_idx + 1) * m];
     for (module, duplicates) in module_nodes.iter().enumerate() {
-        fill_table_cell(
-            paths,
-            &mut row[module],
-            node_idx,
-            module,
-            duplicates,
-            weights,
-            report,
-            prev_hops,
-            m,
-        );
+        if blocked[module].is_none() {
+            fill_table_cell(
+                paths,
+                &mut row[module],
+                node_idx,
+                module,
+                duplicates,
+                weights,
+                report,
+                None,
+                m,
+            );
+        } else {
+            row[module] = duplicates.contains(&node).then_some(RouteEntry {
+                destination: node,
+                next_hop: node,
+                distance: 0.0,
+            });
+        }
+    }
+    for (hop_idx, &w) in weights.row_slice(node_idx).iter().enumerate() {
+        if hop_idx == node_idx || !w.is_finite() {
+            continue;
+        }
+        let hop = NodeId::new(hop_idx);
+        for (module, duplicates) in module_nodes.iter().enumerate() {
+            if blocked[module].is_none_or(|port| port == hop) {
+                continue;
+            }
+            for &dest in duplicates {
+                if dest == node || !report.is_alive(dest) {
+                    continue;
+                }
+                let Some(rest) = paths.distance(hop, dest) else {
+                    continue;
+                };
+                let candidate = RouteEntry { destination: dest, next_hop: hop, distance: w + rest };
+                if beats(&candidate, row[module].as_ref()) {
+                    row[module] = Some(candidate);
+                }
+            }
+        }
     }
 }
 
@@ -692,14 +847,7 @@ fn fill_table_cell(
     };
     let mut best: Option<RouteEntry> = None;
     let consider = |candidate: RouteEntry, best: &mut Option<RouteEntry>| {
-        let better = match best {
-            None => true,
-            Some(b) => {
-                candidate.distance < b.distance
-                    || (candidate.distance == b.distance && candidate.destination < b.destination)
-            }
-        };
-        if better {
+        if beats(&candidate, best.as_ref()) {
             *best = Some(candidate);
         }
     };
@@ -752,9 +900,10 @@ fn fill_table_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ear_weights, BatteryWeighting};
-    use etx_graph::{floyd_warshall, topology, DiGraph};
+    use crate::{ear_weights, sdr_weights, BatteryWeighting};
+    use etx_graph::{dijkstra_all_pairs, floyd_warshall, topology, DiGraph};
     use etx_units::Length;
+    use proptest::prelude::*;
 
     fn cm(v: f64) -> Length {
         Length::from_centimetres(v)
@@ -882,6 +1031,130 @@ mod tests {
         assert!(rs.route(NodeId::new(0), 9).is_none());
         assert!(rs.distance(NodeId::new(0), NodeId::new(3)).is_some());
         assert_eq!(rs.paths().node_count(), 4);
+    }
+
+    /// The reference row: one [`fill_table_cell`] call per module.
+    fn per_cell_row(
+        paths: &ShortestPaths,
+        node_idx: usize,
+        weights: &Matrix<f64>,
+        module_nodes: &[Vec<NodeId>],
+        report: &SystemReport,
+        prev_hops: Option<&[Option<NodeId>]>,
+    ) -> Vec<Option<RouteEntry>> {
+        let m = module_nodes.len();
+        let mut row = vec![None; m];
+        for (module, duplicates) in module_nodes.iter().enumerate() {
+            fill_table_cell(
+                paths,
+                &mut row[module],
+                node_idx,
+                module,
+                duplicates,
+                weights,
+                report,
+                prev_hops,
+                m,
+            );
+        }
+        row
+    }
+
+    #[test]
+    fn one_pass_row_keeps_the_lower_id_on_exact_ties() {
+        // Node 1 of a 3-line sits exactly between the two duplicates.
+        let modules = vec![vec![NodeId::new(2), NodeId::new(0)], vec![NodeId::new(1)]];
+        let report = SystemReport::fresh(3, 16);
+        let g = topology::line(3, cm(1.0));
+        let w = sdr_weights(&g, &report);
+        let paths = floyd_warshall(&w);
+        let mut masks = Vec::new();
+        module_masks_into(&modules, 3, &mut masks);
+        let mut row = vec![None; 2];
+        fill_row_one_pass(&paths, &mut row, 1, &report, &masks);
+        assert_eq!(row[0].unwrap().destination, NodeId::new(0));
+        assert_eq!(
+            row[1].unwrap(),
+            RouteEntry { destination: NodeId::new(1), next_hop: NodeId::new(1), distance: 0.0 }
+        );
+        assert_eq!(row, per_cell_row(&paths, 1, &w, &modules, &report, None));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The one-pass row fill and the out-link detour fill against
+        /// per-cell [`fill_table_cell`], row by row, on random digraphs
+        /// (one-way edges, small integer lengths for exact distance
+        /// ties) with dead and unreachable duplicates, self-hosted
+        /// modules, nodes hosting two modules, deadlocked rows and
+        /// random previous ports.
+        #[test]
+        fn row_fills_equal_per_cell_fills(
+            n in 2usize..10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..4, any::<bool>()), 0..30),
+            hosts in proptest::collection::vec((0usize..10, 0usize..4), 1..16),
+            dead in proptest::collection::vec(0usize..10, 0..3),
+            deadlocked in proptest::collection::vec(0usize..10, 0..4),
+            ports in proptest::collection::vec(0usize..11, 40),
+            levels in proptest::collection::vec(0u32..16, 10),
+            ear in any::<bool>(),
+            dijkstra in any::<bool>(),
+        ) {
+            let mut g = DiGraph::new(n);
+            for (a, b, len, both) in edges {
+                let (a, b) = (NodeId::new(a % n), NodeId::new(b % n));
+                if a != b {
+                    g.add_edge(a, b, cm(f64::from(len))).unwrap();
+                    if both {
+                        g.add_edge(b, a, cm(f64::from(len))).unwrap();
+                    }
+                }
+            }
+            // Four modules; a host may carry several, list one twice, or
+            // be dead.
+            let mut modules = vec![Vec::new(); 4];
+            for (host, module) in hosts {
+                modules[module].push(NodeId::new(host % n));
+            }
+            let mut report = SystemReport::fresh(n, 16);
+            for (i, &level) in levels.iter().take(n).enumerate() {
+                report.set_battery_level(NodeId::new(i), level);
+            }
+            for &d in &dead {
+                report.set_dead(NodeId::new(d % n));
+            }
+            for &d in &deadlocked {
+                if report.is_alive(NodeId::new(d % n)) {
+                    report.set_deadlocked(NodeId::new(d % n), true);
+                }
+            }
+            let w = if ear {
+                ear_weights(&g, &report, &BatteryWeighting::default())
+            } else {
+                sdr_weights(&g, &report)
+            };
+            let paths = if dijkstra { dijkstra_all_pairs(&w) } else { floyd_warshall(&w) };
+            // Previous first hops: any node, or none (`n`).
+            let prev: Vec<Option<NodeId>> = (0..n * 4)
+                .map(|i| {
+                    let p = ports[i % ports.len()] % (n + 1);
+                    (p < n).then(|| NodeId::new(p))
+                })
+                .collect();
+            let mut masks = Vec::new();
+            module_masks_into(&modules, n, &mut masks);
+            for node_idx in 0..n {
+                for prev_hops in [None, Some(prev.as_slice())] {
+                    let mut row = vec![None; 4];
+                    fill_table_row(
+                        &paths, &mut row, node_idx, &w, &modules, &report, prev_hops, &masks,
+                    );
+                    let expected = per_cell_row(&paths, node_idx, &w, &modules, &report, prev_hops);
+                    prop_assert_eq!(row, expected, "node {}", node_idx);
+                }
+            }
+        }
     }
 
     #[test]

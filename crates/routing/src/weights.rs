@@ -49,12 +49,14 @@ fn weights_into(
     }
 }
 
-/// Refreshes row and column `node` of a weight matrix previously built by
-/// [`sdr_weights_into`]/[`ear_weights_into`] (`weighting` must match the
-/// original call). After refreshing every node whose battery bucket or
+/// Refreshes the entries of `node`'s in-links and out-links in a weight
+/// matrix previously built by [`sdr_weights_into`]/[`ear_weights_into`]
+/// over the same graph (`weighting` must match the original call). Every
+/// other entry of row and column `node` is a non-edge and stays
+/// infinite, so after refreshing every node whose battery bucket or
 /// liveness changed, the matrix equals a full rebuild against the new
-/// report — at `O(K)` per changed node instead of `O(K²)`. This is the
-/// phase-1 half of the delta-aware recompute.
+/// report — at `O(degree)` per changed node instead of `O(K²)`. This is
+/// the phase-1 half of the delta-aware recompute.
 pub(crate) fn update_node_weights(
     graph: &DiGraph,
     report: &SystemReport,
@@ -62,31 +64,27 @@ pub(crate) fn update_node_weights(
     node: NodeId,
     out: &mut Matrix<f64>,
 ) {
-    let n = graph.node_count();
-    debug_assert_eq!(out.rows(), n, "weight matrix does not match the graph");
-    for other_idx in 0..n {
-        let other = NodeId::new(other_idx);
-        if other == node {
-            continue;
-        }
-        out[(other, node)] = match graph.edge_length(other, node) {
-            Some(len) => edge_weight(report, weighting, other, node, len.centimetres()),
-            None => INFINITE_DISTANCE,
-        };
-        out[(node, other)] = match graph.edge_length(node, other) {
-            Some(len) => edge_weight(report, weighting, node, other, len.centimetres()),
-            None => INFINITE_DISTANCE,
-        };
+    debug_assert_eq!(out.rows(), graph.node_count(), "weight matrix does not match the graph");
+    for (other, len) in graph.in_neighbors(node) {
+        out[(other, node)] = edge_weight(report, weighting, other, node, len.centimetres());
+    }
+    for (other, len) in graph.neighbors(node) {
+        out[(node, other)] = edge_weight(report, weighting, node, other, len.centimetres());
     }
 }
 
 /// Extracts the edge-weight deltas the new report implies for `node`
 /// *without* mutating the matrix: every in/out edge of `node` whose
-/// weight under the new report differs from the cached value in `out`
-/// is appended to `deltas` (stage 1 of the recompute pipeline).
+/// weight under the new report differs from the cached value in
+/// `weights` is appended to `deltas` (stage 1 of the recompute
+/// pipeline), in `O(degree)`.
 ///
-/// `dirty` marks every node being extracted this frame; an edge between
-/// two dirty nodes is emitted only by the lower-indexed one, so a batch
+/// The stream walks `node`'s in-links and out-links merged by ascending
+/// neighbour id and, per neighbour, emits the in-edge before the
+/// out-edge — the order of a dense scan over every other node (whose
+/// non-edges are infinite on both sides and never differ). `dirty`
+/// marks every node being extracted this frame; an edge between two
+/// dirty nodes is emitted only by the lower-indexed one, so a batch
 /// never contains duplicates.
 pub(crate) fn collect_node_weight_deltas(
     graph: &DiGraph,
@@ -97,28 +95,34 @@ pub(crate) fn collect_node_weight_deltas(
     dirty: &[bool],
     deltas: &mut Vec<WeightDelta>,
 ) {
-    let n = graph.node_count();
-    debug_assert_eq!(weights.rows(), n, "weight matrix does not match the graph");
-    let mut push = |from: NodeId, to: NodeId, old: f64, new: f64| {
+    debug_assert_eq!(weights.rows(), graph.node_count(), "weight matrix does not match the graph");
+    let mut push = |from: NodeId, to: NodeId, length_cm: f64| {
+        let old = weights[(from, to)];
+        let new = edge_weight(report, weighting, from, to, length_cm);
         if old != new {
             deltas.push(WeightDelta { from: from.index() as u32, to: to.index() as u32, old, new });
         }
     };
-    for (other_idx, &other_dirty) in dirty.iter().enumerate().take(n) {
-        let other = NodeId::new(other_idx);
-        if other == node || (other_dirty && other_idx < node.index()) {
+    let mut ins = graph.in_neighbors(node).peekable();
+    let mut outs = graph.neighbors(node).peekable();
+    loop {
+        let other = match (ins.peek(), outs.peek()) {
+            (None, None) => break,
+            (Some(&(a, _)), None) => a,
+            (None, Some(&(b, _))) => b,
+            (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+        };
+        let in_len = ins.next_if(|&(id, _)| id == other).map(|(_, len)| len);
+        let out_len = outs.next_if(|&(id, _)| id == other).map(|(_, len)| len);
+        if dirty[other.index()] && other < node {
             continue;
         }
-        let new_in = match graph.edge_length(other, node) {
-            Some(len) => edge_weight(report, weighting, other, node, len.centimetres()),
-            None => INFINITE_DISTANCE,
-        };
-        push(other, node, weights[(other, node)], new_in);
-        let new_out = match graph.edge_length(node, other) {
-            Some(len) => edge_weight(report, weighting, node, other, len.centimetres()),
-            None => INFINITE_DISTANCE,
-        };
-        push(node, other, weights[(node, other)], new_out);
+        if let Some(len) = in_len {
+            push(other, node, len.centimetres());
+        }
+        if let Some(len) = out_len {
+            push(node, other, len.centimetres());
+        }
     }
 }
 
@@ -279,5 +283,120 @@ mod tests {
         let g = topology::line(3, cm(1.0));
         let r = SystemReport::fresh(2, 16);
         let _ = sdr_weights(&g, &r);
+    }
+
+    /// The stage-1 extraction as a dense scan over every other node —
+    /// the `O(K)` reference twin of [`collect_node_weight_deltas`]'s
+    /// `O(degree)` merge.
+    fn dense_node_deltas(
+        graph: &DiGraph,
+        report: &SystemReport,
+        weighting: Option<&BatteryWeighting>,
+        node: NodeId,
+        weights: &Matrix<f64>,
+        dirty: &[bool],
+        deltas: &mut Vec<WeightDelta>,
+    ) {
+        for (other_idx, &other_dirty) in dirty.iter().enumerate() {
+            let other = NodeId::new(other_idx);
+            if other == node || (other_dirty && other_idx < node.index()) {
+                continue;
+            }
+            for (from, to) in [(other, node), (node, other)] {
+                let new = graph.edge_length(from, to).map_or(INFINITE_DISTANCE, |len| {
+                    edge_weight(report, weighting, from, to, len.centimetres())
+                });
+                let old = weights[(from, to)];
+                if old != new {
+                    deltas.push(WeightDelta {
+                        from: from.index() as u32,
+                        to: to.index() as u32,
+                        old,
+                        new,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Applies random report steps: drains, deaths and revivals.
+    fn apply_steps(report: &mut SystemReport, steps: &[(u8, usize, u32)]) {
+        let n = report.node_count();
+        for &(kind, node, level) in steps {
+            let node = NodeId::new(node % n);
+            match kind {
+                0 if report.is_alive(node) => report.set_battery_level(node, level),
+                1 => report.set_dead(node),
+                2 if !report.is_alive(node) => report.revive(node, level),
+                _ => {}
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// On random digraphs (one-way edges included) and report pairs
+        /// (drains, deaths, revivals), the `O(degree)` delta stream
+        /// equals the dense scan element for element and in order, for
+        /// dirty lists in any order with over-approximations and repeats;
+        /// and refreshing the dirty nodes' links lands on the full
+        /// rebuild's matrix.
+        #[test]
+        fn sparse_delta_stream_equals_dense_scan(
+            n in 2usize..10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..6), 0..40),
+            ear in proptest::prelude::any::<bool>(),
+            before in proptest::collection::vec((0u8..4, 0usize..10, 0u32..16), 0..8),
+            after in proptest::collection::vec((0u8..4, 0usize..10, 0u32..16), 1..10),
+            extra_dirty in proptest::collection::vec(0usize..10, 0..4),
+        ) {
+            let mut graph = DiGraph::new(n);
+            for (a, b, len) in edges {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    graph.add_edge(NodeId::new(a), NodeId::new(b), cm(f64::from(len))).unwrap();
+                }
+            }
+            let levels = BatteryWeighting::default();
+            let weighting = ear.then_some(&levels);
+            let mut old = SystemReport::fresh(n, 16);
+            apply_steps(&mut old, &before);
+            let mut new = old.clone();
+            apply_steps(&mut new, &after);
+            let mut weights = Matrix::filled(0, 0, 0.0);
+            weights_into(&graph, &old, weighting, &mut weights);
+
+            // Changed nodes in descending order, then the extras.
+            let mut dirty: Vec<usize> = (0..n)
+                .rev()
+                .filter(|&i| {
+                    let node = NodeId::new(i);
+                    old.is_alive(node) != new.is_alive(node)
+                        || old.battery_level(node) != new.battery_level(node)
+                })
+                .collect();
+            dirty.extend(extra_dirty.iter().map(|&i| i % n));
+            let mut dirty_mark = vec![false; n];
+            for &d in &dirty {
+                dirty_mark[d] = true;
+            }
+            let (mut sparse, mut dense) = (Vec::new(), Vec::new());
+            for &d in &dirty {
+                let node = NodeId::new(d);
+                collect_node_weight_deltas(
+                    &graph, &new, weighting, node, &weights, &dirty_mark, &mut sparse,
+                );
+                dense_node_deltas(&graph, &new, weighting, node, &weights, &dirty_mark, &mut dense);
+            }
+            proptest::prop_assert_eq!(&sparse, &dense);
+
+            for &d in &dirty {
+                update_node_weights(&graph, &new, weighting, NodeId::new(d), &mut weights);
+            }
+            let mut fresh = Matrix::filled(0, 0, 0.0);
+            weights_into(&graph, &new, weighting, &mut fresh);
+            proptest::prop_assert_eq!(weights, fresh);
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! `Router::recompute_dirty_into`: once a `RoutingScratch`/`RoutingState`
 //! pair has warmed up on the system's dimensions, steady-state
 //! recomputes perform **no heap allocation** — under both phase-2
-//! backends, on the incremental repair path and on full recomputes.
+//! backends, on the incremental repair path and on full recomputes,
+//! for one-node drains, recharges and wide-change frames with deadlock
+//! flags.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single test so no concurrent test case can pollute the
@@ -207,6 +209,51 @@ fn steady_state_recompute_does_not_allocate() {
     assert!(
         scratch.stats().decrease_repairs > decreases_before,
         "recharge pulses never engaged the decrease half"
+    );
+    let reference = router.compute(&graph, &modules, &report, None);
+    assert_eq!(state.paths().distances(), reference.paths().distances());
+    assert_eq!(state.paths().successors(), reference.paths().successors());
+
+    // Wide-change frames: an eighth of the mesh drains every frame (the
+    // K=1024 simulator changes about a tenth of its nodes per
+    // recompute), so most sources trip the cost gate inside the
+    // affected walk and re-run, and the re-run rows refill in one pass.
+    // Every eighth frame raises a deadlock flag and the next clears it:
+    // both rebuild the whole table, detour rows included.
+    let mut dirty: Vec<NodeId> = Vec::with_capacity(8);
+    let mut wide_frame = |frame: usize,
+                          report: &mut SystemReport,
+                          scratch: &mut RoutingScratch,
+                          state: &mut RoutingState| {
+        dirty.clear();
+        for i in 0..8 {
+            let node = NodeId::new((frame * 13 + i * 8 + 1) % k);
+            report.set_battery_level(node, report.battery_level(node).saturating_sub(1));
+            dirty.push(node);
+        }
+        match frame % 8 {
+            3 => report.set_deadlocked(NodeId::new((frame * 5) % k), true),
+            4 => (0..k).for_each(|i| report.set_deadlocked(NodeId::new(i), false)),
+            _ => {}
+        }
+        router.recompute_dirty_into(&graph, &modules, report, &dirty, scratch, state);
+    };
+    for frame in 0..16 {
+        wide_frame(frame, &mut report, &mut scratch, &mut state);
+    }
+    let stats_before = scratch.stats();
+    let before = allocations();
+    for frame in 16..48 {
+        wide_frame(frame, &mut report, &mut scratch, &mut state);
+    }
+    assert_eq!(allocations() - before, 0, "wide-change frames allocated");
+    let stats = scratch.stats().delta_since(&stats_before);
+    assert_eq!(stats.full_recomputes, 0, "wide frames must stay on the repair path: {stats:?}");
+    assert!(stats.fallback_sources > 0, "the cost gate never fired: {stats:?}");
+    assert!(stats.repaired_sources > 0, "no source was repaired: {stats:?}");
+    assert!(
+        stats.repair_recomputes - stats.table_delta_rebuilds >= 8,
+        "deadlock frames must rebuild the whole table: {stats:?}"
     );
     let reference = router.compute(&graph, &modules, &report, None);
     assert_eq!(state.paths().distances(), reference.paths().distances());

@@ -30,7 +30,7 @@ use etx_fleet::ScenarioSpec;
 use etx_graph::{DiGraph, NodeId};
 use etx_metrics::{CounterId, GaugeId, MetricsHandle, SpanId};
 use etx_routing::{Router, RoutingScratch, RoutingState, SystemReport};
-use etx_sim::{SimPool, Simulation, TableObserver};
+use etx_sim::{Simulation, TableObserver};
 
 use super::proto::{self, code, FabricDims, PROTOCOL_VERSION};
 use super::wire::{FrameReader, RecvError};
@@ -234,22 +234,31 @@ struct ServedFabric {
 }
 
 impl ServedFabric {
+    /// Takes over a warmed-up simulation's routing write side: its
+    /// graph, scratch, tables and report move in as they are, so the
+    /// first INGEST repairs from the warm trees and caches exactly like
+    /// the engine's next frame would (a fresh scratch or a rebuilt
+    /// graph would cost a full recompute, then a re-run of every
+    /// source to record trees).
     fn from_sim(
         fabric: u32,
-        sim: &Simulation,
+        sim: Simulation,
         publisher: Arc<Mutex<EpochPublisher>>,
     ) -> Result<ServedFabric, String> {
         let cfg = sim.config();
         let placement = cfg.placement().map_err(|e| format!("fabric {fabric}: {e:?}"))?;
+        let modules = placement.module_nodes().to_vec();
+        let router = Router::with_weighting(cfg.algorithm, cfg.weighting)
+            .with_strategy(cfg.recompute_strategy);
+        let (graph, scratch, state, report) = sim.into_routing_parts();
         Ok(ServedFabric {
             fabric,
-            graph: cfg.build_graph(),
-            modules: placement.module_nodes().to_vec(),
-            router: Router::with_weighting(cfg.algorithm, cfg.weighting)
-                .with_strategy(cfg.recompute_strategy),
-            scratch: RoutingScratch::new(),
-            state: sim.routing().clone(),
-            report: sim.last_report().clone(),
+            graph,
+            modules,
+            router,
+            scratch,
+            state,
+            report,
             publisher,
             dirty: Vec::new(),
         })
@@ -301,6 +310,47 @@ impl ServedFabric {
         let epoch = self.publisher.lock().unwrap().publish(&self.state);
         (epoch, applied)
     }
+}
+
+/// Samples, warms and publishes every instance of `spec` exactly as
+/// [`FleetFrontend::from_spec`] does (so answers and epochs are
+/// identical to the in-process frontend), and hands each warmed
+/// simulation's write side to the worker of its shard.
+fn build_fleet(
+    spec: &ScenarioSpec,
+    shards: usize,
+    warm: u64,
+    metrics: &MetricsHandle,
+) -> Result<(FleetFrontend, Vec<Vec<ServedFabric>>, FabricDims), String> {
+    let mut frontend = FleetFrontend::new(shards).with_metrics(metrics.clone());
+    let mut write_sides: Vec<Vec<ServedFabric>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut dims: FabricDims = Vec::with_capacity(spec.instances);
+    for index in 0..spec.instances {
+        match spec.sample(index).build() {
+            Ok(mut sim) => {
+                let (mut publisher, reader) = EpochPublisher::new();
+                publisher.set_metrics(metrics.clone());
+                let shared_pub = Arc::new(Mutex::new(publisher));
+                sim.set_table_observer(Box::new(SharedPublisher(Arc::clone(&shared_pub))));
+                for _ in 0..warm {
+                    if sim.step().is_some() {
+                        break;
+                    }
+                }
+                let nodes = sim.routing().node_count();
+                let modules = sim.routing().module_count();
+                let fabric = frontend.register(reader, nodes, modules);
+                dims.push(Some((nodes as u32, modules as u32)));
+                let side = ServedFabric::from_sim(fabric, sim, shared_pub)?;
+                write_sides[frontend.shard_of(fabric) as usize].push(side);
+            }
+            Err(_) => {
+                frontend.register_rejected();
+                dims.push(None);
+            }
+        }
+    }
+    Ok((frontend, write_sides, dims))
 }
 
 /// The engine-side table hook for daemon-owned fabrics: the publisher
@@ -359,7 +409,10 @@ impl Served {
     /// Builds the fleet (sampled, warmed and published exactly as
     /// [`FleetFrontend::from_spec`] does, so answers and epochs are
     /// identical to the in-process frontend), binds 127.0.0.1 and
-    /// spawns the acceptor and one worker per shard.
+    /// spawns the acceptor and one worker per shard. Each fabric's write
+    /// side takes over its warm-up simulation's graph, routing scratch,
+    /// tables and report, so the first INGEST repairs like the engine's
+    /// next frame would.
     ///
     /// # Errors
     ///
@@ -378,37 +431,7 @@ impl Served {
         spec.check()?;
         let shards = shards.max(1);
         let warm = warm_cycles.unwrap_or(spec.warm_cycles);
-
-        let mut frontend = FleetFrontend::new(shards).with_metrics(metrics.clone());
-        let mut pool = SimPool::new();
-        let mut write_sides: Vec<Vec<ServedFabric>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut dims: FabricDims = Vec::with_capacity(spec.instances);
-        for index in 0..spec.instances {
-            match spec.sample(index).build_pooled(&mut pool) {
-                Ok(mut sim) => {
-                    let (mut publisher, reader) = EpochPublisher::new();
-                    publisher.set_metrics(metrics.clone());
-                    let shared_pub = Arc::new(Mutex::new(publisher));
-                    sim.set_table_observer(Box::new(SharedPublisher(Arc::clone(&shared_pub))));
-                    for _ in 0..warm {
-                        if sim.step().is_some() {
-                            break;
-                        }
-                    }
-                    let nodes = sim.routing().node_count();
-                    let modules = sim.routing().module_count();
-                    let fabric = frontend.register(reader, nodes, modules);
-                    dims.push(Some((nodes as u32, modules as u32)));
-                    let side = ServedFabric::from_sim(fabric, &sim, shared_pub)?;
-                    write_sides[frontend.shard_of(fabric) as usize].push(side);
-                    sim.recycle_into(&mut pool);
-                }
-                Err(_) => {
-                    frontend.register_rejected();
-                    dims.push(None);
-                }
-            }
-        }
+        let (frontend, write_sides, dims) = build_fleet(&spec, shards, warm, &metrics)?;
 
         let listener = TcpListener::bind(("127.0.0.1", port))
             .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;
@@ -707,5 +730,82 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize, mut fabrics: Vec<ServedFabric
                 conn.write_frame(&shared.metrics, frame);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Warm-up engine cycles: several TDMA frames, so the routing
+    /// scratch has repaired (and recorded trees) before the daemon
+    /// takes it over.
+    const WARM: u64 = 20_000;
+
+    /// 8×8 EAR fabrics: the smallest meshes whose backend resolves to
+    /// Dijkstra, where ingests take the repair pipeline, under the
+    /// algorithm whose drains change weights (and so warm the trees).
+    fn spec() -> ScenarioSpec {
+        ScenarioSpec {
+            instances: 3,
+            mesh_side: (8, 8),
+            algorithms: vec![etx_routing::Algorithm::Ear],
+            battery_pj: (60_000.0, 60_000.0),
+            churn: (0, 0),
+            ..ScenarioSpec::smoke()
+        }
+    }
+
+    /// The in-process mirror of a served fabric: the same instance
+    /// warmed the same way, but with a graph rebuilt from the config and
+    /// a cold scratch, so its first ingest is the full-recompute oracle.
+    fn cold_mirror(spec: &ScenarioSpec, fabric: u32) -> ServedFabric {
+        let mut sim = spec.sample(fabric as usize).build().expect("instance builds");
+        for _ in 0..WARM {
+            if sim.step().is_some() {
+                break;
+            }
+        }
+        let cfg = sim.config();
+        let (publisher, _reader) = EpochPublisher::new();
+        ServedFabric {
+            fabric,
+            graph: cfg.build_graph(),
+            modules: cfg.placement().expect("placement").module_nodes().to_vec(),
+            router: Router::with_weighting(cfg.algorithm, cfg.weighting)
+                .with_strategy(cfg.recompute_strategy),
+            scratch: RoutingScratch::new(),
+            state: sim.routing().clone(),
+            report: sim.last_report().clone(),
+            publisher: Arc::new(Mutex::new(publisher)),
+            dirty: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn first_ingest_repairs_from_the_warm_simulation() {
+        let spec = spec();
+        let (_frontend, write_sides, _dims) =
+            build_fleet(&spec, 2, WARM, &MetricsHandle::default()).expect("fleet builds");
+        let mut fabrics = 0;
+        for mut side in write_sides.into_iter().flatten() {
+            let mut mirror = cold_mirror(&spec, side.fabric);
+            assert_eq!(side.state, mirror.state, "fabric {}: warm-up diverged", side.fabric);
+            // Two drains and a death.
+            let items = [(5u32, 1u32), (20, 3), (41, 0)];
+            let before = side.scratch.stats();
+            let (_, applied) = side.ingest(&items);
+            assert_eq!(mirror.ingest(&items).1, applied);
+            assert!(applied > 0, "fabric {}: the telemetry changed nothing", side.fabric);
+            assert_eq!(side.state, mirror.state, "fabric {}: answers differ", side.fabric);
+
+            let stats = side.scratch.stats().delta_since(&before);
+            assert_eq!(stats.full_recomputes, 0, "fabric {}: {stats:?}", side.fabric);
+            assert_eq!(stats.repair_recomputes, 1, "fabric {}: {stats:?}", side.fabric);
+            assert!(stats.repaired_sources > 0, "fabric {}: cold trees {stats:?}", side.fabric);
+            assert_eq!(mirror.scratch.stats().full_recomputes, 1, "the mirror starts cold");
+            fabrics += 1;
+        }
+        assert_eq!(fabrics, spec.instances, "every instance is served");
     }
 }

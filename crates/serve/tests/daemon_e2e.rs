@@ -4,10 +4,13 @@
 //! connections, and across telemetry ingests.
 
 use etx_fleet::ScenarioSpec;
+use etx_graph::NodeId;
+use etx_routing::{Algorithm, Router};
 use etx_serve::net::proto::code;
 use etx_serve::net::{ResponseKind, RouteClient, Served, ServedConfig};
 use etx_serve::{
-    FabricDirectory, FleetFrontend, QueryBatch, QueryOutput, QueryResult, WorkloadGen, WorkloadSpec,
+    EpochPublisher, FabricDirectory, FleetFrontend, QueryBatch, QueryOutput, QueryResult,
+    WorkloadGen, WorkloadSpec,
 };
 
 const WARM: u64 = 800;
@@ -149,6 +152,64 @@ fn ingest_advances_epochs_deterministically() {
         client.query(batch.queries(), &mut again).expect("query again");
         assert_eq!(out.results(), again.results());
     }
+}
+
+#[test]
+fn first_ingest_answers_match_a_full_recompute_mirror() {
+    // 8×8 EAR fabrics resolve to the Dijkstra backend, so the daemon's
+    // first ingest repairs on the trees its warm-up recorded.
+    const WARM_REPAIR: u64 = 20_000;
+    let spec = ScenarioSpec {
+        instances: 3,
+        mesh_side: (8, 8),
+        algorithms: vec![Algorithm::Ear],
+        battery_pj: (60_000.0, 60_000.0),
+        churn: (0, 0),
+        ..ScenarioSpec::smoke()
+    };
+    let items = [(5u32, 2u32), (20, 4), (41, 1)];
+
+    // The mirror: every instance warmed the same way, the telemetry
+    // applied to its report, the tables recomputed in full.
+    let mut mirror = FleetFrontend::new(1);
+    for index in 0..spec.instances {
+        let mut sim = spec.sample(index).build().expect("instance builds");
+        for _ in 0..WARM_REPAIR {
+            if sim.step().is_some() {
+                break;
+            }
+        }
+        let cfg = sim.config();
+        let mut report = sim.last_report().clone();
+        for &(node, level) in &items {
+            let node = NodeId::new(node as usize);
+            if report.is_alive(node) {
+                report.set_battery_level(node, level - 1);
+            } else {
+                report.revive(node, level - 1);
+            }
+        }
+        let placement = cfg.placement().expect("placement");
+        let routing = Router::with_weighting(cfg.algorithm, cfg.weighting).compute(
+            &cfg.build_graph(),
+            placement.module_nodes(),
+            &report,
+            Some(sim.routing()),
+        );
+        let (mut publisher, reader) = EpochPublisher::new();
+        publisher.publish(&routing);
+        mirror.register(reader, routing.node_count(), routing.module_count());
+    }
+
+    let mut config = ServedConfig::new(spec);
+    config.warm_cycles = Some(WARM_REPAIR);
+    let served = Served::start(config).expect("daemon starts");
+    let mut client = RouteClient::connect(served.addr()).expect("connect");
+    for fabric in 0..client.fabric_count() as u32 {
+        let (_, applied) = ingest(&mut client, fabric, &items, "first ingest");
+        assert!(applied > 0, "fabric {fabric}: the telemetry changed nothing");
+    }
+    assert_wire_matches_local(&mut client, &mirror, 29);
 }
 
 #[test]

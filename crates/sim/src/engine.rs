@@ -386,6 +386,19 @@ impl Simulation {
         pool.put(scratch, routing, report, report_buf);
     }
 
+    /// Tears this simulation down into the routing write side it has
+    /// warmed: the fabric graph, the routing scratch (cached weights,
+    /// adjacency lists, shortest-path trees and counters), the current
+    /// routing state and the report it was computed from. The scratch's
+    /// caches are keyed to this very graph, so a caller that keeps
+    /// advancing the tables through `Router::recompute_dirty_into` (a
+    /// daemon's telemetry ingest) repairs from warm state instead of
+    /// starting with a full recompute.
+    #[must_use]
+    pub fn into_routing_parts(self) -> (DiGraph, RoutingScratch, RoutingState, SystemReport) {
+        (self.graph, self.routing_scratch, self.routing, self.last_report)
+    }
+
     /// The configuration this run uses.
     #[must_use]
     pub fn config(&self) -> &SimConfig {
