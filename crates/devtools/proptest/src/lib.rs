@@ -301,7 +301,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use core::ops::Range;
 
-    /// Something usable as the size argument of [`vec`]: an exact size or
+    /// Something usable as the size argument of [`vec()`]: an exact size or
     /// a `lo..hi` range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {

@@ -14,7 +14,7 @@
 
 use core::fmt;
 
-use etx_sim::{DeathCause, SimReport};
+use etx_sim::{DeathCause, RecomputeStats, SimReport};
 
 /// The constant-memory streaming summary used for every fleet metric:
 /// exact count/min/max/sum plus a log-linear histogram for percentiles.
@@ -79,69 +79,12 @@ pub struct FleetAggregate {
     pub jobs_lost_total: u128,
     /// Why instances died.
     pub deaths: DeathTally,
-    /// Routing recompute cost profile, fleet-wide.
-    pub recompute: RecomputeTally,
-}
-
-/// Fleet-wide totals of the routing recompute counters (exact integer
-/// sums, like everything else in the aggregate). These describe
-/// controller-side *cost*, never results: fleets run with different
-/// [`RecomputeStrategy`](etx_sim::RecomputeStrategy) settings produce
-/// identical lifetime/jobs/overhead distributions and differ only here.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecomputeTally {
-    /// Recomputes that ran a full phase 2.
-    pub full: u128,
-    /// Recomputes that took the incremental repair pipeline.
-    pub repair: u128,
-    /// Sources repaired in place across all repair recomputes.
-    pub repaired_sources: u128,
-    /// Sources the repair pipeline re-ran in full.
-    pub fallback_sources: u128,
-    /// Sources whose repair engaged the decrease half (revival,
-    /// reconnect, recharge) and was still patched in place.
-    pub decrease_repairs: u128,
-    /// Nodes improved (distance drops + achiever tie flips) across all
-    /// decrease-half repairs.
-    pub decrease_nodes_improved: u128,
-    /// Recomputes whose phase 3 took the delta-aware row rebuild.
-    pub table_delta_rebuilds: u128,
-    /// `(node, module)` table entries refreshed across all recomputes.
-    pub table_entries_rebuilt: u128,
-    /// The subset of `table_entries_rebuilt` refreshed by the `O(1)`
-    /// challenge patch instead of the `O(|S_i|)` duplicate re-scan.
-    pub table_cells_patched: u128,
-    /// Node states examined by per-frame bookkeeping across all
-    /// recomputes (`K` per recompute).
-    pub nodes_scanned: u128,
-}
-
-impl RecomputeTally {
-    fn observe(&mut self, stats: &etx_sim::RecomputeStats) {
-        self.full += u128::from(stats.full_recomputes);
-        self.repair += u128::from(stats.repair_recomputes);
-        self.repaired_sources += u128::from(stats.repaired_sources);
-        self.fallback_sources += u128::from(stats.fallback_sources);
-        self.decrease_repairs += u128::from(stats.decrease_repairs);
-        self.decrease_nodes_improved += u128::from(stats.decrease_nodes_improved);
-        self.table_delta_rebuilds += u128::from(stats.table_delta_rebuilds);
-        self.table_entries_rebuilt += u128::from(stats.table_entries_rebuilt);
-        self.table_cells_patched += u128::from(stats.table_cells_patched);
-        self.nodes_scanned += u128::from(stats.nodes_scanned);
-    }
-
-    fn merge(&mut self, other: &RecomputeTally) {
-        self.full += other.full;
-        self.repair += other.repair;
-        self.repaired_sources += other.repaired_sources;
-        self.fallback_sources += other.fallback_sources;
-        self.decrease_repairs += other.decrease_repairs;
-        self.decrease_nodes_improved += other.decrease_nodes_improved;
-        self.table_delta_rebuilds += other.table_delta_rebuilds;
-        self.table_entries_rebuilt += other.table_entries_rebuilt;
-        self.table_cells_patched += other.table_cells_patched;
-        self.nodes_scanned += other.nodes_scanned;
-    }
+    /// Routing recompute counters summed fleet-wide, the values the
+    /// registry's `routing.*` counters total. They describe cost, never
+    /// results: fleets run with different
+    /// [`RecomputeStrategy`](etx_sim::RecomputeStrategy) settings differ
+    /// only here.
+    pub recompute: RecomputeStats,
 }
 
 impl FleetAggregate {
@@ -161,7 +104,7 @@ impl FleetAggregate {
         self.jobs_completed_total += u128::from(report.jobs_completed);
         self.jobs_lost_total += u128::from(report.jobs_lost);
         self.deaths.observe(report.death_cause);
-        self.recompute.observe(&report.recompute);
+        self.recompute += report.recompute;
     }
 
     /// Counts one rejected instance (spec sampled an invalid config).
@@ -179,7 +122,7 @@ impl FleetAggregate {
         self.jobs_completed_total += other.jobs_completed_total;
         self.jobs_lost_total += other.jobs_lost_total;
         self.deaths.merge(&other.deaths);
-        self.recompute.merge(&other.recompute);
+        self.recompute += other.recompute;
     }
 
     /// Renders the aggregate as deterministic JSON (stable key order,
@@ -224,21 +167,16 @@ impl FleetAggregate {
         let _ = writeln!(out, "  \"jobs_completed_total\": {},", self.jobs_completed_total);
         let _ = writeln!(out, "  \"jobs_lost_total\": {},", self.jobs_lost_total);
         // One line, so cost-only comparisons across strategies can
-        // filter it out and diff the (byte-identical) rest.
-        let _ = writeln!(
-            out,
-            "  \"recompute\": {{\"full\": {}, \"repair\": {}, \"repaired_sources\": {}, \"fallback_sources\": {}, \"decrease_repairs\": {}, \"decrease_nodes_improved\": {}, \"table_delta_rebuilds\": {}, \"table_entries_rebuilt\": {}, \"table_cells_patched\": {}, \"nodes_scanned\": {}}},",
-            self.recompute.full,
-            self.recompute.repair,
-            self.recompute.repaired_sources,
-            self.recompute.fallback_sources,
-            self.recompute.decrease_repairs,
-            self.recompute.decrease_nodes_improved,
-            self.recompute.table_delta_rebuilds,
-            self.recompute.table_entries_rebuilt,
-            self.recompute.table_cells_patched,
-            self.recompute.nodes_scanned,
-        );
+        // filter it out and diff the (byte-identical) rest. Keys are the
+        // `routing.*` counter names without their prefix.
+        out.push_str("  \"recompute\": {");
+        for (i, (id, value)) in
+            RecomputeStats::COUNTERS.into_iter().zip(self.recompute.to_array()).enumerate()
+        {
+            let key = id.name().strip_prefix("routing.").unwrap_or(id.name());
+            let _ = write!(out, "{}\"{key}\": {value}", if i == 0 { "" } else { ", " });
+        }
+        out.push_str("},\n");
         let _ = writeln!(
             out,
             "  \"deaths\": {{\"module_extinct\": {}, \"controllers_dead\": {}, \"gateway_dead\": {}, \"stalled\": {}, \"max_cycles\": {}}}",
@@ -285,23 +223,7 @@ impl fmt::Display for FleetAggregate {
             "jobs: {} completed, {} lost",
             self.jobs_completed_total, self.jobs_lost_total
         )?;
-        writeln!(
-            f,
-            "recomputes: {} full, {} repair ({} sources repaired, {} re-run, \
-             {} decrease-repaired / {} nodes improved); \
-             table: {} delta rebuilds, {} entries ({} challenge-patched); \
-             {} nodes scanned",
-            self.recompute.full,
-            self.recompute.repair,
-            self.recompute.repaired_sources,
-            self.recompute.fallback_sources,
-            self.recompute.decrease_repairs,
-            self.recompute.decrease_nodes_improved,
-            self.recompute.table_delta_rebuilds,
-            self.recompute.table_entries_rebuilt,
-            self.recompute.table_cells_patched,
-            self.recompute.nodes_scanned,
-        )?;
+        writeln!(f, "recomputes: {}", self.recompute)?;
         write!(
             f,
             "deaths: {} module-extinct, {} controllers, {} gateway, {} stalled, {} cycle-limit",
@@ -330,5 +252,36 @@ mod tests {
         assert_eq!(j, FleetAggregate::new().to_json());
         let shown = agg.to_string();
         assert!(shown.contains("instances: 0"));
+    }
+
+    #[test]
+    fn recompute_line_names_every_counter() {
+        let mut agg = FleetAggregate::new();
+        let stats = RecomputeStats {
+            full_recomputes: 1,
+            repair_recomputes: 2,
+            repaired_sources: 3,
+            fallback_sources: 4,
+            decrease_repairs: 5,
+            decrease_nodes_improved: 6,
+            table_delta_rebuilds: 7,
+            table_entries_rebuilt: 8,
+            table_cells_patched: 9,
+            nodes_scanned: 10,
+        };
+        agg.recompute = stats;
+        agg.merge(&FleetAggregate { recompute: stats, ..FleetAggregate::new() });
+        let json = agg.to_json();
+        let line = json.lines().find(|l| l.contains("\"recompute\"")).expect("recompute line");
+        assert_eq!(
+            line,
+            "  \"recompute\": {\"full_recomputes\": 2, \"repair_recomputes\": 4, \
+             \"repaired_sources\": 6, \"fallback_sources\": 8, \"decrease_repairs\": 10, \
+             \"decrease_nodes_improved\": 12, \"table_delta_rebuilds\": 14, \
+             \"table_entries_rebuilt\": 16, \"table_cells_patched\": 18, \"nodes_scanned\": 20},"
+        );
+        assert!(agg.to_string().contains(
+            "recomputes: 2 full, 4 repair (6 sources repaired, 8 re-run, 10 decrease-repaired"
+        ));
     }
 }

@@ -191,8 +191,8 @@ mod tests {
         assert_eq!(full.aggregate.overhead, repair.aggregate.overhead);
         assert_eq!(full.aggregate.deaths, repair.aggregate.deaths);
         assert_eq!(full.aggregate.jobs_completed_total, repair.aggregate.jobs_completed_total);
-        assert_eq!(full.aggregate.recompute.repair, 0);
-        assert!(repair.aggregate.recompute.repair > 0, "{}", repair.aggregate);
+        assert_eq!(full.aggregate.recompute.repair_recomputes, 0);
+        assert!(repair.aggregate.recompute.repair_recomputes > 0, "{}", repair.aggregate);
         assert!(repair.aggregate.recompute.repaired_sources > 0, "{}", repair.aggregate);
     }
 

@@ -44,7 +44,7 @@ mod controller;
 mod rng;
 mod scenario;
 
-pub use aggregate::{DeathTally, FleetAggregate, RecomputeTally, StreamingStat};
+pub use aggregate::{DeathTally, FleetAggregate, StreamingStat};
 pub use controller::{FleetController, FleetResult, ShardPlan};
 pub use rng::FleetRng;
 pub use scenario::{AppChoice, BatteryChoice, ScenarioSpec, TopologyChoice};

@@ -65,7 +65,7 @@ pub use dynamic::{
 };
 pub use matrix::Matrix;
 pub use node::NodeId;
-pub use plane::{IndexPlane, PlaneIdx};
+pub use plane::IndexPlane;
 pub use shortest::{
     dijkstra_all_pairs, dijkstra_all_pairs_into, dijkstra_source_into, floyd_warshall,
     floyd_warshall_into, AdjacencyList, DijkstraScratch, PathError, ShortestPaths,

@@ -1,79 +1,26 @@
-//! [`IndexPlane`]: a contiguous plane of compacted node indices.
+//! [`IndexPlane`]: a contiguous plane of `u16`-compacted node indices.
 //!
 //! The serve tier's struct-of-arrays snapshots store node indices
 //! (successors, route destinations, first hops) in flat planes instead
-//! of `Option<NodeId>`-shaped structs. On every current workload the
-//! node count fits a `u16`, so a plane packs indices 4–8x denser than
-//! the machine-word `NodeId` it replaces — the difference between a
-//! route table that lives in L1 and one that is chased through L2 on
-//! every batched lookup. "No index" is a reserved sentinel (the
-//! all-ones value of the lane type), which keeps the plane a plain
-//! slice of unsigned integers that gather loops can stream over.
+//! of `Option<NodeId>`-shaped structs. A `u16` lane packs an index 4x
+//! denser than the machine-word `NodeId` it replaces — the difference
+//! between a route table that lives in L1 and one that is chased
+//! through L2 on every batched lookup. "No index" is the reserved
+//! sentinel `u16::MAX`, which keeps the plane a plain `u16` slice that
+//! gather loops can stream over.
 //!
-//! Planes pick their lane width from the caller-supplied *index bound*
-//! (the exclusive upper bound of representable indices): bounds up to
-//! [`IndexPlane::NARROW_BOUND`] use `u16` lanes, anything larger falls
-//! back to `u32` lanes. The width decision is data-independent, so two
-//! planes filled from equal data under equal bounds compare equal.
+//! One lane width covers every fabric the simulator accepts: its config
+//! validation caps a fabric at [`IndexPlane::MAX_NODES`] nodes. The
+//! paper sizes its controller for tens to a few hundreds of nodes, and
+//! a fabric past the cap would need a 34 GB dense phase-2 matrix
+//! anyway.
 
-/// A lane element of an [`IndexPlane`]: an unsigned integer whose
-/// all-ones value is reserved as the "no index" sentinel.
+/// A flat plane of optional node indices in `u16` lanes, with
+/// [`IndexPlane::SENTINEL`] as the "no index" value.
 ///
-/// Implemented for `u16` (the compact plane used whenever the node
-/// count allows) and `u32` (the wide fallback). Gather loops that are
-/// generic over this trait monomorphize into one tight loop per width —
-/// no per-element enum dispatch.
-pub trait PlaneIdx: Copy + Eq {
-    /// The reserved "no index" value (`Self::MAX`).
-    const SENTINEL: Self;
-
-    /// Widens a lane value back to a `usize` index.
-    fn expand(self) -> usize;
-
-    /// Narrows an index into a lane value.
-    ///
-    /// Callers guarantee `index` is below the plane's index bound (and
-    /// therefore below the sentinel); the conversions cannot truncate.
-    fn compact(index: usize) -> Self;
-}
-
-impl PlaneIdx for u16 {
-    const SENTINEL: u16 = u16::MAX;
-
-    #[inline]
-    fn expand(self) -> usize {
-        usize::from(self)
-    }
-
-    #[inline]
-    fn compact(index: usize) -> Self {
-        index as u16
-    }
-}
-
-impl PlaneIdx for u32 {
-    const SENTINEL: u32 = u32::MAX;
-
-    #[inline]
-    fn expand(self) -> usize {
-        usize::try_from(self).expect("index plane value exceeds usize")
-    }
-
-    #[inline]
-    fn compact(index: usize) -> Self {
-        index as u32
-    }
-}
-
-/// A flat plane of optional node indices, `u16`-compacted when the
-/// index bound allows and `u32` otherwise, with the lane type's
-/// all-ones value as the "no index" sentinel.
-///
-/// Refills reuse the backing allocation whenever the width regime is
-/// unchanged (it only changes when the covered system's dimensions
-/// change), so steady-state refill performs no heap allocation — the
-/// same discipline as [`Matrix`](crate::Matrix) and
-/// [`NodeBitset`](crate::NodeBitset).
+/// Refills reuse the backing allocation, so steady-state refill
+/// performs no heap allocation — the same discipline as
+/// [`Matrix`](crate::Matrix) and [`NodeBitset`](crate::NodeBitset).
 ///
 /// # Examples
 ///
@@ -81,166 +28,77 @@ impl PlaneIdx for u32 {
 /// use etx_graph::IndexPlane;
 ///
 /// let mut plane = IndexPlane::new();
-/// plane.fill_with(3, 100, |i| if i == 1 { None } else { Some(i * 10) });
-/// assert!(!plane.is_wide());
+/// plane.fill_with(3, |i| if i == 1 { None } else { Some(i * 10) });
 /// assert_eq!(plane.get(0), Some(0));
 /// assert_eq!(plane.get(1), None);
 /// assert_eq!(plane.get(2), Some(20));
 /// assert_eq!(plane.get(3), None); // out of range reads as absent
-///
-/// // Bounds past the u16 range fall back to u32 lanes.
-/// plane.fill_with(2, 70_000, |i| Some(65_536 + i));
-/// assert!(plane.is_wide());
-/// assert_eq!(plane.get(1), Some(65_537));
+/// assert_eq!(plane.lanes(), &[0, IndexPlane::SENTINEL, 20]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IndexPlane {
-    /// `u16` lanes (index bound ≤ [`IndexPlane::NARROW_BOUND`]).
-    Narrow(Vec<u16>),
-    /// `u32` lanes (the wide fallback).
-    Wide(Vec<u32>),
-}
-
-impl Default for IndexPlane {
-    fn default() -> Self {
-        IndexPlane::Narrow(Vec::new())
-    }
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IndexPlane {
+    lanes: Vec<u16>,
 }
 
 impl IndexPlane {
-    /// The largest index bound a narrow (`u16`) plane can represent:
-    /// indices `0..=65534`, keeping `u16::MAX` free as the sentinel.
-    pub const NARROW_BOUND: usize = u16::MAX as usize;
+    /// The reserved "no index" lane value.
+    pub const SENTINEL: u16 = u16::MAX;
 
-    /// An empty narrow plane.
+    /// The most nodes a plane can index: `0..=65534`, keeping
+    /// [`IndexPlane::SENTINEL`] free.
+    pub const MAX_NODES: usize = u16::MAX as usize;
+
+    /// An empty plane.
     #[must_use]
     pub fn new() -> Self {
         IndexPlane::default()
-    }
-
-    /// `true` when `index_bound` (exclusive upper bound of stored
-    /// indices) fits the narrow `u16` plane.
-    #[must_use]
-    pub fn narrow_fits(index_bound: usize) -> bool {
-        index_bound <= Self::NARROW_BOUND
-    }
-
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            IndexPlane::Narrow(v) => v.len(),
-            IndexPlane::Wide(v) => v.len(),
-        }
-    }
-
-    /// `true` when the plane holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `true` when the plane runs `u32` lanes (the wide fallback).
-    #[must_use]
-    pub fn is_wide(&self) -> bool {
-        matches!(self, IndexPlane::Wide(_))
     }
 
     /// The entry at `i`; `None` for the sentinel and for out-of-range
     /// positions.
     #[must_use]
     pub fn get(&self, i: usize) -> Option<usize> {
-        match self {
-            IndexPlane::Narrow(v) => {
-                v.get(i).and_then(|&x| (x != u16::SENTINEL).then(|| x.expand()))
-            }
-            IndexPlane::Wide(v) => v.get(i).and_then(|&x| (x != u32::SENTINEL).then(|| x.expand())),
-        }
+        self.lanes.get(i).and_then(|&x| (x != Self::SENTINEL).then_some(usize::from(x)))
     }
 
-    /// The narrow lane slice, when this plane is narrow.
+    /// The raw lanes, [`IndexPlane::SENTINEL`] where no index is stored.
     #[must_use]
-    pub fn narrow(&self) -> Option<&[u16]> {
-        match self {
-            IndexPlane::Narrow(v) => Some(v),
-            IndexPlane::Wide(_) => None,
-        }
+    pub fn lanes(&self) -> &[u16] {
+        &self.lanes
     }
 
-    /// The wide lane slice, when this plane is wide.
-    #[must_use]
-    pub fn wide(&self) -> Option<&[u32]> {
-        match self {
-            IndexPlane::Wide(v) => Some(v),
-            IndexPlane::Narrow(_) => None,
-        }
+    /// Empties the plane, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.lanes.clear();
     }
 
-    /// Switches to the narrow width if needed and clears, returning the
-    /// lane buffer for appending. Reuses the allocation when already
-    /// narrow.
-    pub fn reset_narrow(&mut self) -> &mut Vec<u16> {
-        if !matches!(self, IndexPlane::Narrow(_)) {
-            *self = IndexPlane::Narrow(Vec::new());
-        }
-        let IndexPlane::Narrow(v) = self else { unreachable!("just reset to narrow") };
-        v.clear();
-        v
-    }
-
-    /// Switches to the wide width if needed and clears, returning the
-    /// lane buffer for appending. Reuses the allocation when already
-    /// wide.
-    pub fn reset_wide(&mut self) -> &mut Vec<u32> {
-        if !matches!(self, IndexPlane::Wide(_)) {
-            *self = IndexPlane::Wide(Vec::new());
-        }
-        let IndexPlane::Wide(v) = self else { unreachable!("just reset to wide") };
-        v.clear();
-        v
-    }
-
-    /// Refills the plane with `len` entries produced by `f`, picking the
-    /// lane width from `index_bound` (the exclusive upper bound of every
-    /// `Some` index `f` may return).
+    /// Appends one entry.
     ///
     /// # Panics
     ///
-    /// Panics if `f` returns an index at or above `index_bound`.
-    pub fn fill_with(
-        &mut self,
-        len: usize,
-        index_bound: usize,
-        mut f: impl FnMut(usize) -> Option<usize>,
-    ) {
-        if Self::narrow_fits(index_bound) {
-            let v = self.reset_narrow();
-            v.reserve(len);
-            for i in 0..len {
-                v.push(match f(i) {
-                    Some(x) => {
-                        assert!(x < index_bound, "index {x} at or above bound {index_bound}");
-                        u16::compact(x)
-                    }
-                    None => u16::SENTINEL,
-                });
+    /// Panics if `index` is at or above [`IndexPlane::MAX_NODES`].
+    #[inline]
+    pub fn push(&mut self, index: Option<usize>) {
+        self.lanes.push(match index {
+            Some(x) => {
+                assert!(x < Self::MAX_NODES, "index {x} does not fit a u16 index plane");
+                x as u16
             }
-        } else {
-            assert!(
-                index_bound < u32::SENTINEL.expand(),
-                "index bound {index_bound} exceeds the wide plane"
-            );
-            let v = self.reset_wide();
-            v.reserve(len);
-            for i in 0..len {
-                v.push(match f(i) {
-                    Some(x) => {
-                        assert!(x < index_bound, "index {x} at or above bound {index_bound}");
-                        u32::compact(x)
-                    }
-                    None => u32::SENTINEL,
-                });
-            }
+            None => Self::SENTINEL,
+        });
+    }
+
+    /// Refills the plane with `len` entries produced by `f`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` returns an index at or above
+    /// [`IndexPlane::MAX_NODES`].
+    pub fn fill_with(&mut self, len: usize, mut f: impl FnMut(usize) -> Option<usize>) {
+        self.clear();
+        self.lanes.reserve(len);
+        for i in 0..len {
+            self.push(f(i));
         }
     }
 }
@@ -252,79 +110,42 @@ mod tests {
     #[test]
     fn narrow_roundtrip_with_sentinels() {
         let mut plane = IndexPlane::new();
-        plane.fill_with(5, 1_000, |i| (i % 2 == 0).then_some(i * 7));
-        assert!(!plane.is_wide());
-        assert_eq!(plane.len(), 5);
+        plane.fill_with(5, |i| (i % 2 == 0).then_some(i * 7));
         assert_eq!(plane.get(0), Some(0));
         assert_eq!(plane.get(1), None);
         assert_eq!(plane.get(4), Some(28));
         assert_eq!(plane.get(5), None);
-        assert_eq!(plane.narrow().unwrap()[1], u16::MAX);
-        assert!(plane.wide().is_none());
-    }
-
-    #[test]
-    fn wide_fallback_holds_indices_past_u16() {
-        // A node space larger than u16::MAX: only the *bound* is large —
-        // the plane itself stays small, which is exactly why the wide
-        // fallback is testable without a 65k-node system.
-        let mut plane = IndexPlane::new();
-        plane.fill_with(4, 70_000, |i| (i != 2).then_some(65_534 + i));
-        assert!(plane.is_wide());
-        assert_eq!(plane.get(0), Some(65_534));
-        assert_eq!(plane.get(1), Some(65_535));
-        assert_eq!(plane.get(2), None);
-        assert_eq!(plane.get(3), Some(65_537));
-        assert_eq!(plane.wide().unwrap()[2], u32::MAX);
-        assert!(plane.narrow().is_none());
+        assert_eq!(plane.lanes(), &[0, u16::MAX, 14, u16::MAX, 28]);
     }
 
     #[test]
     fn narrow_bound_is_exact() {
-        // 65535 indices (0..=65534) still fit narrow; one more forces
-        // the wide plane because u16::MAX is reserved as the sentinel.
-        assert!(IndexPlane::narrow_fits(IndexPlane::NARROW_BOUND));
-        assert!(!IndexPlane::narrow_fits(IndexPlane::NARROW_BOUND + 1));
+        // 65535 indices (0..=65534) fit; u16::MAX is the sentinel.
         let mut plane = IndexPlane::new();
-        plane.fill_with(1, IndexPlane::NARROW_BOUND, |_| Some(65_534));
-        assert!(!plane.is_wide());
+        plane.fill_with(2, |i| (i == 0).then_some(IndexPlane::MAX_NODES - 1));
         assert_eq!(plane.get(0), Some(65_534));
-        plane.fill_with(1, IndexPlane::NARROW_BOUND + 1, |_| Some(65_535));
-        assert!(plane.is_wide());
-        assert_eq!(plane.get(0), Some(65_535));
+        assert_eq!(plane.get(1), None);
     }
 
     #[test]
     fn refill_reuses_width_and_replaces_content() {
         let mut plane = IndexPlane::new();
-        plane.fill_with(3, 100, Some);
-        plane.fill_with(2, 100, |i| Some(i + 10));
-        assert_eq!(plane.len(), 2);
-        assert_eq!(plane.get(0), Some(10));
+        plane.fill_with(3, Some);
+        let capacity = plane.lanes.capacity();
+        plane.fill_with(2, |i| Some(i + 10));
+        assert_eq!(plane.lanes(), &[10, 11]);
         assert_eq!(plane.get(2), None);
-        // Width regime changes swap the backing store both ways.
-        plane.fill_with(2, 100_000, |_| Some(99_999));
-        assert!(plane.is_wide());
-        plane.fill_with(2, 100, |_| Some(9));
-        assert!(!plane.is_wide());
-        assert_eq!(plane.get(1), Some(9));
+        assert_eq!(plane.lanes.capacity(), capacity, "refill keeps the allocation");
+        plane.clear();
+        plane.push(Some(9));
+        plane.push(None);
+        assert_eq!(plane.lanes(), &[9, IndexPlane::SENTINEL]);
     }
 
     #[test]
-    #[should_panic(expected = "at or above bound")]
+    #[should_panic(expected = "does not fit a u16 index plane")]
     fn out_of_bound_index_panics() {
         let mut plane = IndexPlane::new();
-        plane.fill_with(1, 10, |_| Some(10));
-    }
-
-    #[test]
-    fn equality_tracks_data_and_width() {
-        let mut a = IndexPlane::new();
-        let mut b = IndexPlane::new();
-        a.fill_with(3, 50, Some);
-        b.fill_with(3, 50, Some);
-        assert_eq!(a, b);
-        b.fill_with(3, 70_000, Some);
-        assert_ne!(a, b, "width is part of the representation");
+        plane.fill_with(1, |_| Some(IndexPlane::MAX_NODES));
     }
 }

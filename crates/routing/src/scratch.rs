@@ -1,6 +1,9 @@
 //! The [`RoutingScratch`] reusable workspace for zero-allocation routing
 //! recomputes, and the [`RecomputeStats`] counter snapshot.
 
+use core::fmt;
+use core::ops::AddAssign;
+
 use etx_graph::{AdjacencyList, DijkstraScratch, Matrix, NodeId, RepairScratch, SpTreeStore};
 use etx_metrics::{CounterId, MetricsHandle, Registry};
 
@@ -89,32 +92,70 @@ pub struct RecomputeStats {
 }
 
 impl RecomputeStats {
+    /// The `routing.*` metrics counter behind each field, in field order
+    /// — the one ordered list of the ten counters. It is the contiguous
+    /// `routing.*` block of [`CounterId::ALL`]; [`RecomputeStats::to_array`]
+    /// and [`RecomputeStats::from_array`] use the same order, and so do
+    /// the frame-trace record slots and the fleet JSON keys.
+    pub const COUNTERS: [CounterId; 10] = [
+        CounterId::RoutingFullRecomputes,
+        CounterId::RoutingRepairRecomputes,
+        CounterId::RoutingRepairedSources,
+        CounterId::RoutingFallbackSources,
+        CounterId::RoutingDecreaseRepairs,
+        CounterId::RoutingDecreaseNodesImproved,
+        CounterId::RoutingTableDeltaRebuilds,
+        CounterId::RoutingTableEntriesRebuilt,
+        CounterId::RoutingTableCellsPatched,
+        CounterId::RoutingNodesScanned,
+    ];
+
+    /// The counter values in [`RecomputeStats::COUNTERS`] order.
+    #[must_use]
+    pub fn to_array(&self) -> [u64; 10] {
+        [
+            self.full_recomputes,
+            self.repair_recomputes,
+            self.repaired_sources,
+            self.fallback_sources,
+            self.decrease_repairs,
+            self.decrease_nodes_improved,
+            self.table_delta_rebuilds,
+            self.table_entries_rebuilt,
+            self.table_cells_patched,
+            self.nodes_scanned,
+        ]
+    }
+
+    /// The inverse of [`RecomputeStats::to_array`].
+    #[must_use]
+    pub fn from_array(values: [u64; 10]) -> Self {
+        RecomputeStats {
+            full_recomputes: values[0],
+            repair_recomputes: values[1],
+            repaired_sources: values[2],
+            fallback_sources: values[3],
+            decrease_repairs: values[4],
+            decrease_nodes_improved: values[5],
+            table_delta_rebuilds: values[6],
+            table_entries_rebuilt: values[7],
+            table_cells_patched: values[8],
+            nodes_scanned: values[9],
+        }
+    }
+
     /// Field-wise difference against an earlier snapshot of the same
     /// counters: what happened *since* `prev`. Per-frame consumers (the
-    /// frame recorder, fleet tallies, benches) diff two cumulative
-    /// snapshots instead of hand-rolling ten subtractions each.
+    /// frame recorder, metrics flush, benches) diff two cumulative
+    /// snapshots.
     ///
     /// Counters are monotone while a scratch lives, but a recycle zeroes
     /// them mid-stream; `wrapping_sub` keeps the helper total so a stale
     /// `prev` can't panic in release-vs-debug-divergent ways.
     #[must_use]
     pub fn delta_since(&self, prev: &RecomputeStats) -> RecomputeStats {
-        RecomputeStats {
-            full_recomputes: self.full_recomputes.wrapping_sub(prev.full_recomputes),
-            repair_recomputes: self.repair_recomputes.wrapping_sub(prev.repair_recomputes),
-            repaired_sources: self.repaired_sources.wrapping_sub(prev.repaired_sources),
-            fallback_sources: self.fallback_sources.wrapping_sub(prev.fallback_sources),
-            decrease_repairs: self.decrease_repairs.wrapping_sub(prev.decrease_repairs),
-            decrease_nodes_improved: self
-                .decrease_nodes_improved
-                .wrapping_sub(prev.decrease_nodes_improved),
-            table_delta_rebuilds: self.table_delta_rebuilds.wrapping_sub(prev.table_delta_rebuilds),
-            table_entries_rebuilt: self
-                .table_entries_rebuilt
-                .wrapping_sub(prev.table_entries_rebuilt),
-            table_cells_patched: self.table_cells_patched.wrapping_sub(prev.table_cells_patched),
-            nodes_scanned: self.nodes_scanned.wrapping_sub(prev.nodes_scanned),
-        }
+        let (now, prev) = (self.to_array(), prev.to_array());
+        RecomputeStats::from_array(core::array::from_fn(|i| now[i].wrapping_sub(prev[i])))
     }
 
     /// Adds these counters into a metrics [`Registry`] under the
@@ -123,16 +164,44 @@ impl RecomputeStats {
     /// Callers feed per-frame [`RecomputeStats::delta_since`] deltas so
     /// the registry totals stay exact across scratch recycles.
     pub fn record_into(&self, registry: &Registry) {
-        registry.add(CounterId::RoutingFullRecomputes, self.full_recomputes);
-        registry.add(CounterId::RoutingRepairRecomputes, self.repair_recomputes);
-        registry.add(CounterId::RoutingRepairedSources, self.repaired_sources);
-        registry.add(CounterId::RoutingFallbackSources, self.fallback_sources);
-        registry.add(CounterId::RoutingDecreaseRepairs, self.decrease_repairs);
-        registry.add(CounterId::RoutingDecreaseNodesImproved, self.decrease_nodes_improved);
-        registry.add(CounterId::RoutingTableDeltaRebuilds, self.table_delta_rebuilds);
-        registry.add(CounterId::RoutingTableEntriesRebuilt, self.table_entries_rebuilt);
-        registry.add(CounterId::RoutingTableCellsPatched, self.table_cells_patched);
-        registry.add(CounterId::RoutingNodesScanned, self.nodes_scanned);
+        for (id, value) in RecomputeStats::COUNTERS.into_iter().zip(self.to_array()) {
+            registry.add(id, value);
+        }
+    }
+}
+
+/// Field-wise sum: how per-run counters total up fleet-wide.
+impl AddAssign for RecomputeStats {
+    fn add_assign(&mut self, other: RecomputeStats) {
+        let (mut sum, other) = (self.to_array(), other.to_array());
+        for (total, value) in sum.iter_mut().zip(other) {
+            *total += value;
+        }
+        *self = RecomputeStats::from_array(sum);
+    }
+}
+
+/// The one-line prose summary `SimReport` and the fleet aggregate
+/// print after their own label.
+impl fmt::Display for RecomputeStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} full, {} repair ({} sources repaired, {} re-run, \
+             {} decrease-repaired / {} nodes improved); \
+             table: {} delta rebuilds, {} entries ({} challenge-patched); \
+             {} nodes scanned",
+            self.full_recomputes,
+            self.repair_recomputes,
+            self.repaired_sources,
+            self.fallback_sources,
+            self.decrease_repairs,
+            self.decrease_nodes_improved,
+            self.table_delta_rebuilds,
+            self.table_entries_rebuilt,
+            self.table_cells_patched,
+            self.nodes_scanned,
+        )
     }
 }
 
@@ -265,11 +334,13 @@ impl RoutingScratch {
 
 #[cfg(test)]
 mod tests {
+    use etx_metrics::{CounterId, Registry};
+
     use super::RecomputeStats;
 
-    #[test]
-    fn delta_since_subtracts_every_counter() {
-        let prev = RecomputeStats {
+    /// Ten distinct values, each set by field name.
+    fn named() -> RecomputeStats {
+        RecomputeStats {
             full_recomputes: 1,
             repair_recomputes: 3,
             repaired_sources: 4,
@@ -280,35 +351,14 @@ mod tests {
             table_entries_rebuilt: 9,
             table_cells_patched: 10,
             nodes_scanned: 12,
-        };
-        let now = RecomputeStats {
-            full_recomputes: 10,
-            repair_recomputes: 33,
-            repaired_sources: 44,
-            fallback_sources: 55,
-            decrease_repairs: 66,
-            decrease_nodes_improved: 77,
-            table_delta_rebuilds: 88,
-            table_entries_rebuilt: 99,
-            table_cells_patched: 110,
-            nodes_scanned: 132,
-        };
-        let delta = now.delta_since(&prev);
-        assert_eq!(
-            delta,
-            RecomputeStats {
-                full_recomputes: 9,
-                repair_recomputes: 30,
-                repaired_sources: 40,
-                fallback_sources: 50,
-                decrease_repairs: 60,
-                decrease_nodes_improved: 70,
-                table_delta_rebuilds: 80,
-                table_entries_rebuilt: 90,
-                table_cells_patched: 100,
-                nodes_scanned: 120,
-            }
-        );
+        }
+    }
+
+    #[test]
+    fn delta_since_subtracts_every_counter() {
+        let prev = named();
+        let now = RecomputeStats::from_array(prev.to_array().map(|v| 11 * v));
+        assert_eq!(now.delta_since(&prev).to_array(), prev.to_array().map(|v| 10 * v));
         // Diffing against itself is zero; against Default is identity.
         assert_eq!(now.delta_since(&now), RecomputeStats::default());
         assert_eq!(now.delta_since(&RecomputeStats::default()), now);
@@ -318,25 +368,49 @@ mod tests {
     }
 
     #[test]
+    fn counter_list_follows_the_field_names() {
+        let stats = named();
+        assert_eq!(stats.to_array(), [1, 3, 4, 5, 6, 7, 8, 9, 10, 12]);
+        assert_eq!(RecomputeStats::from_array(stats.to_array()), stats);
+        // The list is the contiguous `routing.*` block of the catalog.
+        let start = CounterId::ALL
+            .iter()
+            .position(|&id| id == RecomputeStats::COUNTERS[0])
+            .expect("routing counters are catalogued");
+        assert_eq!(CounterId::ALL[start..start + 10], RecomputeStats::COUNTERS);
+        let routing: Vec<CounterId> =
+            CounterId::ALL.into_iter().filter(|id| id.name().starts_with("routing.")).collect();
+        assert_eq!(routing, RecomputeStats::COUNTERS);
+
+        let mut sum = stats;
+        sum += stats;
+        assert_eq!(sum.to_array(), [2, 6, 8, 10, 12, 14, 16, 18, 20, 24]);
+        assert_eq!(
+            stats.to_string(),
+            "1 full, 3 repair (4 sources repaired, 5 re-run, 6 decrease-repaired / \
+             7 nodes improved); table: 8 delta rebuilds, 9 entries (10 challenge-patched); \
+             12 nodes scanned"
+        );
+    }
+
+    #[test]
     fn record_into_maps_every_counter() {
-        use etx_metrics::{CounterId, Registry};
-        let stats = RecomputeStats {
-            full_recomputes: 1,
-            repair_recomputes: 3,
-            repaired_sources: 4,
-            fallback_sources: 5,
-            decrease_repairs: 6,
-            decrease_nodes_improved: 7,
-            table_delta_rebuilds: 8,
-            table_entries_rebuilt: 9,
-            table_cells_patched: 10,
-            nodes_scanned: 12,
-        };
         let registry = Registry::counters_only();
-        stats.record_into(&registry);
-        stats.record_into(&registry); // additive, like the counters themselves
-        assert_eq!(registry.counter(CounterId::RoutingFullRecomputes), 2);
-        assert_eq!(registry.counter(CounterId::RoutingDecreaseNodesImproved), 14);
-        assert_eq!(registry.counter(CounterId::RoutingNodesScanned), 24);
+        named().record_into(&registry);
+        named().record_into(&registry); // additive, like the counters themselves
+        for (id, want) in [
+            (CounterId::RoutingFullRecomputes, 2),
+            (CounterId::RoutingRepairRecomputes, 6),
+            (CounterId::RoutingRepairedSources, 8),
+            (CounterId::RoutingFallbackSources, 10),
+            (CounterId::RoutingDecreaseRepairs, 12),
+            (CounterId::RoutingDecreaseNodesImproved, 14),
+            (CounterId::RoutingTableDeltaRebuilds, 16),
+            (CounterId::RoutingTableEntriesRebuilt, 18),
+            (CounterId::RoutingTableCellsPatched, 20),
+            (CounterId::RoutingNodesScanned, 24),
+        ] {
+            assert_eq!(registry.counter(id), want, "{}", id.name());
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Phase 3: routing tables — nearest-duplicate destination selection with
 //! deadlock avoidance (the paper's Fig 6).
 
-use etx_graph::{IndexPlane, Matrix, NodeBitset, NodeId, PlaneIdx, ShortestPaths};
+use etx_graph::{IndexPlane, Matrix, NodeBitset, NodeId, ShortestPaths};
 
 use crate::SystemReport;
 
@@ -24,17 +24,16 @@ pub struct RouteEntry {
 ///
 /// One `Option<RouteEntry>` (a 32-byte struct, half of it padding and
 /// `Option` discriminant) becomes one lane in each of four planes: a
-/// destination-index plane, a first-hop-index plane (both
-/// `u16`-compacted via [`IndexPlane`] whenever the node count allows),
-/// an `f64` entry-distance plane, and a validity word-bitset. A batched
-/// next-hop lookup gathers 4–12 bytes from planes that stay resident in
-/// L1 instead of chasing 32-byte entries through L2, and queries that
-/// never read the distance (pure next-hop relaying) never touch the
-/// distance plane at all.
+/// destination-index plane, a first-hop-index plane (both `u16` lanes
+/// via [`IndexPlane`]), an `f64` entry-distance plane, and a validity
+/// word-bitset. A batched next-hop lookup gathers 4–12 bytes from
+/// planes that stay resident in L1 instead of chasing 32-byte entries
+/// through L2, and queries that never read the distance (pure next-hop
+/// relaying) never touch the distance plane at all.
 ///
 /// Invalid entries store the sentinel in both index planes and `0.0`
 /// in the distance plane, so two plane sets filled from equal tables
-/// under equal index bounds compare equal.
+/// compare equal.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouteTablePlanes {
     /// Destination-index plane (`flat = node * module_count + module`).
@@ -85,63 +84,26 @@ impl RouteTablePlanes {
 
     /// Refills every plane from a flat AoS table, in one pass, reusing
     /// all four backing allocations (no heap allocation in steady
-    /// state). `index_bound` is the exclusive upper bound of node
-    /// indices the planes must represent — the producing system's node
-    /// count; bounds past [`IndexPlane::NARROW_BOUND`] select the wide
-    /// (`u32`) fallback planes.
-    pub fn fill_from_table(&mut self, table: &[Option<RouteEntry>], index_bound: usize) {
+    /// state).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry names a node at or above
+    /// [`IndexPlane::MAX_NODES`].
+    pub fn fill_from_table(&mut self, table: &[Option<RouteEntry>]) {
         self.valid.resize(table.len());
         self.distance.clear();
         self.distance.reserve(table.len());
-        if IndexPlane::narrow_fits(index_bound) {
-            self.fill_lanes::<u16>(table);
-        } else {
-            self.fill_lanes::<u32>(table);
-        }
-    }
-
-    fn fill_lanes<I: PlaneIdx>(&mut self, table: &[Option<RouteEntry>])
-    where
-        IndexPlane: PlaneLanes<I>,
-    {
-        let dest = PlaneLanes::<I>::reset_lanes(&mut self.dest);
-        dest.reserve(table.len());
-        let next = PlaneLanes::<I>::reset_lanes(&mut self.next_hop);
-        next.reserve(table.len());
+        self.dest.clear();
+        self.next_hop.clear();
         for (flat, entry) in table.iter().enumerate() {
-            match entry {
-                Some(entry) => {
-                    dest.push(I::compact(entry.destination.index()));
-                    next.push(I::compact(entry.next_hop.index()));
-                    self.distance.push(entry.distance);
-                    self.valid.insert(NodeId::new(flat));
-                }
-                None => {
-                    dest.push(I::SENTINEL);
-                    next.push(I::SENTINEL);
-                    self.distance.push(0.0);
-                }
+            self.dest.push(entry.map(|e| e.destination.index()));
+            self.next_hop.push(entry.map(|e| e.next_hop.index()));
+            self.distance.push(entry.map_or(0.0, |e| e.distance));
+            if entry.is_some() {
+                self.valid.insert(NodeId::new(flat));
             }
         }
-    }
-}
-
-/// Width-dispatch helper: resolves an [`IndexPlane`] to the lane buffer
-/// of one concrete width so [`RouteTablePlanes::fill_from_table`] runs
-/// a single monomorphized fill loop per width.
-trait PlaneLanes<I: PlaneIdx> {
-    fn reset_lanes(&mut self) -> &mut Vec<I>;
-}
-
-impl PlaneLanes<u16> for IndexPlane {
-    fn reset_lanes(&mut self) -> &mut Vec<u16> {
-        self.reset_narrow()
-    }
-}
-
-impl PlaneLanes<u32> for IndexPlane {
-    fn reset_lanes(&mut self) -> &mut Vec<u32> {
-        self.reset_wide()
     }
 }
 
@@ -586,10 +548,9 @@ impl RoutingState {
     /// read-side export surface: `etx-serve` snapshots call this once
     /// per published epoch and then answer batched lookups from the
     /// planes without reconstructing `Option<RouteEntry>` values until
-    /// result write-back. Reuses every buffer in `out`; the lane width
-    /// follows [`RoutingState::node_count`].
+    /// result write-back. Reuses every buffer in `out`.
     pub fn export_route_planes(&self, out: &mut RouteTablePlanes) {
-        out.fill_from_table(&self.table, self.node_count());
+        out.fill_from_table(&self.table);
     }
 
     /// Number of modules covered.
@@ -1169,10 +1130,14 @@ mod tests {
         let mut planes = RouteTablePlanes::new();
         rs.export_route_planes(&mut planes);
         assert_eq!(planes.len(), rs.route_table().len());
-        assert!(!planes.dest.is_wide(), "4 nodes compact to u16 lanes");
         for (flat, expected) in rs.route_table().iter().enumerate() {
             assert_eq!(planes.entry(flat), *expected, "flat position {flat}");
+            if expected.is_none() {
+                assert_eq!(planes.dest.lanes()[flat], IndexPlane::SENTINEL);
+                assert_eq!(planes.next_hop.lanes()[flat], IndexPlane::SENTINEL);
+            }
         }
+        assert!(planes.dest.lanes().contains(&IndexPlane::SENTINEL), "some entry is invalid");
         assert_eq!(planes.entry(planes.len()), None, "out of range reads as absent");
 
         // Refill in place from the same table: planes compare equal, so
@@ -1180,14 +1145,5 @@ mod tests {
         let again = planes.clone();
         rs.export_route_planes(&mut planes);
         assert_eq!(planes, again);
-
-        // A bound past the narrow range forces wide lanes with identical
-        // reconstruction (the 65k-node shape without 65k nodes).
-        let mut wide = RouteTablePlanes::new();
-        wide.fill_from_table(rs.route_table(), 70_000);
-        assert!(wide.dest.is_wide() && wide.next_hop.is_wide());
-        for (flat, expected) in rs.route_table().iter().enumerate() {
-            assert_eq!(wide.entry(flat), *expected, "wide flat position {flat}");
-        }
     }
 }

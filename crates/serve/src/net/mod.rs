@@ -6,7 +6,10 @@
 //!
 //! * [`proto`] — a compact length-prefixed binary protocol (LEB128
 //!   framing, one type byte per message) for batched NextHop / Path /
-//!   Cost queries, telemetry ingestion and control frames;
+//!   Cost queries, telemetry ingestion and control frames, encoded
+//!   through [`etx_trace::wire`], the workspace's one varint codec;
+//! * [`wire`] — the frame plumbing: the in-place length-prefix writer
+//!   and the buffered [`FrameReader`];
 //! * [`Served`] — the thread-per-core daemon: connections are pinned
 //!   to shards at accept, each shard's worker executes its
 //!   connections' batches (and owns the write side of its fabrics),

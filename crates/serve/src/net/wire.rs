@@ -1,17 +1,19 @@
-//! Wire primitives for the daemon protocol: LEB128 varints, a
-//! bounds-checked payload cursor, and a buffered frame reader.
+//! Frame plumbing for the daemon protocol: the in-place length-prefix
+//! writer and a buffered frame reader. A frame is
+//! `uvarint(payload_len) ++ payload`.
 //!
-//! The conventions mirror `etx-trace`'s container format (the crates
-//! are intentionally independent, so the ~60 lines of varint plumbing
-//! are duplicated rather than coupled): unsigned LEB128 for every
-//! integer, `f64` as its IEEE-754 bit pattern in 8 little-endian
-//! bytes, and a frame = `uvarint(payload_len) ++ payload`. Every
-//! decoder is bounds-checked and total — malformed input yields a
-//! [`WireError`], never a panic — because the daemon feeds these
+//! Field encoding (unsigned LEB128 for every integer, `f64` as its
+//! IEEE-754 bit pattern in 8 little-endian bytes, the bounds-checked
+//! [`Cursor`]) is [`etx_trace::wire`], the workspace's one codec, shared
+//! with the frame-trace format. Every decoder is total: malformed input
+//! yields a [`WireError`], never a panic, because the daemon feeds these
 //! routines bytes from arbitrary TCP peers.
 
 use std::io::Read;
 use std::net::TcpStream;
+
+use etx_trace::wire::Cursor;
+pub use etx_trace::wire::WireError;
 
 /// Bytes reserved at the front of an encode buffer for the length
 /// prefix. Five LEB128 bytes cover payloads up to 2^35-1 — far past
@@ -19,45 +21,6 @@ use std::net::TcpStream;
 /// into the reservation and the frame goes out as one contiguous
 /// slice, no second buffer, no memmove.
 pub(crate) const FRAME_PREFIX: usize = 5;
-
-/// A decode failure. Total: every malformed input maps here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// The payload ended before the field being decoded.
-    Truncated,
-    /// A varint ran past 64 bits.
-    Overflow,
-    /// A field held a value outside its documented range (bad frame
-    /// type, bad result tag, bad magic, impossible count).
-    Malformed,
-}
-
-impl core::fmt::Display for WireError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "payload truncated"),
-            WireError::Overflow => write!(f, "varint overflows u64"),
-            WireError::Malformed => write!(f, "malformed field"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Appends `v` as an unsigned LEB128 varint.
-pub(crate) fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-/// Appends `v` as its bit pattern in 8 little-endian bytes (exact —
-/// round-trips NaN payloads and signed zeros).
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
 
 /// Clears `buf` and reserves [`FRAME_PREFIX`] bytes for the length
 /// prefix; the message payload is appended after this.
@@ -74,75 +37,16 @@ pub(crate) fn finish_frame(buf: &mut [u8]) -> &[u8] {
     let mut tmp = [0u8; FRAME_PREFIX];
     let mut v = payload as u64;
     let mut w = 0;
-    loop {
-        if v >= 0x80 {
-            tmp[w] = (v as u8 & 0x7f) | 0x80;
-            v >>= 7;
-            w += 1;
-        } else {
-            tmp[w] = v as u8;
-            w += 1;
-            break;
-        }
+    while v >= 0x80 {
+        tmp[w] = (v as u8 & 0x7f) | 0x80;
+        v >>= 7;
+        w += 1;
     }
+    tmp[w] = v as u8;
+    w += 1;
     let start = FRAME_PREFIX - w;
     buf[start..FRAME_PREFIX].copy_from_slice(&tmp[..w]);
     &buf[start..]
-}
-
-/// A bounds-checked reader over one frame's payload bytes.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    pub(crate) fn take_u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    pub(crate) fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let bytes = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(bytes)
-    }
-
-    pub(crate) fn take_uvarint(&mut self) -> Result<u64, WireError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.take_u8()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(WireError::Overflow);
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    pub(crate) fn take_f64(&mut self) -> Result<f64, WireError> {
-        let bytes = self.take_bytes(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(bytes);
-        Ok(f64::from_bits(u64::from_le_bytes(raw)))
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 /// A failure while receiving a frame from a stream.
@@ -210,31 +114,22 @@ impl FrameReader {
     /// was consumed. `Ok(None)`: more bytes needed.
     fn try_parse(&self, max_len: usize) -> Result<Option<(usize, usize)>, RecvError> {
         let avail = &self.buf[self.start..self.end];
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        let mut i = 0usize;
-        loop {
-            let Some(&byte) = avail.get(i) else {
-                return Ok(None);
-            };
-            i += 1;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(RecvError::BadLength);
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
+        let mut cur = Cursor::new(avail);
+        let len = match cur.take_uvarint() {
+            Ok(len) => len,
+            // The prefix itself is still arriving.
+            Err(WireError::Truncated) => return Ok(None),
+            Err(_) => return Err(RecvError::BadLength),
+        };
+        if len > max_len as u64 {
+            return Err(RecvError::TooLarge { declared: len });
         }
-        if v > max_len as u64 {
-            return Err(RecvError::TooLarge { declared: v });
-        }
-        let need = i + v as usize;
+        let prefix = cur.position();
+        let need = prefix + len as usize;
         if avail.len() < need {
             return Ok(None);
         }
-        Ok(Some((self.start + i, self.start + need)))
+        Ok(Some((self.start + prefix, self.start + need)))
     }
 
     /// Reads from `stream` until one whole frame is buffered and
@@ -301,44 +196,47 @@ impl FrameReader {
 
 #[cfg(test)]
 mod tests {
+    use etx_trace::wire::put_uvarint;
+
     use super::*;
+
+    /// A reader holding exactly `bytes`, as if one socket read had
+    /// delivered them.
+    fn buffered(bytes: &[u8]) -> FrameReader {
+        let mut reader = FrameReader::new();
+        reader.buf[..bytes.len()].copy_from_slice(bytes);
+        reader.end = bytes.len();
+        reader
+    }
 
     #[test]
     fn varints_round_trip() {
+        // The in-place prefix writer agrees with the codec, and the
+        // reader parses it back, across 1-, 2- and 3-byte prefixes.
         let mut buf = Vec::new();
-        let samples =
-            [0u64, 1, 0x7f, 0x80, 0x3fff, 0x4000, 123_456_789, u64::from(u32::MAX), u64::MAX];
-        for v in samples {
-            buf.clear();
-            put_uvarint(&mut buf, v);
-            let mut c = Cursor::new(&buf);
-            assert_eq!(c.take_uvarint(), Ok(v));
-            assert!(c.is_empty());
+        for len in [0usize, 1, 0x7f, 0x80, 0x3fff, 0x4000, 40_000] {
+            begin_frame(&mut buf);
+            buf.resize(FRAME_PREFIX + len, 0xab);
+            let frame = finish_frame(&mut buf).to_vec();
+            let mut prefix = Vec::new();
+            put_uvarint(&mut prefix, len as u64);
+            assert_eq!(&frame[..prefix.len()], prefix.as_slice(), "length {len}");
+            let reader = buffered(&frame);
+            assert_eq!(reader.try_parse(1 << 20), Ok(Some((prefix.len(), frame.len()))));
         }
     }
 
     #[test]
     fn cursor_rejects_truncation_and_overflow() {
-        let mut c = Cursor::new(&[0x80]);
-        assert_eq!(c.take_uvarint(), Err(WireError::Truncated));
-        // Eleven continuation bytes: past 64 bits of shift.
-        let over = [0x80u8; 10];
-        let mut c = Cursor::new(&over);
-        assert_eq!(c.take_uvarint(), Err(WireError::Overflow));
-        let mut c = Cursor::new(&[1, 2, 3]);
-        assert_eq!(c.take_bytes(4), Err(WireError::Truncated));
-        let mut c = Cursor::new(&[0u8; 7]);
-        assert_eq!(c.take_f64(), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn f64_round_trips_exactly() {
-        for v in [0.0f64, -0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, 1.0e-300] {
-            let mut buf = Vec::new();
-            put_f64(&mut buf, v);
-            let mut c = Cursor::new(&buf);
-            assert_eq!(c.take_f64().unwrap().to_bits(), v.to_bits());
-        }
+        // A prefix cut short waits for more bytes; so does a whole
+        // prefix whose payload has not arrived yet.
+        assert_eq!(buffered(&[]).try_parse(64), Ok(None));
+        assert_eq!(buffered(&[0x80]).try_parse(64), Ok(None));
+        assert_eq!(buffered(&[3, 1, 2]).try_parse(64), Ok(None));
+        // A prefix past 64 bits is a bad length, not a short read.
+        assert_eq!(buffered(&[0x80; 10]).try_parse(64), Err(RecvError::BadLength));
+        // A declared length past the limit is refused before the body.
+        assert_eq!(buffered(&[65]).try_parse(64), Err(RecvError::TooLarge { declared: 65 }));
     }
 
     #[test]

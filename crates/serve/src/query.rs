@@ -19,7 +19,7 @@
 //! performs no heap allocation — the same counting-allocator discipline
 //! as the routing kernel's `RoutingScratch`.
 
-use etx_graph::{NodeId, PlaneIdx};
+use etx_graph::NodeId;
 use etx_metrics::{CounterId, Registry, SpanId};
 use etx_routing::RouteEntry;
 
@@ -195,17 +195,7 @@ pub(crate) fn execute_group(
     // count while the record path pays one clock read per lane, not per
     // query.
     let lane_timer = metrics.timer();
-    let planes = snap.table_planes();
-    match (planes.dest.narrow(), planes.next_hop.narrow()) {
-        (Some(dest), Some(next)) => {
-            next_hop_lane(snap, dest, next, &lanes.next_hop, results);
-        }
-        _ => {
-            let dest = planes.dest.wide().expect("plane widths agree");
-            let next = planes.next_hop.wide().expect("plane widths agree");
-            next_hop_lane(snap, dest, next, &lanes.next_hop, results);
-        }
-    }
+    next_hop_lane(snap, &lanes.next_hop, results);
     metrics.observe_share(SpanId::ServeLatencyNextHop, lane_timer, lanes.next_hop.len() as u64);
     let lane_timer = metrics.timer();
     cost_lane(snap, &lanes.cost, results);
@@ -223,21 +213,16 @@ pub(crate) fn execute_group(
     metrics.observe_share(SpanId::ServeLatencyPath, lane_timer, lanes.path.len() as u64);
 }
 
-/// The NextHop lane: a tight gather over the two index planes, the
-/// entry-distance plane and the validity bitset, monomorphized per lane
-/// width. Flat indices were pre-resolved by the split pass, so each
+/// The NextHop lane: a tight gather over the two `u16` index planes,
+/// the entry-distance plane and the validity bitset. Flat indices were pre-resolved by the split pass, so each
 /// slot is four plane reads and one result write — and because the lane
 /// preserves the `(fabric, source)` sort, each `LANE_BLOCK`
 /// chunk's reads land in a bounded, monotonically advancing segment of
 /// every plane (the blocked schedule falls out of the sort).
-fn next_hop_lane<I: PlaneIdx>(
-    snap: &TableSnapshot,
-    dest: &[I],
-    next: &[I],
-    lane: &[(u32, usize)],
-    results: &mut [QueryResult],
-) {
+fn next_hop_lane(snap: &TableSnapshot, lane: &[(u32, usize)], results: &mut [QueryResult]) {
     let planes = snap.table_planes();
+    let dest = planes.dest.lanes();
+    let next = planes.next_hop.lanes();
     let dist: &[f64] = &planes.distance;
     let valid = &planes.valid;
     for block in lane.chunks(LANE_BLOCK) {
@@ -245,8 +230,8 @@ fn next_hop_lane<I: PlaneIdx>(
             // `contains` is false both for the OUT_OF_RANGE sentinel
             // and for invalid entries, so one bit test gates the gather.
             let entry = valid.contains(NodeId::new(flat)).then(|| RouteEntry {
-                destination: NodeId::new(dest[flat].expand()),
-                next_hop: NodeId::new(next[flat].expand()),
+                destination: NodeId::new(usize::from(dest[flat])),
+                next_hop: NodeId::new(usize::from(next[flat])),
                 distance: dist[flat],
             });
             results[oi as usize] = QueryResult::NextHop(entry);
@@ -496,29 +481,37 @@ mod tests {
     }
 
     #[test]
-    fn wide_and_narrow_groups_answer_identically() {
-        // The monomorphized u32 gather must agree with the u16 gather
-        // result for result (the arena ranges included).
+    fn group_lanes_answer_like_the_routing_state() {
+        // Every lane against the routing state the snapshot came from,
+        // out-of-range probes included.
         let state = ring_state(6);
-        let mut narrow = TableSnapshot::empty();
-        narrow.fill_from(1, &state);
-        let mut wide = TableSnapshot::empty();
-        wide.fill_from_bounded(1, &state, 70_000);
-        assert!(wide.wide_index_planes() && !narrow.wide_index_planes());
-        let (narrow_results, narrow_arena) = run_group(&narrow);
-        let (wide_results, wide_arena) = run_group(&wide);
-        assert_eq!(narrow_results, wide_results);
-        assert_eq!(narrow_arena, wide_arena);
-        assert!(!narrow_results.contains(&QueryResult::UnknownFabric), "every query answered");
-        // And the in-range next-hop answers agree with the routing
-        // state itself (query 3s is source s's next-hop lookup).
-        for (oi, result) in narrow_results.into_iter().enumerate() {
-            if let QueryResult::NextHop(entry) = result {
-                let source = oi / 3;
-                let want = (source < state.node_count())
-                    .then(|| state.route(NodeId::new(source), 0).copied())
-                    .flatten();
-                assert_eq!(entry, want, "query {oi}");
+        let mut snap = TableSnapshot::empty();
+        snap.fill_from(1, &state);
+        let (results, arena) = run_group(&snap);
+        assert!(!results.contains(&QueryResult::UnknownFabric), "every query answered");
+        let n = state.node_count();
+        for (oi, result) in results.into_iter().enumerate() {
+            // Query 3s is source s's next-hop lookup, 3s+1 its path and
+            // 3s+2 its cost to s+1; the last two are out of range.
+            let source = NodeId::new(oi / 3);
+            match result {
+                QueryResult::NextHop(entry) => {
+                    let want = (oi / 3 < n).then(|| state.route(source, 0).copied()).flatten();
+                    assert_eq!(entry, want, "query {oi}");
+                }
+                QueryResult::Path { entry, nodes: (start, end) } => {
+                    assert_eq!(entry, state.route(source, 0).copied(), "query {oi}");
+                    let path = &arena[start as usize..end as usize];
+                    assert_eq!(path.first(), Some(&source));
+                    assert_eq!(path.last(), entry.map(|e| e.destination).as_ref());
+                }
+                QueryResult::Cost(cost) => {
+                    let want = (oi / 3 < n)
+                        .then(|| state.distance(source, NodeId::new((oi / 3 + 1) % n)))
+                        .flatten();
+                    assert_eq!(cost, want, "query {oi}");
+                }
+                QueryResult::UnknownFabric => unreachable!("checked above"),
             }
         }
     }

@@ -22,12 +22,12 @@
 //! The phase-2 matrices split the same way: distances stay one
 //! contiguous `f64` plane (cost queries touch nothing else) and the
 //! successor matrix becomes an [`IndexPlane`] (path walks touch nothing
-//! else). Index planes are `u16`-compacted whenever the node count
-//! allows (every current workload) and fall back to `u32` lanes past
-//! [`IndexPlane::NARROW_BOUND`]; batched execution monomorphizes its
-//! gather loops per width.
+//! else). Index planes are `u16` lanes: simulator config validation
+//! caps a fabric at [`IndexPlane::MAX_NODES`] nodes, so one lane width
+//! serves every fabric, and the gather loops and path walks read the
+//! bare `u16` slices.
 
-use etx_graph::{IndexPlane, Matrix, NodeId, PlaneIdx};
+use etx_graph::{IndexPlane, Matrix, NodeId};
 use etx_routing::{RouteEntry, RouteTablePlanes, RoutingState};
 
 /// An immutable copy of everything a query needs from one controller
@@ -79,30 +79,19 @@ impl TableSnapshot {
     /// compacted into planes in one pass over each source buffer. Every
     /// plane is refilled in place — refills on warmed snapshots of
     /// unchanged dimensions perform no heap allocation.
-    pub fn fill_from(&mut self, epoch: u64, routing: &RoutingState) {
-        self.fill_from_bounded(epoch, routing, routing.node_count());
-    }
-
-    /// [`TableSnapshot::fill_from`] with an explicit index bound (the
-    /// exclusive upper bound of node indices the planes must represent).
-    /// The bound decides the index-plane lane width: bounds past
-    /// [`IndexPlane::NARROW_BOUND`] select the wide (`u32`) fallback —
-    /// which is how the `node_count > u16::MAX` regime is exercised
-    /// without materializing a 65k-node system.
     ///
     /// # Panics
     ///
-    /// Panics if `index_bound` is smaller than `routing`'s node count.
-    pub fn fill_from_bounded(&mut self, epoch: u64, routing: &RoutingState, index_bound: usize) {
-        let n = routing.node_count();
-        assert!(index_bound >= n, "index bound {index_bound} below node count {n}");
+    /// Panics if `routing` covers more than [`IndexPlane::MAX_NODES`]
+    /// nodes.
+    pub fn fill_from(&mut self, epoch: u64, routing: &RoutingState) {
         self.epoch = epoch;
         self.modules = routing.module_count();
-        self.nodes = n;
+        self.nodes = routing.node_count();
         self.dist.copy_from(routing.paths().distances());
         let succ = routing.paths().successors().as_slice();
-        self.succ.fill_with(succ.len(), index_bound, |i| succ[i].map(NodeId::index));
-        self.table.fill_from_table(routing.route_table(), index_bound);
+        self.succ.fill_with(succ.len(), |i| succ[i].map(NodeId::index));
+        routing.export_route_planes(&mut self.table);
     }
 
     /// The epoch this snapshot was published at (0 = never filled).
@@ -134,19 +123,6 @@ impl TableSnapshot {
     #[must_use]
     pub fn dist_plane(&self) -> &[f64] {
         self.dist.as_slice()
-    }
-
-    /// The phase-2 successor plane, row-major (`from * n + to`).
-    #[must_use]
-    pub fn succ_plane(&self) -> &IndexPlane {
-        &self.succ
-    }
-
-    /// `true` when the index planes run wide (`u32`) lanes — the
-    /// `node_count > u16::MAX` fallback regime.
-    #[must_use]
-    pub fn wide_index_planes(&self) -> bool {
-        self.succ.is_wide()
     }
 
     /// Reconstructs the `Option<RouteEntry>` at flat table position
@@ -217,58 +193,35 @@ impl TableSnapshot {
         out: &mut Vec<NodeId>,
     ) -> Option<RouteEntry> {
         let entry = self.route(node, module)?;
-        // Dispatch on the plane width once; the walk itself runs over
-        // the bare lane slice (no per-hop enum dispatch).
-        let walked = match self.succ.narrow() {
-            Some(succ) => self.walk_into(succ, node, &entry, out),
-            None => self.walk_into(
-                self.succ.wide().expect("plane is narrow or wide"),
-                node,
-                &entry,
-                out,
-            ),
-        };
-        walked.then_some(entry)
-    }
-
-    /// The successor-chain walk of [`TableSnapshot::path_into`],
-    /// monomorphized per lane width. Returns `false` (with `out`
-    /// restored) when the chain breaks or fails to terminate.
-    fn walk_into<I: PlaneIdx>(
-        &self,
-        succ: &[I],
-        node: NodeId,
-        entry: &RouteEntry,
-        out: &mut Vec<NodeId>,
-    ) -> bool {
         let start = out.len();
         out.push(node);
         if entry.destination != node {
             let n = self.nodes;
             let dest = entry.destination.index();
+            let succ = self.succ.lanes();
             let mut cur = entry.next_hop;
             out.push(cur);
             let mut hops = 1usize;
             while cur != entry.destination {
                 if cur.index() >= n {
                     out.truncate(start);
-                    return false;
+                    return None;
                 }
                 let next = succ[cur.index() * n + dest];
-                if next == I::SENTINEL {
+                if next == IndexPlane::SENTINEL {
                     out.truncate(start);
-                    return false;
+                    return None;
                 }
-                cur = NodeId::new(next.expand());
+                cur = NodeId::new(usize::from(next));
                 out.push(cur);
                 hops += 1;
                 if hops > n {
                     out.truncate(start);
-                    return false;
+                    return None;
                 }
             }
         }
-        true
+        Some(entry)
     }
 }
 
@@ -294,7 +247,6 @@ mod tests {
         assert_eq!(snap.epoch(), 7);
         assert_eq!(snap.node_count(), 6);
         assert_eq!(snap.module_count(), 1);
-        assert!(!snap.wide_index_planes(), "6 nodes compact to u16 lanes");
         assert!(snap.entries().eq(state.route_table().iter().copied()));
         for i in 0..6 {
             let node = NodeId::new(i);
@@ -317,47 +269,6 @@ mod tests {
         assert_eq!(snap.epoch(), 2);
         assert_eq!(snap.node_count(), 8);
         assert!(snap.entries().eq(b.route_table().iter().copied()));
-    }
-
-    #[test]
-    fn wide_plane_fallback_answers_identically() {
-        // The node_count > u16::MAX shape without 65k nodes: an index
-        // bound past the narrow range forces u32 lanes on every index
-        // plane, and every answer must match the narrow snapshot's.
-        let state = ring_state(6);
-        let mut narrow = TableSnapshot::empty();
-        narrow.fill_from(1, &state);
-        let mut wide = TableSnapshot::empty();
-        wide.fill_from_bounded(1, &state, 70_000);
-        assert!(wide.wide_index_planes());
-        assert!(wide.table_planes().dest.is_wide() && wide.table_planes().next_hop.is_wide());
-        assert!(!narrow.wide_index_planes());
-        assert!(wide.entries().eq(narrow.entries()));
-        let mut wide_path = Vec::new();
-        let mut narrow_path = Vec::new();
-        for i in 0..6 {
-            let node = NodeId::new(i);
-            assert_eq!(wide.route(node, 0), narrow.route(node, 0));
-            wide_path.clear();
-            narrow_path.clear();
-            let we = wide.path_into(node, 0, &mut wide_path);
-            let ne = narrow.path_into(node, 0, &mut narrow_path);
-            assert_eq!(we, ne);
-            assert_eq!(wide_path, narrow_path);
-            for j in 0..6 {
-                let other = NodeId::new(j);
-                assert_eq!(wide.cost(node, other), narrow.cost(node, other));
-                assert_eq!(wide.next_hop(node, other), narrow.next_hop(node, other));
-            }
-        }
-        // Refilling the wide snapshot under the natural bound narrows it
-        // back — the width follows the bound, not the history.
-        wide.fill_from(2, &state);
-        assert!(!wide.wide_index_planes());
-        assert_eq!(wide, {
-            narrow.fill_from(2, &state);
-            narrow
-        });
     }
 
     #[test]

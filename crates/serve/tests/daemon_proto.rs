@@ -17,6 +17,7 @@ use etx_metrics::{CounterId, MetricsHandle, Registry};
 use etx_serve::net::proto::{self, code, msg, Reply, DEFAULT_MAX_FRAME_LEN};
 use etx_serve::net::{FrameReader, RouteClient, Served, ServedConfig};
 use etx_serve::{FleetFrontend, Query, QueryBatch, QueryOutput, WorkloadGen, WorkloadSpec};
+use etx_trace::wire::{put_uvarint, Cursor};
 use proptest::prelude::*;
 
 fn start_daemon() -> Served {
@@ -26,43 +27,21 @@ fn start_daemon() -> Served {
     Served::start(config).expect("daemon starts")
 }
 
-/// Local LEB128 encoder so the tests can frame arbitrary payloads
-/// (including ones the real encoders would refuse to produce).
-fn uvarint(mut v: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
+/// Frames an arbitrary payload (including ones the real encoders would
+/// refuse to produce).
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    uvarint(payload.len() as u64, &mut out);
+    put_uvarint(&mut out, payload.len() as u64);
     out.extend_from_slice(payload);
     out
 }
 
-/// Splits a full frame produced by the real encoders into
-/// (declared length, payload), verifying the prefix is exact.
+/// Splits a full frame produced by the real encoders into its payload,
+/// verifying the length prefix is exact.
 fn parse_frame(full: &[u8]) -> &[u8] {
-    let mut len = 0u64;
-    let mut shift = 0;
-    let mut pos = 0;
-    loop {
-        let byte = full[pos];
-        pos += 1;
-        len |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    let payload = &full[pos..];
+    let mut cur = Cursor::new(full);
+    let len = cur.take_uvarint().expect("length prefix");
+    let payload = &full[cur.position()..];
     assert_eq!(payload.len() as u64, len, "prefix disagrees with payload length");
     payload
 }
@@ -107,7 +86,7 @@ fn bad_magic_draws_error_frame() {
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut payload = vec![msg::HELLO];
     payload.extend_from_slice(b"NOPE");
-    uvarint(proto::PROTOCOL_VERSION, &mut payload);
+    put_uvarint(&mut payload, proto::PROTOCOL_VERSION);
     (&stream).write_all(&frame(&payload)).unwrap();
     let mut reader = FrameReader::new();
     match read_reply(&mut reader, &stream) {
@@ -126,7 +105,7 @@ fn wrong_version_draws_error_frame() {
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut payload = vec![msg::HELLO];
     payload.extend_from_slice(proto::MAGIC);
-    uvarint(proto::PROTOCOL_VERSION + 9, &mut payload);
+    put_uvarint(&mut payload, proto::PROTOCOL_VERSION + 9);
     (&stream).write_all(&frame(&payload)).unwrap();
     let mut reader = FrameReader::new();
     match read_reply(&mut reader, &stream) {
@@ -143,7 +122,7 @@ fn oversized_declared_length_draws_error_frame() {
     // Declare a payload just past the server's frame cap; the server
     // must refuse from the prefix alone without buffering it.
     let mut header = Vec::new();
-    uvarint(DEFAULT_MAX_FRAME_LEN as u64 + 1, &mut header);
+    put_uvarint(&mut header, DEFAULT_MAX_FRAME_LEN as u64 + 1);
     (&stream).write_all(&header).unwrap();
     match read_reply(&mut reader, &stream) {
         Reply::Error { code } => assert_eq!(code, code::FRAME_TOO_LARGE),
@@ -183,8 +162,8 @@ fn garbage_query_payload_draws_error_frame() {
     // A QUERY frame whose query count (2^40) cannot fit the payload:
     // the decoder must refuse before looping, not attempt to reserve.
     let mut payload = vec![msg::QUERY];
-    uvarint(1, &mut payload); // request id
-    uvarint(1 << 40, &mut payload); // absurd query count
+    put_uvarint(&mut payload, 1); // request id
+    put_uvarint(&mut payload, 1 << 40); // absurd query count
     (&stream).write_all(&frame(&payload)).unwrap();
     match read_reply(&mut reader, &stream) {
         Reply::Error { code } => assert_eq!(code, code::MALFORMED),
@@ -200,7 +179,7 @@ fn truncated_frame_and_disconnect_leave_server_healthy() {
         let (stream, _reader) = raw_handshake(&served);
         // Declare 100 payload bytes, deliver 10, vanish mid-frame.
         let mut partial = Vec::new();
-        uvarint(100, &mut partial);
+        put_uvarint(&mut partial, 100);
         partial.extend_from_slice(&[msg::QUERY; 10]);
         (&stream).write_all(&partial).unwrap();
     } // dropped: connection reset mid-frame

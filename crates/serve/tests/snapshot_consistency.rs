@@ -259,47 +259,3 @@ proptest! {
         }
     }
 }
-
-/// The `node_count > u16::MAX` regime, shaped without 65k nodes: an
-/// index bound past the narrow range forces the wide (`u32`) fallback
-/// on every index plane, and the wide snapshot answers every query
-/// identically to the narrow one and to the producing state.
-#[test]
-fn wide_index_fallback_matches_narrow_and_state() {
-    let graph = mesh_graph(4);
-    let k = graph.node_count();
-    let modules = module_stripes(k);
-    let report = report_from(&[15, 3, 9], &[false, false, true], k);
-    let router = Router::new(Algorithm::Ear);
-    let mut scratch = RoutingScratch::new();
-    let mut state = RoutingState::empty();
-    router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
-
-    let mut narrow = TableSnapshot::empty();
-    narrow.fill_from(1, &state);
-    let mut wide = TableSnapshot::empty();
-    wide.fill_from_bounded(1, &state, (u16::MAX as usize) + 2);
-    assert!(wide.wide_index_planes(), "bound past u16::MAX must select u32 lanes");
-    assert!(!narrow.wide_index_planes());
-
-    assert!(wide.entries().eq(state.route_table().iter().copied()));
-    let mut wide_path = Vec::new();
-    let mut narrow_path = Vec::new();
-    for s in 0..k {
-        let node = NodeId::new(s);
-        for m in 0..modules.len() {
-            assert_eq!(wide.route(node, m), state.route(node, m).copied());
-            wide_path.clear();
-            narrow_path.clear();
-            let we = wide.path_into(node, m, &mut wide_path);
-            let ne = narrow.path_into(node, m, &mut narrow_path);
-            assert_eq!(we, ne);
-            assert_eq!(wide_path, narrow_path);
-        }
-        for t in 0..k {
-            let other = NodeId::new(t);
-            assert_eq!(wide.cost(node, other), state.distance(node, other));
-            assert_eq!(wide.next_hop(node, other), state.next_hop(node, other));
-        }
-    }
-}

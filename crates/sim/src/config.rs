@@ -9,6 +9,7 @@ use etx_battery::{
 use etx_control::{ControllerEnergyModel, TdmaConfig};
 use etx_energy::{PacketFormat, TransmissionLineModel};
 use etx_graph::topology::Mesh2D;
+use etx_graph::IndexPlane;
 use etx_mapping::{
     CheckerboardMapping, CustomMapping, MappingError, MappingStrategy, Placement,
     ProportionalMapping, RoundRobinMapping,
@@ -717,6 +718,14 @@ impl SimConfigBuilder {
         if c.mesh_width == 0 || c.mesh_height == 0 {
             return Err(SimError::InvalidConfig("mesh dimensions must be positive"));
         }
+        // Published route tables index nodes in `u16` lanes.
+        let nodes = match &c.topology {
+            TopologyKind::Custom(graph) => Some(graph.node_count()),
+            _ => c.mesh_width.checked_mul(c.mesh_height),
+        };
+        if nodes.is_none_or(|k| k > IndexPlane::MAX_NODES) {
+            return Err(SimError::InvalidConfig("fabric exceeds 65 535 nodes"));
+        }
         if c.concurrent_jobs == 0 {
             return Err(SimError::InvalidConfig("need at least one concurrent job"));
         }
@@ -832,6 +841,20 @@ mod tests {
         ));
         let err = SimConfig::builder().mesh(0, 4).build().unwrap_err();
         assert!(err.to_string().contains("mesh"));
+    }
+
+    #[test]
+    fn fabrics_past_the_u16_index_lane_are_rejected() {
+        // Validation alone: none of these fabrics is ever built.
+        let too_big = |w: usize, h: usize| {
+            matches!(
+                SimConfig::builder().mesh(w, h).validate(),
+                Err(SimError::InvalidConfig("fabric exceeds 65 535 nodes"))
+            )
+        };
+        assert!(too_big(256, 256), "65 536 nodes");
+        assert!(too_big(usize::MAX, 2), "the product overflows usize");
+        assert!(!too_big(65_535, 1), "65 535 nodes fit");
     }
 
     #[test]

@@ -170,23 +170,7 @@ impl fmt::Display for SimReport {
             self.deadlock_reports,
             self.remaps
         )?;
-        write!(
-            f,
-            "recompute paths: {} full, {} repair \
-             ({} sources repaired, {} re-run, {} decrease-repaired / {} nodes improved); \
-             table: {} delta rebuilds, {} entries ({} challenge-patched); \
-             {} nodes scanned",
-            self.recompute.full_recomputes,
-            self.recompute.repair_recomputes,
-            self.recompute.repaired_sources,
-            self.recompute.fallback_sources,
-            self.recompute.decrease_repairs,
-            self.recompute.decrease_nodes_improved,
-            self.recompute.table_delta_rebuilds,
-            self.recompute.table_entries_rebuilt,
-            self.recompute.table_cells_patched,
-            self.recompute.nodes_scanned,
-        )
+        write!(f, "recompute paths: {}", self.recompute)
     }
 }
 

@@ -19,8 +19,9 @@
 //! `routing_version` (varints); `state_digest`, `cost_digest` (`u64`);
 //! `wall_ns` (varint); medium/controller energy (`u64` f64-bits);
 //! `jobs_completed`, `jobs_lost`, the 10 per-frame [`RecomputeStats`]
-//! delta counters, and the frame's event stream (varints; events are a
-//! tag byte plus `frame`/`cycle` stamps and tag-specific fields).
+//! delta counters (in [`RecomputeStats::COUNTERS`] order), and the
+//! frame's event stream (varints; events are a tag byte plus
+//! `frame`/`cycle` stamps and tag-specific fields).
 
 use std::path::Path;
 
@@ -76,7 +77,7 @@ pub struct FrameRecord {
     pub routing_version: u64,
     /// Digest of the frame's *semantic* state: battery buckets,
     /// live/deadlock bitsets, routing version (see
-    /// [`digest_frame`](crate::digest_frame)).
+    /// [`TraceScratch::digest`](crate::TraceScratch::digest)).
     pub state_digest: u64,
     /// Digest of the frame's recompute *cost* counters. Split from
     /// `state_digest` because recompute strategies are byte-identical in
@@ -202,18 +203,7 @@ pub(crate) fn encode_record_parts(
     put_u64(out, controller_pj_bits);
     put_uvarint(out, jobs_completed);
     put_uvarint(out, jobs_lost);
-    for counter in [
-        delta.full_recomputes,
-        delta.repair_recomputes,
-        delta.repaired_sources,
-        delta.fallback_sources,
-        delta.decrease_repairs,
-        delta.decrease_nodes_improved,
-        delta.table_delta_rebuilds,
-        delta.table_entries_rebuilt,
-        delta.table_cells_patched,
-        delta.nodes_scanned,
-    ] {
+    for counter in delta.to_array() {
         put_uvarint(out, counter);
     }
     put_uvarint(out, events.len() as u64);
@@ -260,18 +250,7 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<FrameRecord, TraceError> {
     for slot in &mut counters {
         *slot = cur.take_uvarint()?;
     }
-    let recompute_delta = RecomputeStats {
-        full_recomputes: counters[0],
-        repair_recomputes: counters[1],
-        repaired_sources: counters[2],
-        fallback_sources: counters[3],
-        decrease_repairs: counters[4],
-        decrease_nodes_improved: counters[5],
-        table_delta_rebuilds: counters[6],
-        table_entries_rebuilt: counters[7],
-        table_cells_patched: counters[8],
-        nodes_scanned: counters[9],
-    };
+    let recompute_delta = RecomputeStats::from_array(counters);
     let event_count = cur.take_uvarint()?;
     if event_count > payload.len() as u64 {
         // Each event takes at least 5 bytes; a count past the payload
@@ -418,11 +397,18 @@ mod tests {
             controller_pj_bits: (99.25f64 * frame as f64).to_bits(),
             jobs_completed: frame * 3,
             jobs_lost: frame / 4,
+            // Ten distinct values, so a swapped slot cannot round-trip.
             recompute_delta: RecomputeStats {
-                repair_recomputes: 1,
-                repaired_sources: frame,
-                nodes_scanned: 2 * frame,
-                ..RecomputeStats::default()
+                full_recomputes: frame,
+                repair_recomputes: 2 * frame,
+                repaired_sources: 3 * frame,
+                fallback_sources: 4 * frame,
+                decrease_repairs: 5 * frame,
+                decrease_nodes_improved: 6 * frame,
+                table_delta_rebuilds: 7 * frame,
+                table_entries_rebuilt: 8 * frame,
+                table_cells_patched: 9 * frame,
+                nodes_scanned: 10 * frame,
             },
             events: vec![
                 TraceEntry::new(frame, frame * 512, TraceEvent::JobCompleted { job: frame }),

@@ -1,9 +1,9 @@
 //! Deterministic frame-trace record/replay and divergence bisection.
 //!
 //! The TDMA frame loop in `etx-sim` is deterministic: the same
-//! [`SimConfig`](etx_sim::SimConfig) always produces the same sequence
-//! of deaths, recomputes, and job outcomes, under either recompute
-//! strategy. This crate turns that property into an observability tool:
+//! [`SimConfig`] always produces the same sequence of deaths,
+//! recomputes, and job outcomes, under either recompute strategy. This
+//! crate turns that property into an observability tool:
 //!
 //! - [`TraceRecorder`] hooks into the engine (via
 //!   [`FrameRecorder`](etx_sim::FrameRecorder)) and writes a compact
@@ -24,11 +24,15 @@
 //! The `trace` binary exposes `info`, `diff`, and `bisect` over trace
 //! files; `fleet --record` / `--replay` wire recording into scenario
 //! runs.
+//!
+//! [`wire`] is the workspace's one LEB128 codec (varints, fixed-width
+//! integers, a bounds-checked read cursor). The trace format encodes
+//! through it, and so does the `etx-serve` daemon protocol.
 
 mod format;
 mod recorder;
 mod replay;
-mod wire;
+pub mod wire;
 
 pub use format::{FrameRecord, Trace, TraceHeader, FORMAT_VERSION, MAGIC};
 pub use recorder::{FrameDigest, SharedRecorder, TraceRecorder, TraceScratch};
@@ -83,6 +87,16 @@ impl core::fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
+
+impl From<wire::WireError> for TraceError {
+    fn from(e: wire::WireError) -> Self {
+        match e {
+            wire::WireError::Truncated => TraceError::Truncated,
+            wire::WireError::Overflow => TraceError::Malformed("varint overflows u64"),
+            wire::WireError::Malformed => TraceError::Malformed("malformed field"),
+        }
+    }
+}
 
 /// Fingerprints a built [`SimConfig`] so a trace can assert at replay
 /// time that the rebuilt config matches the recorded one.

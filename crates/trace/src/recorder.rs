@@ -99,18 +99,7 @@ impl TraceScratch {
         let state = hasher.finish();
 
         let mut cost_hasher = Fnv64::new();
-        for counter in [
-            delta.full_recomputes,
-            delta.repair_recomputes,
-            delta.repaired_sources,
-            delta.fallback_sources,
-            delta.decrease_repairs,
-            delta.decrease_nodes_improved,
-            delta.table_delta_rebuilds,
-            delta.table_entries_rebuilt,
-            delta.table_cells_patched,
-            delta.nodes_scanned,
-        ] {
+        for counter in delta.to_array() {
             cost_hasher.write_u64(counter);
         }
         FrameDigest { state, cost: cost_hasher.finish() }

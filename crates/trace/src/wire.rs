@@ -1,90 +1,160 @@
-//! Low-level wire primitives: LEB128 varints, fixed-width little-endian
-//! integers, and a bounds-checked read cursor.
+//! The workspace's one LEB128 codec: unsigned varints, fixed-width
+//! little-endian integers, `f64` bit patterns and a bounds-checked read
+//! [`Cursor`], shared by the frame-trace format and the `etx-serve`
+//! daemon protocol. Decoding is total: malformed input (say, from an
+//! arbitrary TCP peer) yields a [`WireError`], never a panic.
+//!
+//! Every function is `#[inline]`: release builds run without LTO, and
+//! the daemon's per-field calls must inline across the crate boundary.
 
-use crate::TraceError;
+/// A decode failure. Total: every malformed input maps here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The input ended before the field being decoded.
+    Truncated,
+    /// A varint ran past 64 bits.
+    Overflow,
+    /// A field held a value outside its documented range (bad frame
+    /// type, bad result tag, bad magic, impossible count). The codec
+    /// itself never returns this; the protocol decoders built on it do.
+    Malformed,
+}
 
-/// Appends `v` as an unsigned LEB128 varint.
-pub(crate) fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
+impl core::fmt::Display for WireError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            WireError::Truncated => write!(f, "payload truncated"),
+            WireError::Overflow => write!(f, "varint overflows u64"),
+            WireError::Malformed => write!(f, "malformed field"),
         }
-        buf.push(byte | 0x80);
     }
 }
 
-/// Appends `v` as 8 little-endian bytes.
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+impl std::error::Error for WireError {}
+
+/// Appends `v` as an unsigned LEB128 varint.
+#[inline]
+pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push((v as u8 & 0x7f) | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Appends `v` as 2 little-endian bytes.
+#[inline]
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends `v` as 4 little-endian bytes.
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+#[inline]
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends `v` as 2 little-endian bytes.
-pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
+/// Appends `v` as 8 little-endian bytes.
+#[inline]
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Bounds-checked forward reader over an encoded byte slice.
+/// Appends `v` as its bit pattern in 8 little-endian bytes (exact:
+/// round-trips NaN payloads and signed zeros).
+#[inline]
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    put_u64(buf, v.to_bits());
+}
+
+/// Bounds-checked forward reader over an encoded byte slice. Every
+/// `take_*` fails with [`WireError::Truncated`] when the input ends
+/// mid-field.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Cursor<'a> {
+pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// A cursor at the start of `bytes`.
+    #[inline]
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos >= self.bytes.len()
+    /// Bytes consumed so far.
+    #[inline]
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
-    pub(crate) fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        let end = self.pos.checked_add(n).ok_or(TraceError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(TraceError::Truncated);
-        }
-        let slice = &self.bytes[self.pos..end];
+    /// `true` once every byte has been consumed.
+    #[inline]
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.pos == self.bytes.len()
+    }
+
+    /// The next `n` bytes ([`WireError::Truncated`] when fewer remain).
+    #[inline]
+    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
+        let bytes = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
-        Ok(slice)
+        Ok(bytes)
     }
 
-    pub(crate) fn take_u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.take_bytes(1)?[0])
+    #[inline]
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut raw = [0u8; N];
+        raw.copy_from_slice(self.take_bytes(N)?);
+        Ok(raw)
     }
 
-    pub(crate) fn take_u16(&mut self) -> Result<u16, TraceError> {
-        let b = self.take_bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    /// One byte ([`WireError::Truncated`] at the end of the input).
+    #[inline]
+    pub fn take_u8(&mut self) -> Result<u8, WireError> {
+        let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
+        self.pos += 1;
+        Ok(b)
     }
 
-    pub(crate) fn take_u32(&mut self) -> Result<u32, TraceError> {
-        let b = self.take_bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    /// A 2-byte little-endian integer.
+    #[inline]
+    pub fn take_u16(&mut self) -> Result<u16, WireError> {
+        self.take_array().map(u16::from_le_bytes)
     }
 
-    pub(crate) fn take_u64(&mut self) -> Result<u64, TraceError> {
-        let b = self.take_bytes(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
+    /// A 4-byte little-endian integer.
+    #[inline]
+    pub fn take_u32(&mut self) -> Result<u32, WireError> {
+        self.take_array().map(u32::from_le_bytes)
     }
 
-    pub(crate) fn take_uvarint(&mut self) -> Result<u64, TraceError> {
+    /// An 8-byte little-endian integer.
+    #[inline]
+    pub fn take_u64(&mut self) -> Result<u64, WireError> {
+        self.take_array().map(u64::from_le_bytes)
+    }
+
+    /// An `f64` from its 8-byte little-endian bit pattern.
+    #[inline]
+    pub fn take_f64(&mut self) -> Result<f64, WireError> {
+        self.take_u64().map(f64::from_bits)
+    }
+
+    /// An unsigned LEB128 varint ([`WireError::Overflow`] past 64 bits).
+    #[inline]
+    pub fn take_uvarint(&mut self) -> Result<u64, WireError> {
         let mut value: u64 = 0;
         let mut shift = 0u32;
         loop {
             let byte = self.take_u8()?;
             if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(TraceError::Malformed("varint overflows u64"));
+                return Err(WireError::Overflow);
             }
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
@@ -102,16 +172,17 @@ mod tests {
     #[test]
     fn varint_roundtrip() {
         let samples =
-            [0u64, 1, 127, 128, 300, 16_383, 16_384, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+            [0u64, 1, 127, 128, 16_383, 16_384, 123_456_789, u64::from(u32::MAX), u64::MAX];
         let mut buf = Vec::new();
         for &v in &samples {
             put_uvarint(&mut buf, v);
         }
         let mut cur = Cursor::new(&buf);
         for &v in &samples {
-            assert_eq!(cur.take_uvarint().unwrap(), v);
+            assert_eq!(cur.take_uvarint(), Ok(v));
         }
         assert!(cur.is_empty());
+        assert_eq!(cur.position(), buf.len());
     }
 
     #[test]
@@ -120,18 +191,50 @@ mod tests {
         put_u16(&mut buf, 0xbeef);
         put_u32(&mut buf, 0xdead_beef);
         put_u64(&mut buf, 0x0123_4567_89ab_cdef);
+        assert_eq!(&buf[..2], &[0xef, 0xbe], "little-endian");
         let mut cur = Cursor::new(&buf);
-        assert_eq!(cur.take_u16().unwrap(), 0xbeef);
-        assert_eq!(cur.take_u32().unwrap(), 0xdead_beef);
-        assert_eq!(cur.take_u64().unwrap(), 0x0123_4567_89ab_cdef);
-        assert!(matches!(cur.take_u8(), Err(TraceError::Truncated)));
+        assert_eq!(cur.take_u16(), Ok(0xbeef));
+        assert_eq!(cur.take_u32(), Ok(0xdead_beef));
+        assert_eq!(cur.take_u64(), Ok(0x0123_4567_89ab_cdef));
+        assert_eq!(cur.take_u8(), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn f64_round_trips_exactly() {
+        for v in [0.0f64, -0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, 1.0e-300, f64::NAN] {
+            let mut buf = Vec::new();
+            put_f64(&mut buf, v);
+            let mut cur = Cursor::new(&buf);
+            assert_eq!(cur.take_f64().unwrap().to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    fn cursor_rejects_truncation_and_overflow() {
+        let mut cur = Cursor::new(&[0x80]);
+        assert_eq!(cur.take_uvarint(), Err(WireError::Truncated));
+        let mut cur = Cursor::new(&[1, 2, 3]);
+        assert_eq!(cur.take_bytes(4), Err(WireError::Truncated));
+        assert_eq!(cur.take_bytes(usize::MAX), Err(WireError::Truncated));
+        assert_eq!(cur.position(), 0, "a failed fixed-width take consumes nothing");
+        let mut cur = Cursor::new(&[0u8; 7]);
+        assert_eq!(cur.take_f64(), Err(WireError::Truncated));
+        assert_eq!(cur.take_u64(), Err(WireError::Truncated));
+        assert_eq!(cur.take_u32(), Ok(0));
     }
 
     #[test]
     fn overlong_varint_is_rejected() {
-        // 11 continuation bytes: more than a u64 can hold.
-        let buf = [0xffu8; 11];
-        let mut cur = Cursor::new(&buf);
-        assert!(matches!(cur.take_uvarint(), Err(TraceError::Malformed(_))));
+        // Ten continuation bytes run the shift past 64 bits.
+        let mut cur = Cursor::new(&[0x80u8; 10]);
+        assert_eq!(cur.take_uvarint(), Err(WireError::Overflow));
+        // A tenth byte may carry only the top bit of a u64.
+        let mut cur = Cursor::new(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]);
+        assert_eq!(cur.take_uvarint(), Err(WireError::Overflow));
+        // Trace parsing reports it as a malformed field.
+        assert_eq!(
+            crate::TraceError::from(WireError::Overflow),
+            crate::TraceError::Malformed("varint overflows u64")
+        );
     }
 }
