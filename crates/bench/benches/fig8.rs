@@ -4,11 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use etx::experiments::fig8;
 
-const BENCH_BATTERY_PJ: f64 = 15_000.0;
+const BATTERY_PJ: f64 = 15_000.0;
 
 fn bench_fig8(c: &mut Criterion) {
-    let cells = fig8::run(&[4, 5], &[1, 2, 4], BENCH_BATTERY_PJ);
-    println!("\nFig 8 (scaled to {BENCH_BATTERY_PJ} pJ/node):\n{}", fig8::render(&cells));
+    let cells = fig8::run(&[4, 5], &[1, 2, 4], BATTERY_PJ);
+    println!("\nFig 8 (scaled to {BATTERY_PJ} pJ/node):\n{}", fig8::render(&cells));
 
     let mut group = c.benchmark_group("fig8");
     group.sample_size(10);
@@ -21,7 +21,7 @@ fn bench_fig8(c: &mut Criterion) {
                     fig8::run(
                         std::hint::black_box(&[4]),
                         std::hint::black_box(&[controllers]),
-                        BENCH_BATTERY_PJ,
+                        BATTERY_PJ,
                     )
                 });
             },

@@ -21,7 +21,7 @@ fn module_stripes(k: usize) -> Vec<Vec<NodeId>> {
 /// scaling to 32x32.
 const FLOYD_WARSHALL_MAX_NODES: usize = 576;
 
-fn bench_routing(c: &mut Criterion) {
+fn routing_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing_scaling");
     group.sample_size(50);
     for side in [4usize, 6, 8, 12, 16, 24, 32] {
@@ -79,14 +79,16 @@ fn bench_routing(c: &mut Criterion) {
         // The path the simulator runs every changed TDMA frame: in-place,
         // delta-aware, zero steady-state allocation. One battery bucket
         // drains per iteration (cycling over nodes), exactly like a
-        // long-running simulation's report stream.
+        // long-running simulation's report stream, and the iteration
+        // diffs the old and new report into the frame's dirty list.
         group.bench_with_input(BenchmarkId::new("ear_delta_recompute", k), &graph, |b, graph| {
             let router = Router::new(Algorithm::Ear);
             let mut scratch = RoutingScratch::new();
             let mut state = RoutingState::empty();
             let mut current = SystemReport::fresh(k, 16);
             let mut old = SystemReport::fresh(0, 1);
-            router.compute_into(graph, &modules, &current, None, &mut scratch, &mut state);
+            let mut dirty = Vec::with_capacity(k);
+            router.recompute_dirty_into(graph, &modules, &current, &[], &mut scratch, &mut state);
             let mut frame = 0usize;
             b.iter(|| {
                 old.clone_from(&current);
@@ -94,11 +96,16 @@ fn bench_routing(c: &mut Criterion) {
                 let level = current.battery_level(node);
                 current.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
                 frame += 1;
-                router.recompute_into(
+                dirty.clear();
+                dirty.extend((0..k).map(NodeId::new).filter(|&n| {
+                    current.battery_level(n) != old.battery_level(n)
+                        || current.is_alive(n) != old.is_alive(n)
+                }));
+                router.recompute_dirty_into(
                     std::hint::black_box(graph),
                     &modules,
-                    &old,
                     &current,
+                    &dirty,
                     &mut scratch,
                     &mut state,
                 );
@@ -108,5 +115,5 @@ fn bench_routing(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_routing);
+criterion_group!(benches, routing_scaling);
 criterion_main!(benches);

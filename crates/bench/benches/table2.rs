@@ -5,16 +5,16 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use etx::experiments::table2;
 use etx::prelude::*;
 
-const BENCH_BATTERY_PJ: f64 = 15_000.0;
+const BATTERY_PJ: f64 = 15_000.0;
 
 fn bench_table2(c: &mut Criterion) {
-    let rows = table2::run(&[4, 5], BENCH_BATTERY_PJ);
-    println!("\nTable 2 (scaled to {BENCH_BATTERY_PJ} pJ/node):\n{}", table2::render(&rows));
+    let rows = table2::run(&[4, 5], BATTERY_PJ);
+    println!("\nTable 2 (scaled to {BATTERY_PJ} pJ/node):\n{}", table2::render(&rows));
 
     let mut group = c.benchmark_group("table2");
     group.sample_size(10);
     group.bench_with_input(BenchmarkId::new("simulate", 4), &4usize, |b, &mesh| {
-        b.iter(|| table2::run(std::hint::black_box(&[mesh]), BENCH_BATTERY_PJ));
+        b.iter(|| table2::run(std::hint::black_box(&[mesh]), BATTERY_PJ));
     });
     // The closed-form side on its own is effectively free; keep it
     // measured so regressions in the bound path are visible.

@@ -4,9 +4,15 @@
 //!
 //! * `repro` — regenerates every table and figure of the paper
 //!   (`cargo run -p etx-bench --bin repro --release -- --exp all`);
+//! * `overhead_gate` — fails when metrics recording costs more than
+//!   1 %, or trace recording more than 5 %, of a K=1024 steady-drain
+//!   repair frame (`cargo run -p etx-bench --bin overhead_gate
+//!   --release`);
 //! * Criterion benches `fig7`, `table2`, `fig8`, `battery`,
 //!   `routing_scaling` — timing harnesses for the same experiments plus
 //!   the simulator's computational kernels.
+//!
+//! End-to-end performance is measured by `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

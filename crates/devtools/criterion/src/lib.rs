@@ -12,8 +12,9 @@
 //!
 //! It is intentionally simpler than criterion: no outlier analysis, no
 //! HTML reports, no baseline comparison. Timings printed by this harness
-//! are still good to ~1-5% on a quiet machine, which is enough for the
-//! order-of-magnitude comparisons the `BENCH_*.json` trajectory tracks.
+//! are still good to ~1-5% on a quiet machine, which is enough for
+//! order-of-magnitude comparisons such as the routing K-scaling table;
+//! end-to-end figures come from `perfbench/`.
 
 #![forbid(unsafe_code)]
 

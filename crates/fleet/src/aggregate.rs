@@ -126,8 +126,7 @@ impl FleetAggregate {
     }
 
     /// Renders the aggregate as deterministic JSON (stable key order,
-    /// fixed float formatting) — the `fleet --json` and
-    /// `BENCH_fleet.json` payload.
+    /// fixed float formatting) — the `fleet --json` payload.
     #[must_use]
     pub fn to_json(&self) -> String {
         use core::fmt::Write as _;

@@ -17,10 +17,9 @@
 //!    (`O(K·E log K)`, the winner on sparse fabrics past a few dozen
 //!    nodes), or `Auto`, which picks by node count and edge density.
 //!    Between TDMA frames, [`Router::recompute_dirty_into`] (fed a dirty
-//!    list) and the report-diffing [`Router::recompute_into`] advance
-//!    the state through a staged pipeline — weight-delta extraction
-//!    (`O(degree)` per changed node), path repair or re-solve, table
-//!    rebuild — selected by
+//!    list) advances the state through a staged pipeline — weight-delta
+//!    extraction (`O(degree)` per changed node), path repair or
+//!    re-solve, table rebuild — selected by
 //!    [`RecomputeStrategy`]: incremental shortest-path-tree repair
 //!    (Ramalingam–Reps style, `O(changed subtree · log K)` per source)
 //!    under `Auto`, or a full phase 2 — into preallocated

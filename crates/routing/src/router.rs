@@ -23,8 +23,8 @@ use crate::{
 const DELTA_MAX_DIRTY_FRACTION: f64 = 0.25;
 
 /// Repair gate: a source whose affected frontier exceeds this fraction of
-/// its settled nodes is re-run in full instead of repaired. Tuned on the
-/// 32×32 steady-drain loop (`bench_routing`): a repaired node pays for
+/// its settled nodes is re-run in full instead of repaired. Tuned on a
+/// 32×32 one-node steady-drain loop: a repaired node pays for
 /// its relaxations *plus* an achiever scan and a settle-order merge slot
 /// — roughly twice a plain relaxation — so repair keeps winning to about
 /// half the tree; 0.6 leaves margin because the affected walk is paid
@@ -53,9 +53,8 @@ impl fmt::Display for Algorithm {
     }
 }
 
-/// How the delta-aware entry points ([`Router::recompute_into`] and
-/// [`Router::recompute_dirty_into`]) turn a frame's weight deltas into
-/// fresh all-pairs rows (phase 2 of the staged pipeline). Both
+/// How [`Router::recompute_dirty_into`] turns a frame's weight deltas
+/// into fresh all-pairs rows (phase 2 of the staged pipeline). Both
 /// strategies produce **identical** routing state (property-tested,
 /// distances *and* successors); they differ only in cost.
 ///
@@ -110,11 +109,11 @@ impl fmt::Display for RecomputeStrategy {
 ///
 /// # The staged recompute pipeline
 ///
-/// Between TDMA frames the router advances its state through three
-/// explicit stages:
+/// Between TDMA frames [`Router::recompute_dirty_into`] advances the
+/// state in place through three explicit stages:
 ///
-/// 1. **Weight-delta extraction** — the dirty-node list (from the caller
-///    or a report diff) becomes an edge-delta stream against the cached
+/// 1. **Weight-delta extraction** — the caller's dirty-node list
+///    becomes an edge-delta stream against the cached
 ///    phase-1 matrix, in `O(degree)` per changed node: only the changed
 ///    nodes' own links are read and rewritten.
 /// 2. **Path repair or re-solve** — selected by [`RecomputeStrategy`]:
@@ -216,17 +215,20 @@ impl Router {
         self.strategy
     }
 
-    /// Runs phases 1–3 and returns the complete routing state.
+    /// Runs phases 1–3 and returns the complete routing state: the
+    /// allocating oracle every fast path is tested against.
     ///
     /// `module_nodes[i]` is the paper's `S_i`: the set of nodes hosting
     /// duplicates of module `i`. `previous` enables the deadlock-port
     /// avoidance of phase 3; pass the routing state of the previous
     /// controller invocation (or `None` on the first run).
     ///
-    /// This is a thin allocating wrapper over [`Router::compute_into`]
-    /// with a fresh [`RoutingScratch`] (parallel phase 2 enabled).
-    /// Complexity is dominated by phase 2: `O(K³)` under Floyd–Warshall —
-    /// matching the paper — or `O(K·E log K)` under Dijkstra.
+    /// Always runs the full pipeline on a fresh [`RoutingScratch`]
+    /// (parallel phase 2 enabled), so it never takes the repair path.
+    /// Callers that advance one state frame after frame use
+    /// [`Router::recompute_dirty_into`] instead. Complexity is dominated
+    /// by phase 2: `O(K³)` under Floyd–Warshall — matching the paper —
+    /// or `O(K·E log K)` under Dijkstra.
     ///
     /// # Panics
     ///
@@ -241,108 +243,37 @@ impl Router {
     ) -> RoutingState {
         let mut scratch = RoutingScratch::new().with_parallel(true);
         let mut out = RoutingState::empty();
-        self.compute_into(graph, module_nodes, report, previous, &mut scratch, &mut out);
+        if let Some(prev) = previous {
+            Self::snapshot_prev_hops(graph, module_nodes, &mut scratch, prev);
+        }
+        let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
+        self.full_recompute(graph, module_nodes, report, key, &mut scratch, &mut out);
         out
     }
 
-    /// Runs phases 1–3 **into** preallocated storage: once `scratch` and
-    /// `out` have seen the current dimensions, the call performs no heap
-    /// allocation (with `scratch`'s serial default; see
-    /// [`RoutingScratch::with_parallel`]).
+    /// Runs phases 1–3 **in place**, the router's one in-place entry
+    /// point. The simulation engine calls it at start-up and on every
+    /// recomputing TDMA frame, and the daemon on every telemetry
+    /// ingest. Once `scratch` and `out` have seen the current
+    /// dimensions, the call performs no heap allocation (with
+    /// `scratch`'s serial default; see [`RoutingScratch::with_parallel`]).
     ///
-    /// Always performs a *full* phase-2 recompute; the simulation engine
-    /// calls it once at start-up, then steps its frames through
-    /// [`Router::recompute_dirty_into`], which repairs only what the
-    /// frame's changes touched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `report` covers a different node count than `graph`.
-    pub fn compute_into(
-        &self,
-        graph: &DiGraph,
-        module_nodes: &[Vec<NodeId>],
-        report: &SystemReport,
-        previous: Option<&RoutingState>,
-        scratch: &mut RoutingScratch,
-        out: &mut RoutingState,
-    ) {
-        match previous {
-            Some(prev)
-                if prev.module_count() == module_nodes.len()
-                    && prev.node_count() == graph.node_count() =>
-            {
-                prev.next_hop_snapshot_into(&mut scratch.prev_hops);
-            }
-            _ => scratch.prev_hops.clear(),
-        }
-        let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
-        self.full_recompute(graph, module_nodes, report, key, scratch, out);
-    }
-
-    /// Delta-aware recompute from consecutive reports: `out` must hold
-    /// the state this router produced for (`graph`, `old_report`), and
-    /// `scratch` must be the workspace that produced it. Diffs the two
-    /// reports into a dirty-node feed and runs the staged pipeline; the
-    /// result is identical to [`Router::compute_into`] over `new_report`
-    /// with `previous = out` (property-tested, under every
-    /// [`RecomputeStrategy`]).
-    ///
-    /// Callers that already know which nodes changed should use
-    /// [`Router::recompute_dirty_into`] and skip the diff entirely.
-    ///
-    /// Phase 3 (deadlock avoidance reads `out`'s table as "previous") and
-    /// the bookkeeping are always refreshed; like `compute_into`, the
-    /// steady state performs no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_report` covers a different node count than `graph`.
-    pub fn recompute_into(
-        &self,
-        graph: &DiGraph,
-        module_nodes: &[Vec<NodeId>],
-        old_report: &SystemReport,
-        new_report: &SystemReport,
-        scratch: &mut RoutingScratch,
-        out: &mut RoutingState,
-    ) {
-        let n = graph.node_count();
-        scratch.dirty.clear();
-        // Reserving the per-node bound up front keeps burst frames (mass
-        // churn after a quiet warm-up) free of mid-flight growth — the
-        // zero-allocation guarantee is keyed to the system's dimensions,
-        // not to the largest dirty set seen so far.
-        scratch.dirty.reserve(n);
-        if old_report.node_count() == n && new_report.node_count() == n {
-            for i in 0..n {
-                if self.node_is_dirty(old_report, new_report, NodeId::new(i)) {
-                    scratch.dirty.push(i);
-                }
-            }
-        } else {
-            // Unknown previous state: treat every node as dirty, which
-            // trips the delta gate into a full recompute.
-            scratch.dirty.extend(0..n);
-        }
-        self.snapshot_prev_hops(graph, module_nodes, scratch, out);
-        let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
-        self.staged_recompute(graph, module_nodes, new_report, key, scratch, out);
-    }
-
-    /// Delta-aware recompute from an explicit **dirty-node list**
-    /// instead of a report diff (the engine's TDMA frame, which diffs the
-    /// rebuilt report as it builds it, and the daemon's telemetry ingest
-    /// both call it). `dirty` lists every node whose battery bucket or
-    /// liveness changed since the recompute that produced `out`; the
+    /// `dirty` lists every node whose battery bucket or liveness changed
+    /// since the call that produced `out` with this `scratch`. The
     /// router turns it into an edge-delta stream against its cached
     /// weights (stage 1), repairs or re-solves the all-pairs rows
     /// (stage 2, per [`RecomputeStrategy`]) and rebuilds the table
-    /// (stage 3).
+    /// (stage 3). `out`'s table is the previous table that phase 3's
+    /// deadlock avoidance reads.
     ///
     /// An over-approximate list is safe (a listed node whose weights did
     /// not change contributes no deltas), and so is a node listed more
-    /// than once; a *missing* dirty node is not.
+    /// than once; a *missing* dirty node is not. The caches are keyed to
+    /// the graph's [`DiGraph::version_stamp`] and the router's
+    /// configuration, so a `scratch` that has not seen this graph (a
+    /// new one, or one recycled from another fabric) runs the full
+    /// pipeline whatever `dirty` says: a first call passes an empty
+    /// list.
     ///
     /// # Panics
     ///
@@ -359,39 +290,36 @@ impl Router {
     ) {
         let n = graph.node_count();
         scratch.dirty.clear();
+        // Reserving the per-node bound up front keeps burst frames (mass
+        // churn after a quiet warm-up) free of mid-flight growth: the
+        // zero-allocation guarantee is keyed to the system's dimensions,
+        // not to the largest dirty set seen so far.
         scratch.dirty.reserve(n.max(dirty.len()));
         scratch.dirty.extend(dirty.iter().map(|node| {
             assert!(node.index() < n, "dirty node {node} out of range");
             node.index()
         }));
-        self.snapshot_prev_hops(graph, module_nodes, scratch, out);
+        Self::snapshot_prev_hops(graph, module_nodes, scratch, out);
         let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
         self.staged_recompute(graph, module_nodes, report, key, scratch, out);
     }
 
-    /// Snapshots `out`'s first hops for phase 3's deadlock avoidance.
+    /// Snapshots `previous`'s first hops for phase 3's deadlock
+    /// avoidance, or clears the snapshot when `previous` has other
+    /// dimensions.
     fn snapshot_prev_hops(
-        &self,
         graph: &DiGraph,
         module_nodes: &[Vec<NodeId>],
         scratch: &mut RoutingScratch,
-        out: &RoutingState,
+        previous: &RoutingState,
     ) {
-        if out.module_count() == module_nodes.len() && out.node_count() == graph.node_count() {
-            out.next_hop_snapshot_into(&mut scratch.prev_hops);
+        if previous.module_count() == module_nodes.len()
+            && previous.node_count() == graph.node_count()
+        {
+            previous.next_hop_snapshot_into(&mut scratch.prev_hops);
         } else {
             scratch.prev_hops.clear();
         }
-    }
-
-    /// `true` if `node`'s phase-1-relevant state differs between reports:
-    /// liveness always matters; the quantized battery bucket only feeds
-    /// EAR weights.
-    fn node_is_dirty(&self, old: &SystemReport, new: &SystemReport, node: NodeId) -> bool {
-        if old.is_alive(node) != new.is_alive(node) {
-            return true;
-        }
-        self.algorithm == Algorithm::Ear && old.battery_level(node) != new.battery_level(node)
     }
 
     /// Stage-2 dispatch: picks the phase-2 path for this frame from the
@@ -982,41 +910,56 @@ mod tests {
     }
 
     #[test]
-    fn dirty_feed_equals_report_diff() {
-        // The engine-facing dirty feed and the compat report diff must
-        // land in identical state, counters included per-path.
-        let graph = Mesh2D::square(8, cm(2.05)).to_graph();
-        let k = graph.node_count();
+    fn empty_dirty_list_on_an_unseen_graph_equals_compute() {
+        // The engine's start-up call: an empty dirty list on a graph the
+        // scratch has not seen must run the full pipeline and land bit
+        // for bit on the allocating oracle. Checked on a fresh pair, and
+        // on a pair left warm by a run on another graph of the same size
+        // and content (what `SimPool` hands a new simulation).
+        let k = 64;
         let modules: Vec<Vec<NodeId>> =
             (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect();
         let router = Router::new(Algorithm::Ear);
-
         let mut report = SystemReport::fresh(k, 16);
-        let mut a_scratch = RoutingScratch::new();
-        let mut a_state = RoutingState::empty();
-        let mut b_scratch = RoutingScratch::new();
-        let mut b_state = RoutingState::empty();
-        router.compute_into(&graph, &modules, &report, None, &mut a_scratch, &mut a_state);
-        router.compute_into(&graph, &modules, &report, None, &mut b_scratch, &mut b_state);
-
-        for frame in 0..6 {
-            let old = report.clone();
-            let node = NodeId::new((frame * 11 + 5) % k);
-            report.set_battery_level(node, report.battery_level(node).saturating_sub(2));
-            router.recompute_into(&graph, &modules, &old, &report, &mut a_scratch, &mut a_state);
-            router.recompute_dirty_into(
-                &graph,
-                &modules,
-                &report,
-                &[node],
-                &mut b_scratch,
-                &mut b_state,
-            );
-            assert_eq!(a_state, b_state, "frame {frame}");
+        for i in 0..k {
+            report.set_battery_level(NodeId::new(i), 8 + ((i * 5) % 8) as u32);
         }
-        assert_eq!(a_scratch.stats(), b_scratch.stats());
-        assert!(a_scratch.stats().repair_recomputes >= 5, "Auto at 8x8 should repair");
-        assert!(a_scratch.stats().repaired_sources > 0);
+        let start_up = |scratch: &mut RoutingScratch, state: &mut RoutingState| {
+            let graph = Mesh2D::square(8, cm(2.05)).to_graph();
+            let before = scratch.stats();
+            router.recompute_dirty_into(&graph, &modules, &report, &[], scratch, state);
+            let oracle = router.compute(&graph, &modules, &report, None);
+            assert_eq!(*state, oracle);
+            let bits = |s: &RoutingState| -> Vec<u64> {
+                s.paths().distances().as_slice().iter().map(|d| d.to_bits()).collect()
+            };
+            assert_eq!(bits(state), bits(&oracle));
+            let stats = scratch.stats().delta_since(&before);
+            assert_eq!(stats.full_recomputes, 1, "{stats:?}");
+            assert_eq!(stats.repair_recomputes, 0, "{stats:?}");
+        };
+
+        start_up(&mut RoutingScratch::new(), &mut RoutingState::empty());
+
+        let mut scratch = RoutingScratch::new();
+        let mut state = RoutingState::empty();
+        let other = Mesh2D::square(8, cm(2.05)).to_graph();
+        let mut drained = SystemReport::fresh(k, 16);
+        router.recompute_dirty_into(&other, &modules, &drained, &[], &mut scratch, &mut state);
+        for frame in 0..4 {
+            let node = NodeId::new((frame * 11 + 5) % k);
+            drained.set_battery_level(node, 2);
+            router.recompute_dirty_into(
+                &other,
+                &modules,
+                &drained,
+                &[node],
+                &mut scratch,
+                &mut state,
+            );
+        }
+        assert!(scratch.stats().repair_recomputes >= 4, "the other run must leave warm caches");
+        start_up(&mut scratch, &mut state);
     }
 
     #[test]
@@ -1035,7 +978,7 @@ mod tests {
         let mut report = SystemReport::fresh(k, 16);
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
 
         let frames = 12u64;
         for frame in 0..frames {

@@ -205,8 +205,8 @@ impl fmt::Display for RecomputeStats {
     }
 }
 
-/// Preallocated working memory for `Router::compute_into` and the
-/// delta-aware `Router::recompute_*_into` entry points.
+/// Preallocated working memory for the in-place entry point,
+/// [`Router::recompute_dirty_into`](crate::Router::recompute_dirty_into).
 ///
 /// Holds everything a recompute needs between TDMA frames: the phase-1
 /// weight matrix, the sparse adjacency lists (plus their transpose) and

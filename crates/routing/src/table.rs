@@ -206,7 +206,8 @@ impl RoutingState {
     }
 
     /// An empty state for preallocated workspaces; fill it through
-    /// `Router::compute_into` before use.
+    /// [`Router::recompute_dirty_into`](crate::Router::recompute_dirty_into)
+    /// before use.
     #[must_use]
     pub fn empty() -> Self {
         RoutingState {

@@ -58,6 +58,19 @@ fn changed_nodes(old: &SystemReport, new: &SystemReport) -> Vec<NodeId> {
         .collect()
 }
 
+/// The minimal dirty list a report diff yields: the nodes whose phase-1
+/// weights can differ between two reports — liveness always, the
+/// battery bucket only under EAR (SDR weights ignore batteries).
+fn report_diff(algorithm: Algorithm, old: &SystemReport, new: &SystemReport) -> Vec<NodeId> {
+    (0..new.node_count())
+        .map(NodeId::new)
+        .filter(|&n| {
+            old.is_alive(n) != new.is_alive(n)
+                || (algorithm == Algorithm::Ear && old.battery_level(n) != new.battery_level(n))
+        })
+        .collect()
+}
+
 /// Regression: a different graph with identical node/edge *counts* (only
 /// edge lengths differ) must not let the repair path reuse stale cached
 /// weights — the scratch fingerprints the full edge list.
@@ -72,12 +85,13 @@ fn swapping_same_shape_graph_invalidates_scratch_cache() {
 
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
-    router.compute_into(&graph_a, &modules, &report, None, &mut scratch, &mut state);
+    router.recompute_dirty_into(&graph_a, &modules, &report, &[], &mut scratch, &mut state);
 
     // Same report (empty diff), different graph of identical shape: a
     // count-only fingerprint would skip phase 2 and keep graph A's
     // distances.
-    router.recompute_into(&graph_b, &modules, &report, &report, &mut scratch, &mut state);
+    let dirty = report_diff(Algorithm::Ear, &report, &report);
+    router.recompute_dirty_into(&graph_b, &modules, &report, &dirty, &mut scratch, &mut state);
     let reference = router.compute(&graph_b, &modules, &report, None);
     assert_eq!(state.paths().distances(), reference.paths().distances());
     // The swap must run a full phase 2 (a same-graph call would repair).
@@ -89,7 +103,8 @@ fn swapping_same_shape_graph_invalidates_scratch_cache() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `compute_into` with one long-lived scratch/state pair — resized
+    /// The in-place start-up call (an empty dirty list on a freshly
+    /// built graph) with one long-lived scratch/state pair — resized
     /// across differing mesh sizes, both algorithms and all backends —
     /// always equals a fresh `compute`.
     #[test]
@@ -112,7 +127,7 @@ proptest! {
             let k = graph.node_count();
             let modules = module_stripes(k);
             let report = report_from(&levels, &dead, &[false], k);
-            router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+            router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
             let fresh = router.compute(&graph, &modules, &report, None);
             prop_assert_eq!(&state, &fresh, "side {} backend {:?}", side, backend);
         }
@@ -142,13 +157,14 @@ proptest! {
         let mut report = report_from(&levels, &dead, &[false], k);
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
 
         for ops in &diffs {
             let old_report = report.clone();
             let previous = state.clone();
             apply_diff(&mut report, ops);
-            router.recompute_into(&graph, &modules, &old_report, &report, &mut scratch, &mut state);
+            let dirty = report_diff(algorithm, &old_report, &report);
+            router.recompute_dirty_into(&graph, &modules, &report, &dirty, &mut scratch, &mut state);
             // Reference: full recompute with the previous state supplied
             // for deadlock-port avoidance, exactly as `compute` would.
             let reference = router.compute(&graph, &modules, &report, Some(&previous));
@@ -187,7 +203,7 @@ proptest! {
         let mut report = report_from(&levels, &[false], &[false], k);
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
 
         for ops in &diffs {
             let old_report = report.clone();
@@ -217,9 +233,7 @@ proptest! {
     /// transitions (nodes flipping dead→alive revive edges, weight
     /// decreases the repair's improvement pass patches in place) and
     /// mass changes that trip the combined-frontier fallback — fed
-    /// through the engine's dirty-list entry point
-    /// (`delta_recompute_equals_full_across_independent_reports` feeds
-    /// the same kind of chain through the report diff).
+    /// through the engine's dirty-list entry point.
     #[test]
     fn repair_equals_full_across_disconnect_reconnect(
         side in 2usize..8,
@@ -237,7 +251,7 @@ proptest! {
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
         let mut report = report_from(&frames[0].0, &frames[0].1, &[false], k);
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
 
         for (levels, dead) in &frames[1..] {
             let old_report = report;
@@ -293,7 +307,7 @@ proptest! {
         }
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
 
         // Warmup: the first delta frame after a full recompute re-runs
         // every source once to record trees, and the change must be
@@ -399,7 +413,9 @@ proptest! {
     /// Delta recompute stays exact when consecutive reports are built
     /// *independently* — including nodes flipping dead→alive between
     /// frames — and under mass changes that trip the dirty-fraction
-    /// fallback.
+    /// fallback, fed the minimal report-diff dirty list
+    /// (`repair_equals_full_across_disconnect_reconnect` feeds every
+    /// battery or liveness change).
     #[test]
     fn delta_recompute_equals_full_across_independent_reports(
         side in 2usize..8,
@@ -417,13 +433,14 @@ proptest! {
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
         let mut report = report_from(&frames[0].0, &frames[0].1, &[false], k);
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
 
         for (levels, dead) in &frames[1..] {
             let old_report = report;
             let previous = state.clone();
             report = report_from(levels, dead, &[false], k);
-            router.recompute_into(&graph, &modules, &old_report, &report, &mut scratch, &mut state);
+            let dirty = report_diff(algorithm, &old_report, &report);
+            router.recompute_dirty_into(&graph, &modules, &report, &dirty, &mut scratch, &mut state);
             let reference = router.compute(&graph, &modules, &report, Some(&previous));
             prop_assert_eq!(&state, &reference, "side {} frame levels {:?}", side, levels);
         }
@@ -479,7 +496,7 @@ proptest! {
 
     /// The deadlock-avoidance phase behaves identically whether the
     /// previous tables arrive via `compute(previous)` or in place via
-    /// `recompute_into` — exercised with deadlock flags set so the
+    /// `recompute_dirty_into` — exercised with deadlock flags set so the
     /// blocked-port scan actually runs.
     #[test]
     fn deadlock_ports_survive_in_place_recompute(
@@ -494,7 +511,7 @@ proptest! {
 
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
-        router.compute_into(&graph, &modules, &fresh, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &fresh, &[], &mut scratch, &mut state);
         let previous = state.clone();
 
         let mut flagged = fresh.clone();
@@ -503,7 +520,8 @@ proptest! {
                 flagged.set_deadlocked(NodeId::new(i), true);
             }
         }
-        router.recompute_into(&graph, &modules, &fresh, &flagged, &mut scratch, &mut state);
+        let dirty = report_diff(Algorithm::Ear, &fresh, &flagged);
+        router.recompute_dirty_into(&graph, &modules, &flagged, &dirty, &mut scratch, &mut state);
         let reference = router.compute(&graph, &modules, &flagged, Some(&previous));
         prop_assert_eq!(&state, &reference);
     }

@@ -1,10 +1,9 @@
-//! Proves the zero-allocation claim of `Router::recompute_into` and
-//! `Router::recompute_dirty_into`: once a `RoutingScratch`/`RoutingState`
-//! pair has warmed up on the system's dimensions, steady-state
-//! recomputes perform **no heap allocation** — under both phase-2
-//! backends, on the incremental repair path and on full recomputes,
-//! for one-node drains, recharges and wide-change frames with deadlock
-//! flags.
+//! Proves the zero-allocation claim of `Router::recompute_dirty_into`:
+//! once a `RoutingScratch`/`RoutingState` pair has warmed up on the
+//! system's dimensions, steady-state recomputes perform **no heap
+//! allocation** — under both phase-2 backends, on the incremental
+//! repair path and on full recomputes, for one-node drains, recharges
+//! and wide-change frames with deadlock flags.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single test so no concurrent test case can pollute the
@@ -55,10 +54,20 @@ fn module_stripes(k: usize) -> Vec<Vec<NodeId>> {
     (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect()
 }
 
+/// Diffs two reports into `dirty`: the nodes whose battery bucket or
+/// liveness moved. Reuses `dirty`'s capacity, so a list reserved for
+/// every node never grows.
+fn changed_nodes_into(old: &SystemReport, new: &SystemReport, dirty: &mut Vec<NodeId>) {
+    dirty.clear();
+    dirty.extend((0..new.node_count()).map(NodeId::new).filter(|&n| {
+        new.battery_level(n) != old.battery_level(n) || new.is_alive(n) != old.is_alive(n)
+    }));
+}
+
 /// Drives a warmed scratch through `frames` battery-drain recomputes
 /// (mirroring what the simulator does every TDMA frame: snapshot the old
-/// report into a recycled buffer, mutate, recompute) and returns how many
-/// heap allocations the frames performed.
+/// report into a recycled buffer, mutate, diff, recompute) and returns
+/// how many heap allocations the frames performed.
 #[allow(clippy::too_many_arguments)] // test helper mirroring the engine's state
 fn allocations_over_drain_frames(
     router: &Router,
@@ -68,6 +77,7 @@ fn allocations_over_drain_frames(
     state: &mut RoutingState,
     report: &mut SystemReport,
     old_report: &mut SystemReport,
+    dirty: &mut Vec<NodeId>,
     frames: u32,
 ) -> u64 {
     let k = graph.node_count();
@@ -77,7 +87,8 @@ fn allocations_over_drain_frames(
         let node = NodeId::new((frame as usize * 7 + 3) % k);
         let level = report.battery_level(node);
         report.set_battery_level(node, level.saturating_sub(1));
-        router.recompute_into(graph, modules, old_report, report, scratch, state);
+        changed_nodes_into(old_report, report, dirty);
+        router.recompute_dirty_into(graph, modules, report, dirty, scratch, state);
     }
     allocations() - before
 }
@@ -102,8 +113,9 @@ fn steady_state_recompute_does_not_allocate() {
         // heap, report clone buffer) reaches steady capacity.
         // Everything is deterministic, so "warm" is a stable property,
         // not a flaky one.
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
         let mut warm_old = SystemReport::fresh(0, 1);
+        let mut dirty = Vec::with_capacity(k);
         let _ = allocations_over_drain_frames(
             &router,
             &graph,
@@ -112,6 +124,7 @@ fn steady_state_recompute_does_not_allocate() {
             &mut state,
             &mut report,
             &mut warm_old,
+            &mut dirty,
             8,
         );
 
@@ -123,6 +136,7 @@ fn steady_state_recompute_does_not_allocate() {
             &mut state,
             &mut report,
             &mut warm_old,
+            &mut dirty,
             32,
         );
         assert_eq!(
@@ -151,8 +165,8 @@ fn steady_state_recompute_does_not_allocate() {
         assert_eq!(state.paths().successors(), reference.paths().successors());
     }
 
-    // The engine's dirty-list entry point (`recompute_dirty_into`)
-    // holds the same guarantee.
+    // One-node dirty lists named directly, as the engine's frame
+    // builds them, hold the same guarantee.
     let graph = Mesh2D::square(8, Length::from_centimetres(2.05)).to_graph();
     let k = graph.node_count();
     let modules = module_stripes(k);
@@ -160,7 +174,7 @@ fn steady_state_recompute_does_not_allocate() {
     let mut scratch = RoutingScratch::new();
     let mut state = RoutingState::empty();
     let mut report = SystemReport::fresh(k, 16);
-    router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+    router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
     let drain_frame = |frame: usize,
                        report: &mut SystemReport,
                        scratch: &mut RoutingScratch,

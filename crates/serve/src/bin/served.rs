@@ -12,7 +12,10 @@
 //! identical renderers — one over the wire, one in-process via
 //! [`FleetFrontend`] — so `cmp wire.txt local.txt` is the end-to-end
 //! proof that the daemon's answers are byte-identical to the
-//! in-process query surface on the same spec and warm-up.
+//! in-process query surface on the same spec and warm-up. Two local
+//! dumps of one spec that differ only in its `strategy =` key must be
+//! byte-identical too: published snapshots carry no trace of how the
+//! router computed them.
 
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -121,8 +124,8 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
-/// Renders one answered batch in the `bench_serve --dump` line format,
-/// shared verbatim by the wire and local dump paths.
+/// Renders one answered batch, one `round R <query> => <answer>` line
+/// per query, shared verbatim by the wire and local dump paths.
 fn render_round(text: &mut String, round: u64, batch: &QueryBatch, out: &QueryOutput) {
     for (query, result) in batch.queries().iter().zip(out.results()) {
         let _ = write!(text, "round {round} {query:?} => ");

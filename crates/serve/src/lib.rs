@@ -29,9 +29,9 @@
 //!   [`ScenarioSpec`](etx_fleet::ScenarioSpec) exactly as the fleet
 //!   controller samples them), pinning each fabric's snapshot once per
 //!   batch;
-//! * [`WorkloadGen`] / [`run_load`] — SplitMix64-driven open- and
-//!   closed-loop load generation with HDR-style tail-latency capture
-//!   (the fleet's exact-integer histograms);
+//! * [`WorkloadGen`] — SplitMix64-driven query streams with a
+//!   configurable point/path/cost mix, reproducible from a seed on
+//!   either side of a socket;
 //! * [`net`] — `etx-served`: the thread-per-core TCP daemon that puts
 //!   all of the above behind a compact length-prefixed binary
 //!   protocol, with per-shard connection pinning, a telemetry-ingest
@@ -66,8 +66,8 @@ mod snapshot;
 mod workload;
 
 pub use frontend::FleetFrontend;
-pub use net::{run_wire_load, RouteClient, Served, ServedConfig, WireLoadReport};
+pub use net::{RouteClient, Served, ServedConfig};
 pub use publish::{EpochPublisher, PinnedSnapshot, SnapshotReader};
 pub use query::{Query, QueryBatch, QueryOutput, QueryResult};
 pub use snapshot::TableSnapshot;
-pub use workload::{run_load, FabricDirectory, LoadMode, LoadReport, WorkloadGen, WorkloadSpec};
+pub use workload::{FabricDirectory, WorkloadGen, WorkloadSpec};

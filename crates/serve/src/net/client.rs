@@ -1,20 +1,13 @@
-//! [`RouteClient`]: the blocking client half of the daemon protocol,
-//! plus [`run_wire_load`] — the open-/closed-loop load driver that
-//! measures the daemon end to end over loopback with the same latency
-//! attribution as the in-process [`run_load`](crate::run_load).
+//! [`RouteClient`]: the blocking client half of the daemon protocol.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use etx_metrics::Histo;
 
 use super::proto::{self, FabricDims, Reply, PROTOCOL_VERSION};
 use super::wire::{FrameReader, RecvError, WireError};
 use crate::workload::FabricDirectory;
-use crate::{LoadMode, Query, QueryBatch, QueryOutput, WorkloadGen, WorkloadSpec};
+use crate::{Query, QueryOutput};
 
 /// A client-side failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +93,7 @@ pub struct Response {
 
 /// A blocking connection to an `etx-served` daemon. Handshakes on
 /// connect, learns the fleet's fabric dimensions from HELLO_ACK (so a
-/// [`WorkloadGen`] can run against it exactly as against the
+/// [`WorkloadGen`](crate::WorkloadGen) can run against it exactly as against the
 /// in-process frontend), and reuses its encode/receive buffers — the
 /// warm request path allocates nothing.
 #[derive(Debug)]
@@ -137,7 +130,7 @@ impl RouteClient {
         };
         let frame = proto::encode_hello(&mut client.buf);
         (&client.stream).write_all(frame)?;
-        let payload = client
+        let (payload, _) = client
             .reader
             .next_frame(&client.stream, client.max_frame_len)?
             .ok_or(NetError::Closed)?;
@@ -198,21 +191,9 @@ impl RouteClient {
     pub fn send_queries(&mut self, queries: &[Query]) -> Result<u64, NetError> {
         let id = self.next_request;
         self.next_request += 1;
-        self.send_queries_as(id, queries)?;
-        Ok(id)
-    }
-
-    /// Sends a QUERY frame under a caller-chosen request id (load
-    /// drivers stamp the batch index so replies match their arrival
-    /// schedule).
-    ///
-    /// # Errors
-    ///
-    /// Socket failures.
-    pub fn send_queries_as(&mut self, request_id: u64, queries: &[Query]) -> Result<(), NetError> {
-        let frame = proto::encode_query(&mut self.buf, request_id, queries);
+        let frame = proto::encode_query(&mut self.buf, id, queries);
         (&self.stream).write_all(frame)?;
-        Ok(())
+        Ok(id)
     }
 
     /// Sends an INGEST of `(node, wire level)` items for `fabric`;
@@ -251,7 +232,7 @@ impl RouteClient {
     /// [`NetError::Closed`] on clean close, [`NetError::Remote`] on a
     /// fatal ERROR frame, receive/decode failures otherwise.
     pub fn recv(&mut self, out: &mut QueryOutput) -> Result<Response, NetError> {
-        let payload =
+        let (payload, _) =
             self.reader.next_frame(&self.stream, self.max_frame_len)?.ok_or(NetError::Closed)?;
         if payload.first() == Some(&proto::msg::RESULTS) {
             let request_id = proto::decode_results_into(payload, out)?;
@@ -270,8 +251,9 @@ impl RouteClient {
     }
 
     /// Sends one batch and blocks for its answer — the convenience
-    /// path for examples and differential tests; load drivers pipeline
-    /// sends and receives instead.
+    /// path for examples and differential tests; a load generator
+    /// pipelines [`RouteClient::send_queries`] and [`RouteClient::recv`]
+    /// instead.
     ///
     /// # Errors
     ///
@@ -303,249 +285,4 @@ impl FabricDirectory for RouteClient {
     fn module_count(&self, fabric: u32) -> Option<usize> {
         self.dims.get(fabric as usize)?.map(|(_, modules)| modules as usize)
     }
-}
-
-/// Result of one wire load run: throughput, shed volume and the
-/// end-to-end latency distribution (decode + queue wait + execute +
-/// encode + loopback, attributed per query exactly as
-/// [`run_load`](crate::run_load) attributes in-process latency).
-#[derive(Debug, Clone)]
-pub struct WireLoadReport {
-    /// Queries answered with RESULTS.
-    pub queries: u64,
-    /// Queries shed with an OVERLOADED REJECT.
-    pub shed_queries: u64,
-    /// Batches answered.
-    pub batches: u64,
-    /// Batches shed.
-    pub shed_batches: u64,
-    /// Wall-clock duration of the measured loop.
-    pub wall_seconds: f64,
-    /// The scheduled arrival rate (offered load); equals `qps` under
-    /// [`LoadMode::Closed`].
-    pub offered_qps: f64,
-    /// Answered throughput, queries per second.
-    pub qps: f64,
-    /// Per-query sojourn histogram, nanoseconds (answered queries
-    /// only — shed queries never entered service).
-    pub latency: Histo,
-}
-
-impl WireLoadReport {
-    /// The `q`-quantile of per-query sojourn time, nanoseconds.
-    #[must_use]
-    pub fn latency_ns(&self, q: f64) -> u64 {
-        self.latency.quantile_raw(q)
-    }
-
-    /// Fraction of offered queries that were shed.
-    #[must_use]
-    pub fn shed_fraction(&self) -> f64 {
-        let offered = self.queries + self.shed_queries;
-        if offered == 0 {
-            0.0
-        } else {
-            self.shed_queries as f64 / offered as f64
-        }
-    }
-}
-
-/// Stamp slot value for "not sent yet".
-const UNSENT: u64 = u64::MAX;
-
-/// Drives `target_queries` (rounded up to whole batches) through the
-/// daemon at `addr` over its wire protocol.
-///
-/// Closed mode is a single send→recv loop: per-query latency is the
-/// round trip divided over the batch. Open mode splits the
-/// connection: a sender thread paces QUERY frames at their scheduled
-/// arrival times while the receiving half attributes each answered
-/// query *wait + service share* — `max(0, send − arrival)` queueing
-/// delay behind the socket plus an even share of the batch's round
-/// trip — mirroring [`run_load`](crate::run_load), so in-process and
-/// wire percentiles are directly comparable. Shed batches count into
-/// `shed_queries` and record no latency.
-///
-/// # Errors
-///
-/// Connection and protocol failures.
-pub fn run_wire_load(
-    addr: SocketAddr,
-    spec: &WorkloadSpec,
-    mode: LoadMode,
-    target_queries: u64,
-) -> Result<WireLoadReport, NetError> {
-    match mode {
-        LoadMode::Closed => run_wire_closed(addr, spec, target_queries),
-        LoadMode::Open { rate_qps } => run_wire_open(addr, spec, rate_qps, target_queries),
-    }
-}
-
-fn run_wire_closed(
-    addr: SocketAddr,
-    spec: &WorkloadSpec,
-    target_queries: u64,
-) -> Result<WireLoadReport, NetError> {
-    let mut client = RouteClient::connect(addr)?;
-    let mut generator = WorkloadGen::new(spec.clone());
-    let mut batch = QueryBatch::new();
-    let mut out = QueryOutput::new();
-    let mut latency = Histo::new();
-    let mut queries = 0u64;
-    let mut shed_queries = 0u64;
-    let mut batches = 0u64;
-    let mut shed_batches = 0u64;
-
-    // Warm-up exchange: grows every buffer on both sides of the wire.
-    generator.fill(&client, &mut batch);
-    client.query(batch.queries(), &mut out)?;
-
-    let start = Instant::now();
-    while queries + shed_queries < target_queries {
-        generator.fill(&client, &mut batch);
-        let batch_len = batch.len() as u64;
-        let issued = Instant::now();
-        let response = client.query(batch.queries(), &mut out)?;
-        let rtt_ns = issued.elapsed().as_nanos() as u64;
-        match response.kind {
-            ResponseKind::Rejected { .. } => {
-                shed_queries += batch_len;
-                shed_batches += 1;
-            }
-            _ => {
-                let per_query = (rtt_ns / batch_len.max(1)).max(1);
-                for _ in 0..batch_len {
-                    latency.observe(per_query);
-                }
-                queries += batch_len;
-                batches += 1;
-            }
-        }
-    }
-    let wall = start.elapsed().as_secs_f64();
-    let qps = queries as f64 / wall.max(1e-9);
-    Ok(WireLoadReport {
-        queries,
-        shed_queries,
-        batches,
-        shed_batches,
-        wall_seconds: wall,
-        offered_qps: qps,
-        qps,
-        latency,
-    })
-}
-
-fn run_wire_open(
-    addr: SocketAddr,
-    spec: &WorkloadSpec,
-    rate_qps: f64,
-    target_queries: u64,
-) -> Result<WireLoadReport, NetError> {
-    let mut client = RouteClient::connect(addr)?;
-    let mut generator = WorkloadGen::new(spec.clone());
-    let mut batch = QueryBatch::new();
-    let mut out = QueryOutput::new();
-
-    // Warm-up exchanges under out-of-band ids, so the timed batches
-    // are exactly ids `0..total`.
-    generator.fill(&client, &mut batch);
-    for k in 0..4u64 {
-        client.send_queries_as(UNSENT - 1 - k, batch.queries())?;
-        client.recv(&mut out)?;
-    }
-
-    let batch_len = spec.batch.max(1) as u64;
-    let total = target_queries.div_ceil(batch_len);
-    let inter_ns = 1e9 / rate_qps.max(1e-9);
-
-    // Pre-generate the batches (generation must not perturb pacing),
-    // and share per-batch send stamps with the sender thread.
-    let mut frames: Vec<Vec<Query>> = Vec::with_capacity(total as usize);
-    for _ in 0..total {
-        generator.fill(&client, &mut batch);
-        frames.push(batch.queries().to_vec());
-    }
-    let stamps: Arc<Vec<AtomicU64>> =
-        Arc::new((0..total).map(|_| AtomicU64::new(UNSENT)).collect());
-
-    let start = Instant::now();
-    let sender = {
-        let stamps = Arc::clone(&stamps);
-        let stream = client.stream.try_clone()?;
-        std::thread::spawn(move || -> Result<(), NetError> {
-            let mut buf = Vec::new();
-            for (index, queries) in frames.iter().enumerate() {
-                // Query i of the run arrives at i / rate; the batch is
-                // sent at its first query's arrival.
-                let arrival_ns = (index as u64 * batch_len) as f64 * inter_ns;
-                loop {
-                    let now = start.elapsed().as_nanos() as f64;
-                    if now >= arrival_ns {
-                        break;
-                    }
-                    let remaining = Duration::from_nanos((arrival_ns - now) as u64);
-                    if remaining > Duration::from_micros(100) {
-                        std::thread::sleep(remaining - Duration::from_micros(50));
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                let frame = proto::encode_query(&mut buf, index as u64, queries);
-                stamps[index].store(start.elapsed().as_nanos() as u64, Ordering::Release);
-                (&stream).write_all(frame)?;
-            }
-            Ok(())
-        })
-    };
-
-    let mut latency = Histo::new();
-    let mut queries = 0u64;
-    let mut shed_queries = 0u64;
-    let mut batches = 0u64;
-    let mut shed_batches = 0u64;
-    for _ in 0..total {
-        let response = client.recv(&mut out)?;
-        let recv_ns = start.elapsed().as_nanos() as u64;
-        let index = response.request_id;
-        if index >= total {
-            continue; // a stray warm-up reply
-        }
-        match response.kind {
-            ResponseKind::Rejected { .. } => {
-                shed_queries += batch_len;
-                shed_batches += 1;
-            }
-            _ => {
-                let sent = stamps[index as usize].load(Ordering::Acquire);
-                let service_ns = recv_ns.saturating_sub(sent);
-                let per_query = (service_ns / batch_len).max(1);
-                for i in 0..batch_len {
-                    let arrival = ((index * batch_len + i) as f64 * inter_ns) as u64;
-                    // The send stamp is where socket backpressure
-                    // surfaces: a batch the sender could not write at
-                    // its scheduled time carries the backlog as wait.
-                    let wait = sent.saturating_sub(arrival);
-                    latency.observe(wait + per_query);
-                }
-                queries += batch_len;
-                batches += 1;
-            }
-        }
-    }
-    let wall = start.elapsed().as_secs_f64();
-    match sender.join() {
-        Ok(result) => result?,
-        Err(_) => return Err(NetError::Closed),
-    }
-    Ok(WireLoadReport {
-        queries,
-        shed_queries,
-        batches,
-        shed_batches,
-        wall_seconds: wall,
-        offered_qps: rate_qps,
-        qps: queries as f64 / wall.max(1e-9),
-        latency,
-    })
 }

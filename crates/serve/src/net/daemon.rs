@@ -541,17 +541,6 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-/// Prefix + payload length of a frame whose payload is `len` bytes.
-fn frame_len(len: usize) -> u64 {
-    let mut prefix = 1u64;
-    let mut v = len >> 7;
-    while v > 0 {
-        prefix += 1;
-        v >>= 7;
-    }
-    prefix + len as u64
-}
-
 /// Sends a fatal ERROR frame and counts the protocol error.
 fn fatal(shared: &Shared, conn: &Conn, scratch: &mut Vec<u8>, error: u8) {
     shared.metrics.inc(CounterId::NetProtocolErrors);
@@ -567,9 +556,9 @@ fn conn_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
     {
         let accept_t = shared.metrics.timer();
         match reader.next_frame(&conn.stream, shared.max_frame_len) {
-            Ok(Some(payload)) => {
+            Ok(Some((payload, wire_len))) => {
                 shared.metrics.inc(CounterId::NetFramesIn);
-                shared.metrics.add(CounterId::NetBytesIn, frame_len(payload.len()));
+                shared.metrics.add(CounterId::NetBytesIn, wire_len as u64);
                 match proto::decode_hello(payload) {
                     Ok(version) if version == PROTOCOL_VERSION => {}
                     Ok(_) => return fatal(shared, conn, &mut scratch, code::BAD_VERSION),
@@ -594,8 +583,8 @@ fn conn_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
     }
 
     loop {
-        let payload = match reader.next_frame(&conn.stream, shared.max_frame_len) {
-            Ok(Some(payload)) => payload,
+        let (payload, wire_len) = match reader.next_frame(&conn.stream, shared.max_frame_len) {
+            Ok(Some(frame)) => frame,
             Ok(None) => return,
             Err(RecvError::TooLarge { .. }) => {
                 return fatal(shared, conn, &mut scratch, code::FRAME_TOO_LARGE)
@@ -604,7 +593,7 @@ fn conn_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
             Err(_) => return,
         };
         shared.metrics.inc(CounterId::NetFramesIn);
-        shared.metrics.add(CounterId::NetBytesIn, frame_len(payload.len()));
+        shared.metrics.add(CounterId::NetBytesIn, wire_len as u64);
 
         match payload.first().copied() {
             Some(proto::msg::QUERY) => {

@@ -15,10 +15,10 @@
 //!   connections' batches (and owns the write side of its fabrics),
 //!   and bounded per-shard queues shed load with explicit OVERLOADED
 //!   rejections instead of queueing without bound;
-//! * [`RouteClient`] / [`run_wire_load`] — the client half plus the
-//!   loopback load driver whose latency attribution mirrors the
-//!   in-process [`run_load`](crate::run_load), so the wire tax is a
-//!   direct histogram-to-histogram comparison.
+//! * [`RouteClient`] — the blocking client half, which learns the
+//!   fleet's fabric dimensions at the handshake, so a
+//!   [`WorkloadGen`](crate::WorkloadGen) streams the same queries over
+//!   the wire as in-process.
 //!
 //! Answers over the wire are byte-identical to
 //! [`FleetFrontend::execute`](crate::FleetFrontend::execute) on the
@@ -30,6 +30,6 @@ pub mod daemon;
 pub mod proto;
 pub mod wire;
 
-pub use client::{run_wire_load, NetError, Response, ResponseKind, RouteClient, WireLoadReport};
+pub use client::{NetError, Response, ResponseKind, RouteClient};
 pub use daemon::{Served, ServedConfig};
 pub use wire::{FrameReader, RecvError, WireError};

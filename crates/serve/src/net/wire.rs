@@ -133,8 +133,10 @@ impl FrameReader {
     }
 
     /// Reads from `stream` until one whole frame is buffered and
-    /// returns its payload. `Ok(None)` is the clean end of stream: the
-    /// peer closed exactly on a frame boundary.
+    /// returns its payload plus the bytes the frame took on the wire
+    /// (length prefix included, however many bytes the peer spent on
+    /// it). `Ok(None)` is the clean end of stream: the peer closed
+    /// exactly on a frame boundary.
     ///
     /// # Errors
     ///
@@ -145,7 +147,7 @@ impl FrameReader {
         &mut self,
         stream: &TcpStream,
         max_len: usize,
-    ) -> Result<Option<&[u8]>, RecvError> {
+    ) -> Result<Option<(&[u8], usize)>, RecvError> {
         let (s, e) = loop {
             match self.try_parse(max_len)? {
                 Some(span) => break span,
@@ -159,12 +161,13 @@ impl FrameReader {
                 }
             }
         };
+        let wire_len = e - self.start;
         self.start = e;
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
         }
-        Ok(Some(&self.buf[s..e]))
+        Ok(Some((&self.buf[s..e], wire_len)))
     }
 
     /// One socket read into the free tail of the buffer, compacting

@@ -47,7 +47,7 @@ fn parse_frame(full: &[u8]) -> &[u8] {
 }
 
 fn read_reply(reader: &mut FrameReader, stream: &TcpStream) -> Reply {
-    let payload = reader
+    let (payload, _) = reader
         .next_frame(stream, DEFAULT_MAX_FRAME_LEN)
         .expect("frame arrives")
         .expect("stream still open");
@@ -198,9 +198,22 @@ fn disconnect_after_queued_batch_leaves_server_healthy() {
     assert_server_healthy(&served);
 }
 
+/// Re-frames a full frame with a non-minimal length prefix: the last
+/// prefix byte gains a continuation bit and a zero byte follows, which
+/// decodes to the same length one byte longer.
+fn overlong(full: &[u8]) -> Vec<u8> {
+    let payload = parse_frame(full);
+    let mut out = frame(payload);
+    let prefix = out.len() - payload.len();
+    out[prefix - 1] |= 0x80;
+    out.insert(prefix, 0);
+    out
+}
+
 /// `net.bytes_in` and `net.bytes_out` count whole frames, length
-/// prefix included: after a raw HELLO and one two-query QUERY, they
-/// equal exactly the bytes the client wrote and read.
+/// prefix included: after a raw HELLO and two two-query QUERYs, one
+/// of them behind an overlong length prefix, they equal exactly the
+/// bytes the client wrote and read.
 #[test]
 fn net_byte_counters_count_whole_frames() {
     let metrics = MetricsHandle::new(Arc::new(Registry::counters_only()));
@@ -221,24 +234,28 @@ fn net_byte_counters_count_whole_frames() {
     let mut exchange = |sent: &[u8]| {
         written += sent.len() as u64;
         (&stream).write_all(sent).unwrap();
-        let payload = reader
+        let (payload, wire_len) = reader
             .next_frame(&stream, DEFAULT_MAX_FRAME_LEN)
             .expect("frame arrives")
             .expect("stream still open");
-        // Re-frame the payload locally: prefix bytes count too.
-        read += frame(payload).len() as u64;
+        // The reader reports the whole frame: prefix bytes count too.
+        assert_eq!(wire_len, frame(payload).len(), "the daemon writes minimal prefixes");
+        read += wire_len as u64;
         proto::decode_reply(payload).expect("reply decodes")
     };
     let ack = exchange(proto::encode_hello(&mut buf));
     assert!(matches!(ack, Reply::HelloAck { .. }), "{ack:?}");
     let results = exchange(proto::encode_query(&mut buf, 1, &queries));
     assert!(matches!(results, Reply::Results { request_id: 1 }), "{results:?}");
+    let padded = overlong(proto::encode_query(&mut buf, 2, &queries));
+    let results = exchange(&padded);
+    assert!(matches!(results, Reply::Results { request_id: 2 }), "{results:?}");
 
     // Joining the workers orders every counter update before the reads.
     served.shutdown();
     served.wait();
-    assert_eq!(metrics.counter(CounterId::NetFramesIn), 2);
-    assert_eq!(metrics.counter(CounterId::NetFramesOut), 2);
+    assert_eq!(metrics.counter(CounterId::NetFramesIn), 3);
+    assert_eq!(metrics.counter(CounterId::NetFramesOut), 3);
     assert_eq!(metrics.counter(CounterId::NetBytesIn), written);
     assert_eq!(metrics.counter(CounterId::NetBytesOut), read);
 }

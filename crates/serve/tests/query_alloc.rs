@@ -118,7 +118,7 @@ fn steady_publish_and_query_loop_does_not_allocate() {
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
         let report = SystemReport::fresh(k, 16);
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
         let (mut publisher, reader) = EpochPublisher::new();
         publisher.publish(&state);
         frontend.register(reader, k, modules.len());

@@ -36,6 +36,19 @@ fn report_from(levels: &[u32], dead: &[bool], k: usize) -> SystemReport {
     report
 }
 
+/// The minimal dirty list a report diff yields: the nodes whose phase-1
+/// weights can differ between two reports — liveness always, the
+/// battery bucket only under EAR (SDR weights ignore batteries).
+fn report_diff(algorithm: Algorithm, old: &SystemReport, new: &SystemReport) -> Vec<NodeId> {
+    (0..new.node_count())
+        .map(NodeId::new)
+        .filter(|&n| {
+            old.is_alive(n) != new.is_alive(n)
+                || (algorithm == Algorithm::Ear && old.battery_level(n) != new.battery_level(n))
+        })
+        .collect()
+}
+
 /// What the Router actually produced at one epoch, captured eagerly.
 fn expectation(epoch: u64, state: &RoutingState) -> TableSnapshot {
     let mut expected = TableSnapshot::empty();
@@ -74,7 +87,7 @@ proptest! {
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
         let mut report = report_from(&frames[0].0, &frames[0].1, k);
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
 
         let mut pins: Vec<PinnedSnapshot> = Vec::new();
         let mut expected: Vec<TableSnapshot> = Vec::new();
@@ -88,7 +101,8 @@ proptest! {
         for (levels, dead) in &frames[1..] {
             let old_report = report;
             report = report_from(levels, dead, k);
-            router.recompute_into(&graph, &modules, &old_report, &report, &mut scratch, &mut state);
+            let dirty = report_diff(algorithm, &old_report, &report);
+            router.recompute_dirty_into(&graph, &modules, &report, &dirty, &mut scratch, &mut state);
             let epoch = publisher.publish(&state);
             prop_assert_eq!(reader.epoch(), epoch);
             pins.push(reader.pin());
@@ -138,15 +152,16 @@ proptest! {
             let mut scratch = RoutingScratch::new();
             let mut state = RoutingState::empty();
             let mut report = report_from(&frames[0].0, &frames[0].1, k);
-            router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+            router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
             let mut pins = Vec::new();
             publisher.publish(&state);
             pins.push(reader.pin());
             for (levels, dead) in &frames[1..] {
                 let old_report = report;
                 report = report_from(levels, dead, k);
-                router.recompute_into(
-                    &graph, &modules, &old_report, &report, &mut scratch, &mut state,
+                let dirty = report_diff(algorithm, &old_report, &report);
+                router.recompute_dirty_into(
+                    &graph, &modules, &report, &dirty, &mut scratch, &mut state,
                 );
                 publisher.publish(&state);
                 pins.push(reader.pin());
@@ -195,7 +210,7 @@ proptest! {
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
         let mut report = report_from(&frames[0].0, &frames[0].1, k);
-        router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
 
         let mut batch = QueryBatch::new();
         let mut out = QueryOutput::new();
@@ -205,8 +220,9 @@ proptest! {
             if frame > 0 {
                 let old_report = report;
                 report = report_from(levels, dead, k);
-                router.recompute_into(
-                    &graph, &modules, &old_report, &report, &mut scratch, &mut state,
+                let dirty = report_diff(algorithm, &old_report, &report);
+                router.recompute_dirty_into(
+                    &graph, &modules, &report, &dirty, &mut scratch, &mut state,
                 );
             }
             publisher.publish(&state);

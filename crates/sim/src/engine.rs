@@ -253,13 +253,16 @@ impl Simulation {
         } else {
             SimTrace::with_capacity(cfg_trace_capacity)
         };
-        // Initial routing from the fresh system state.
+        // Initial routing from the fresh system state. The graph was
+        // just built, so its version stamp is new to the (possibly
+        // recycled) scratch and the empty dirty list runs the full
+        // pipeline.
         report.reset_fresh(nodes.len(), cfg.weighting.levels());
-        router.compute_into(
+        router.recompute_dirty_into(
             &graph,
             placement.module_nodes(),
             &report,
-            None,
+            &[],
             &mut routing_scratch,
             &mut routing,
         );
