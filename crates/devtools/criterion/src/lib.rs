@@ -7,8 +7,11 @@
 //! `bench_function`, `bench_with_input`, `BenchmarkId`, `Bencher::iter`)
 //! and produces wall-clock timings with a fixed-budget sampling loop:
 //! a short warm-up, then timed batches until either the per-bench time
-//! budget or the sample count is exhausted. Reported statistics are the
-//! median, minimum, and mean of per-iteration times.
+//! budget or the sample count is exhausted — but never fewer than
+//! [`MIN_SAMPLES`] (capped by the sample count), so a slow bench is not
+//! summarised from three runs. Reported statistics are the median (the
+//! mean of the two middle samples for an even count), minimum, and mean
+//! of per-iteration times.
 //!
 //! It is intentionally simpler than criterion: no outlier analysis, no
 //! HTML reports, no baseline comparison. Timings printed by this harness
@@ -54,6 +57,11 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// The fewest timed samples a bench is summarised from, whatever its
+/// time budget (unless its sample cap is lower): past the budget, slow
+/// routines keep sampling until they have this many.
+pub const MIN_SAMPLES: usize = 10;
+
 /// Passed to the closure given to `bench_function`/`bench_with_input`;
 /// `iter` runs and times the workload.
 pub struct Bencher<'a> {
@@ -67,7 +75,8 @@ pub struct Bencher<'a> {
 
 impl Bencher<'_> {
     /// Runs `routine` repeatedly, recording one timing sample per call,
-    /// until the time budget or sample cap is reached.
+    /// until the sample cap is reached, or the time budget is spent and
+    /// at least [`MIN_SAMPLES`] samples are in.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // Warm-up: at least one iteration, then until ~10% of the budget
         // (slow routines get exactly one so a whole group stays snappy).
@@ -79,12 +88,13 @@ impl Bencher<'_> {
             }
         }
         let deadline = Instant::now() + self.budget;
+        let min_samples = MIN_SAMPLES.min(self.max_samples);
         while self.samples.len() < self.max_samples {
             let start = Instant::now();
             black_box(routine());
             let elapsed = start.elapsed();
             self.samples.push(elapsed.as_secs_f64() * 1e9);
-            if Instant::now() >= deadline {
+            if self.samples.len() >= min_samples && Instant::now() >= deadline {
                 break;
             }
         }
@@ -121,7 +131,12 @@ pub struct Measurement {
 fn summarize(id: String, samples: &mut [f64]) -> Measurement {
     assert!(!samples.is_empty(), "bencher collected no samples for {id}");
     samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are never NaN"));
-    let median = samples[samples.len() / 2];
+    let mid = samples.len() / 2;
+    let median = if samples.len().is_multiple_of(2) {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    } else {
+        samples[mid]
+    };
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     Measurement { id, median_ns: median, min_ns: samples[0], mean_ns: mean, samples: samples.len() }
 }
@@ -294,6 +309,29 @@ mod tests {
         assert!(c.measurements[0].id.starts_with("g/nop"));
         assert!(c.measurements[1].id.contains("sum/4"));
         assert!(c.measurements.iter().all(|m| m.min_ns >= 0.0 && m.samples > 0));
+    }
+
+    #[test]
+    fn median_of_an_even_count_is_the_mean_of_the_middle_pair() {
+        let even = summarize("even".into(), &mut [4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((even.median_ns, even.min_ns, even.mean_ns), (2.5, 1.0, 2.5));
+        let odd = summarize("odd".into(), &mut [3.0, 1.0, 2.0]);
+        assert_eq!(odd.median_ns, 2.0);
+    }
+
+    #[test]
+    fn slow_benches_keep_sampling_to_the_minimum() {
+        // Every call outlasts the whole budget: the loop still collects
+        // `MIN_SAMPLES`, or the cap when that is lower.
+        let slow = || std::thread::sleep(Duration::from_millis(2));
+        for (cap, want) in [(100, MIN_SAMPLES), (4, 4)] {
+            let mut c = Criterion::default().measurement_time(Duration::from_millis(1));
+            let mut group = c.benchmark_group("slow");
+            group.sample_size(cap);
+            group.bench_function("sleep", |b| b.iter(slow));
+            group.finish();
+            assert_eq!(c.measurements[0].samples, want, "cap {cap}");
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Pluggable phase-2 all-pairs backend selection.
 
 use crate::{
-    dijkstra_all_pairs_into, floyd_warshall_into, AdjacencyList, DijkstraScratch, Matrix,
-    ShortestPaths,
+    dijkstra_all_pairs_into, floyd_warshall_into, AdjacencyList, DijkstraScratch, ShortestPaths,
 };
 
 /// Which all-pairs shortest-path algorithm phase 2 runs.
@@ -100,27 +99,29 @@ impl PathBackend {
 }
 
 impl ResolvedBackend {
-    /// Runs this backend over `weights` into `out`, reusing `adjacency`
-    /// and `scratch` (used by the Dijkstra arm only).
+    /// Runs this backend over the sparse `adjacency` into `out`, reusing
+    /// `scratch` (used by the Dijkstra arm only). Floyd–Warshall seeds
+    /// its distances and successors from the list's edges, so neither
+    /// arm needs a `K × K` weight matrix.
     ///
     /// `parallel` lets the Dijkstra arm fan sources out over scoped
     /// threads; pass `false` on paths that must not allocate.
     ///
     /// # Panics
     ///
-    /// Panics if `weights` is not square or contains negative/NaN entries.
+    /// Panics if `adjacency` covers more than
+    /// [`IndexPlane::MAX_NODES`](crate::IndexPlane::MAX_NODES) nodes.
     pub fn compute_into(
         self,
-        weights: &Matrix<f64>,
-        adjacency: &mut AdjacencyList,
+        adjacency: &AdjacencyList,
         scratch: &mut DijkstraScratch,
         out: &mut ShortestPaths,
         parallel: bool,
     ) {
         match self {
-            ResolvedBackend::FloydWarshall => floyd_warshall_into(weights, out),
+            ResolvedBackend::FloydWarshall => floyd_warshall_into(adjacency, out),
             ResolvedBackend::DijkstraAllPairs => {
-                dijkstra_all_pairs_into(weights, adjacency, scratch, out, parallel);
+                dijkstra_all_pairs_into(adjacency, scratch, out, parallel);
             }
         }
     }

@@ -48,10 +48,12 @@
 //! `max_affected_fraction`) and cold trees, not for decreases per se.
 
 use crate::shortest::{pack_entry, unpack_entry};
-use crate::{AdjacencyList, DijkstraScratch, Matrix, NodeId, INFINITE_DISTANCE};
+use crate::{AdjacencyList, DijkstraScratch, IndexPlane, NodeId, INFINITE_DISTANCE};
 
-/// Sentinel for "no tree parent" (the source itself, or unreachable).
-pub const NO_PARENT: u32 = u32::MAX;
+/// Sentinel for "no tree parent" (the source itself, or unreachable) and
+/// for an empty child or sibling link: the [`IndexPlane::SENTINEL`] of
+/// the tree planes' `u16` lanes.
+pub const NO_PARENT: u16 = IndexPlane::SENTINEL;
 
 /// One directed edge whose phase-1 weight changed between two recomputes
 /// — the unit of the edge-delta stream the routing pipeline feeds the
@@ -88,26 +90,30 @@ impl WeightDelta {
 /// Sibling-list *order* is an implementation detail (it depends on the
 /// maintenance history) and carries no meaning: every derived quantity —
 /// distances, successors, parents, settled counts — is history-free.
+///
+/// The four link planes are row-major `u16` [`IndexPlane`]s (`source * K
+/// + node`), with [`NO_PARENT`] (the plane sentinel) for "none": 8 MB at
+/// `K = 1024`.
 #[derive(Debug, Default)]
 pub struct SpTreeStore {
-    parent: Matrix<u32>,
+    parent: IndexPlane,
     /// Head of each node's child list (`NO_PARENT` = childless).
-    first_child: Matrix<u32>,
+    first_child: IndexPlane,
     /// Doubly-linked sibling lists, so a repaired node re-parents in
     /// `O(1)`.
-    next_sibling: Matrix<u32>,
-    prev_sibling: Matrix<u32>,
+    next_sibling: IndexPlane,
+    prev_sibling: IndexPlane,
     settled: Vec<u32>,
 }
 
 /// Unlinks `v` from `parent`'s child list (row-level helper; all slices
 /// belong to one source's tree).
 fn unlink_child(
-    first_child: &mut [u32],
-    next_sibling: &mut [u32],
-    prev_sibling: &mut [u32],
-    parent: u32,
-    v: u32,
+    first_child: &mut [u16],
+    next_sibling: &mut [u16],
+    prev_sibling: &mut [u16],
+    parent: u16,
+    v: u16,
 ) {
     let prev = prev_sibling[v as usize];
     let next = next_sibling[v as usize];
@@ -123,11 +129,11 @@ fn unlink_child(
 
 /// Links `v` at the head of `parent`'s child list.
 fn link_child(
-    first_child: &mut [u32],
-    next_sibling: &mut [u32],
-    prev_sibling: &mut [u32],
-    parent: u32,
-    v: u32,
+    first_child: &mut [u16],
+    next_sibling: &mut [u16],
+    prev_sibling: &mut [u16],
+    parent: u16,
+    v: u16,
 ) {
     let head = first_child[parent as usize];
     next_sibling[v as usize] = head;
@@ -153,11 +159,17 @@ impl SpTreeStore {
 
     /// Resizes for `n` nodes and invalidates every tree, reusing the
     /// existing allocations whenever they are large enough.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`IndexPlane::MAX_NODES`], before
+    /// allocating.
     pub fn reset(&mut self, n: usize) {
-        self.parent.reset(n, n, NO_PARENT);
-        self.first_child.reset(n, n, NO_PARENT);
-        self.next_sibling.reset(n, n, NO_PARENT);
-        self.prev_sibling.reset(n, n, NO_PARENT);
+        IndexPlane::assert_fits(n);
+        self.parent.reset(n * n);
+        self.first_child.reset(n * n);
+        self.next_sibling.reset(n * n);
+        self.prev_sibling.reset(n * n);
         self.settled.clear();
         self.settled.resize(n, 0);
     }
@@ -167,22 +179,29 @@ impl SpTreeStore {
     pub(crate) fn link_rows_mut(
         &mut self,
         s: usize,
-    ) -> (&mut [u32], &mut [u32], &mut [u32], &mut [u32]) {
+    ) -> (&mut [u16], &mut [u16], &mut [u16], &mut [u16]) {
+        let n = self.node_count();
+        let row = s * n..(s + 1) * n;
         let SpTreeStore { parent, first_child, next_sibling, prev_sibling, .. } = self;
         (
-            parent.row_slice_mut(s),
-            first_child.row_slice_mut(s),
-            next_sibling.row_slice_mut(s),
-            prev_sibling.row_slice_mut(s),
+            &mut parent.lanes_mut()[row.clone()],
+            &mut first_child.lanes_mut()[row.clone()],
+            &mut next_sibling.lanes_mut()[row.clone()],
+            &mut prev_sibling.lanes_mut()[row],
         )
     }
 
     /// The tree parent of `node` in source `s`'s tree (`None` for the
     /// source itself and unreachable nodes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` or `node` is out of range.
     #[must_use]
     pub fn parent(&self, s: usize, node: usize) -> Option<NodeId> {
-        let p = self.parent[(s, node)];
-        (p != NO_PARENT).then(|| NodeId::new(p as usize))
+        let n = self.node_count();
+        assert!(s < n && node < n, "tree entry ({s},{node}) out of bounds");
+        self.parent.get(s * n + node).map(NodeId::new)
     }
 
     /// How many nodes source `s` settles (reaches).
@@ -419,7 +438,7 @@ pub fn dijkstra_source_tree_into(
     source: NodeId,
     scratch: &mut DijkstraScratch,
     dist_row: &mut [f64],
-    succ_row: &mut [Option<NodeId>],
+    succ_row: &mut [u16],
     trees: &mut SpTreeStore,
 ) {
     let n = adjacency.len();
@@ -437,7 +456,7 @@ pub fn dijkstra_source_tree_into(
     }
 
     dist_row.fill(INFINITE_DISTANCE);
-    succ_row.fill(None);
+    succ_row.fill(IndexPlane::SENTINEL);
     parent_row.fill(NO_PARENT);
     dist_row[s] = 0.0;
     let mut settled: u32 = 0;
@@ -448,13 +467,14 @@ pub fn dijkstra_source_tree_into(
             continue; // stale entry
         }
         settled += 1;
-        let via_u = if u == s { None } else { succ_row[u] };
+        let off_source = u == s;
+        let via_u = succ_row[u];
         for &(v, w) in adjacency.neighbors(u) {
             let nd = du + w;
             if nd < dist_row[v] {
                 dist_row[v] = nd;
-                succ_row[v] = via_u.or(Some(NodeId::new(v)));
-                parent_row[v] = u as u32;
+                succ_row[v] = if off_source { v as u16 } else { via_u };
+                parent_row[v] = u as u16;
                 scratch.heap.push(core::cmp::Reverse(pack_entry(nd, v)));
             }
         }
@@ -463,10 +483,9 @@ pub fn dijkstra_source_tree_into(
     // replaces the whole tree, so incremental link maintenance would buy
     // nothing here).
     first_child_row.fill(NO_PARENT);
-    for v in 0..n as u32 {
-        let p = parent_row[v as usize];
+    for (v, &p) in parent_row.iter().enumerate() {
         if p != NO_PARENT {
-            link_child(first_child_row, next_row, prev_row, p, v);
+            link_child(first_child_row, next_row, prev_row, p, v as u16);
         }
     }
     trees.set_settled(s, settled);
@@ -502,7 +521,7 @@ pub fn repair_source(
     repair: &mut RepairScratch,
     trees: &mut SpTreeStore,
     dist_row: &mut [f64],
-    succ_row: &mut [Option<NodeId>],
+    succ_row: &mut [u16],
     max_affected_fraction: f64,
 ) -> RepairOutcome {
     let n = adjacency.len();
@@ -543,7 +562,10 @@ pub fn repair_source(
     repair.stack.clear();
     for i in 0..repair.increases.len() {
         let (to, from) = repair.increases[i];
-        if parent_row[to as usize] == from && dist_row[to as usize].is_finite() && repair.mark(to) {
+        if u32::from(parent_row[to as usize]) == from
+            && dist_row[to as usize].is_finite()
+            && repair.mark(to)
+        {
             repair.touched.push(to);
             repair.stack.push(to);
         }
@@ -558,13 +580,14 @@ pub fn repair_source(
     while let Some(v) = repair.stack.pop() {
         let mut child = first_child_row[v as usize];
         while child != NO_PARENT {
-            if repair.mark(child) {
-                repair.touched.push(child);
+            let c = u32::from(child);
+            if repair.mark(c) {
+                repair.touched.push(c);
                 #[allow(clippy::cast_precision_loss)]
                 if repair.touched.len() as f64 > limit {
                     return RepairOutcome::Rerun;
                 }
-                repair.stack.push(child);
+                repair.stack.push(c);
             }
             child = next_row[child as usize];
         }
@@ -576,11 +599,10 @@ pub fn repair_source(
     // mean every achiever settles strictly earlier, so these are final
     // values).
     for i in 0..repair.touched.len() {
-        let v = repair.touched[i];
-        unlink_child(first_child_row, next_row, prev_row, parent_row[v as usize], v);
-        let v = v as usize;
+        let v = repair.touched[i] as usize;
+        unlink_child(first_child_row, next_row, prev_row, parent_row[v], v as u16);
         dist_row[v] = INFINITE_DISTANCE;
-        succ_row[v] = None;
+        succ_row[v] = IndexPlane::SENTINEL;
         parent_row[v] = NO_PARENT;
     }
     heap.heap.clear();
@@ -648,9 +670,9 @@ pub fn repair_source(
         // strictly before `v` (weights are positive in this workspace;
         // the zero-weight corner would need the unfiltered minimum).
         let u = best.expect("finite repaired distance has an earlier achiever").1;
-        parent_row[v] = u as u32;
-        succ_row[v] = if u == s { Some(NodeId::new(v)) } else { succ_row[u] };
-        link_child(first_child_row, next_row, prev_row, u as u32, v as u32);
+        parent_row[v] = u as u16;
+        succ_row[v] = if u == s { v as u16 } else { succ_row[u] };
+        link_child(first_child_row, next_row, prev_row, u as u16, v as u16);
     }
 
     // Settled accounting: the unaffected nodes keep their reachability;
@@ -760,14 +782,14 @@ pub fn repair_source(
                     }
                 }
             }
-            let u = best.expect("finite improved distance has an earlier achiever").1;
+            let u = best.expect("finite improved distance has an earlier achiever").1 as u16;
             let old = parent_row[v];
-            if old != u as u32 {
+            if old != u {
                 if old != NO_PARENT {
-                    unlink_child(first_child_row, next_row, prev_row, old, v as u32);
+                    unlink_child(first_child_row, next_row, prev_row, old, v as u16);
                 }
-                parent_row[v] = u as u32;
-                link_child(first_child_row, next_row, prev_row, u as u32, v as u32);
+                parent_row[v] = u;
+                link_child(first_child_row, next_row, prev_row, u, v as u16);
             }
         }
 
@@ -792,11 +814,11 @@ pub fn repair_source(
                     }
                 }
             }
-            let u = best.expect("a tie head keeps a finite distance and an achiever").1;
-            if parent_row[v] != u as u32 {
-                unlink_child(first_child_row, next_row, prev_row, parent_row[v], v as u32);
-                parent_row[v] = u as u32;
-                link_child(first_child_row, next_row, prev_row, u as u32, v as u32);
+            let u = best.expect("a tie head keeps a finite distance and an achiever").1 as u16;
+            if parent_row[v] != u {
+                unlink_child(first_child_row, next_row, prev_row, parent_row[v], v as u16);
+                parent_row[v] = u;
+                link_child(first_child_row, next_row, prev_row, u, v as u16);
                 repair.improved.push(v as u32); // successor seed
             }
         }
@@ -821,9 +843,10 @@ pub fn repair_source(
         while let Some(v) = repair.stack.pop() {
             let mut child = first_child_row[v as usize];
             while child != NO_PARENT {
-                if repair.mark2(child) {
-                    repair.succ_dirty.push(child);
-                    repair.stack.push(child);
+                let c = u32::from(child);
+                if repair.mark2(c) {
+                    repair.succ_dirty.push(c);
+                    repair.stack.push(c);
                 }
                 child = next_row[child as usize];
             }
@@ -831,8 +854,8 @@ pub fn repair_source(
         repair.succ_dirty.sort_unstable_by_key(|&v| pack_entry(dist_row[v as usize], v as usize));
         for i in 0..repair.succ_dirty.len() {
             let v = repair.succ_dirty[i] as usize;
-            let p = parent_row[v] as usize;
-            succ_row[v] = if p == s { Some(NodeId::new(v)) } else { succ_row[p] };
+            let p = usize::from(parent_row[v]);
+            succ_row[v] = if p == s { v as u16 } else { succ_row[p] };
         }
         // Merge into the touched set; the increase-phase marks in
         // `affected` are still live, so the merge stays duplicate-free.
@@ -852,7 +875,10 @@ pub fn repair_source(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra_source_into, DiGraph};
+    use crate::{
+        dijkstra_all_pairs, dijkstra_all_pairs_into, dijkstra_source_into, floyd_warshall,
+        floyd_warshall_into, DiGraph, Matrix,
+    };
     use etx_units::Length;
     use proptest::prelude::*;
 
@@ -871,12 +897,96 @@ mod tests {
         g.weight_matrix(|e| e.length.centimetres())
     }
 
+    /// The `Option<NodeId>` successor reference: the single-source
+    /// Dijkstra as it stood before successors moved to `u16` lanes
+    /// (`O(K)` relaxation scan instead of a heap; the same `(dist, id)`
+    /// settle order and strict-improvement updates).
+    fn reference_dijkstra(weights: &Matrix<f64>) -> (Matrix<f64>, Matrix<Option<NodeId>>) {
+        let n = weights.rows();
+        let mut dist = Matrix::filled(n, n, INFINITE_DISTANCE);
+        let mut succ = Matrix::filled(n, n, None);
+        for s in 0..n {
+            let mut done = vec![false; n];
+            dist[(s, s)] = 0.0;
+            while let Some(u) = (0..n)
+                .filter(|&u| !done[u] && dist[(s, u)].is_finite())
+                .min_by(|&a, &b| dist[(s, a)].total_cmp(&dist[(s, b)]).then(a.cmp(&b)))
+            {
+                done[u] = true;
+                let via_u = if u == s { None } else { succ[(s, u)] };
+                for v in 0..n {
+                    let w = weights[(u, v)];
+                    if u == v || !w.is_finite() {
+                        continue;
+                    }
+                    let nd = dist[(s, u)] + w;
+                    if nd < dist[(s, v)] {
+                        dist[(s, v)] = nd;
+                        succ[(s, v)] = via_u.or(Some(NodeId::new(v)));
+                    }
+                }
+            }
+        }
+        (dist, succ)
+    }
+
+    /// The `Option<NodeId>` successor reference for Floyd–Warshall: the
+    /// paper's Fig 5 as it stood before successors moved to `u16` lanes.
+    fn reference_floyd_warshall(weights: &Matrix<f64>) -> (Matrix<f64>, Matrix<Option<NodeId>>) {
+        let n = weights.rows();
+        let mut dist = weights.clone();
+        let mut succ = Matrix::filled(n, n, None);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && dist[(i, j)].is_finite() {
+                    succ[(i, j)] = Some(NodeId::new(j));
+                }
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                let d_ik = dist[(i, k)];
+                if !d_ik.is_finite() {
+                    continue;
+                }
+                for j in 0..n {
+                    let via = d_ik + dist[(k, j)];
+                    if via < dist[(i, j)] {
+                        dist[(i, j)] = via;
+                        succ[(i, j)] = succ[(i, k)];
+                    }
+                }
+            }
+        }
+        (dist, succ)
+    }
+
+    /// Decodes `u16` successor lanes (row-major, `n` per row) into the
+    /// reference's `Option<NodeId>` form.
+    fn decode(lanes: &[u16], n: usize) -> Matrix<Option<NodeId>> {
+        let cells = lanes.iter().map(|&x| (x != NO_PARENT).then(|| NodeId::new(usize::from(x))));
+        Matrix::from_vec(n, n, cells.collect())
+    }
+
+    /// `paths` equals the reference pair bit for bit: distances, and
+    /// successors once decoded (the diagonal reads "none" on both).
+    fn assert_matches_reference(
+        paths: &crate::ShortestPaths,
+        reference: &(Matrix<f64>, Matrix<Option<NodeId>>),
+        what: &str,
+    ) {
+        let n = paths.node_count();
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(paths.distances()), bits(&reference.0), "{what}: distances");
+        assert_eq!(decode(paths.successors().lanes(), n), reference.1, "{what}: successors");
+    }
+
     struct Solved {
         adjacency: AdjacencyList,
         in_adjacency: AdjacencyList,
         trees: SpTreeStore,
         dist: Matrix<f64>,
-        succ: Matrix<Option<NodeId>>,
+        succ: Matrix<u16>,
     }
 
     fn solve(weights: &Matrix<f64>) -> Solved {
@@ -884,11 +994,11 @@ mod tests {
         let mut adjacency = AdjacencyList::new();
         adjacency.rebuild(weights);
         let mut in_adjacency = AdjacencyList::new();
-        in_adjacency.rebuild_transpose(weights);
+        in_adjacency.rebuild_transpose(&adjacency);
         let mut trees = SpTreeStore::new();
         trees.reset(n);
         let mut dist = Matrix::filled(n, n, 0.0);
-        let mut succ = Matrix::filled(n, n, None);
+        let mut succ = Matrix::filled(n, n, NO_PARENT);
         let mut scratch = DijkstraScratch::new();
         for s in 0..n {
             dijkstra_source_tree_into(
@@ -949,6 +1059,11 @@ mod tests {
         let fresh = solve(weights);
         assert_eq!(solved.dist, fresh.dist, "distances diverged");
         assert_eq!(solved.succ, fresh.succ, "successors diverged");
+        assert_eq!(
+            decode(solved.succ.as_slice(), n),
+            reference_dijkstra(weights).1,
+            "repaired successors decode to the reference"
+        );
         for s in 0..n {
             assert_eq!(solved.trees.settled(s), fresh.trees.settled(s), "settled count s={s}");
             for v in 0..n {
@@ -965,7 +1080,7 @@ mod tests {
         adjacency.rebuild(&w);
         let mut scratch = DijkstraScratch::new();
         let mut dist = vec![0.0; 5];
-        let mut succ = vec![None; 5];
+        let mut succ = vec![0; 5];
         for s in 0..5 {
             dijkstra_source_into(&adjacency, NodeId::new(s), &mut scratch, &mut dist, &mut succ);
             assert_eq!(dist, solved.dist.row_slice(s), "dist row {s}");
@@ -1022,7 +1137,7 @@ mod tests {
         // the tie case that used to force a rerun.
         let deltas = [WeightDelta { from: 0, to: 2, old: 5.0, new: 2.0 }];
         repair_all_and_check(&mut w, &mut solved, &deltas);
-        assert_eq!(solved.succ[(0, 2)], Some(NodeId::new(2)), "achiever tie must flip to direct");
+        assert_eq!(solved.succ[(0, 2)], 2, "achiever tie must flip to direct");
     }
 
     #[test]
@@ -1036,7 +1151,7 @@ mod tests {
         let deltas = [WeightDelta { from: 0, to: 4, old: 9.0, new: 2.0 }];
         repair_all_and_check(&mut w, &mut solved, &deltas);
         assert_eq!(solved.dist[(0, 3)], 3.0);
-        assert_eq!(solved.succ[(0, 3)], Some(NodeId::new(4)), "3 now routes via the spur");
+        assert_eq!(solved.succ[(0, 3)], 4, "3 now routes via the spur");
     }
 
     #[test]
@@ -1103,26 +1218,69 @@ mod tests {
     #[test]
     fn transpose_adjacency_mirrors_rows() {
         let mut w = graph_from(4, &[(0, 1, 1.0), (2, 1, 3.0), (1, 3, 2.0), (3, 0, 1.0)]);
+        let mut out = AdjacencyList::new();
+        out.rebuild(&w);
         let mut t = AdjacencyList::new();
-        t.rebuild_transpose(&w);
+        t.rebuild_transpose(&out);
         assert_eq!(t.neighbors(1), &[(0, 1.0), (2, 3.0)]);
         assert_eq!(t.neighbors(0), &[(3, 1.0)]);
         assert_eq!(t.edge_count(), 4);
+        assert_eq!((out.weight(2, 1), out.weight(1, 2)), (3.0, INFINITE_DISTANCE));
         // Setting the changed edges equals a fresh rebuild, for both the
         // out-lists and the transpose: a removal, an insertion and an
         // update.
-        let mut out = AdjacencyList::new();
-        out.rebuild(&w);
         for (from, to, weight) in [(2, 1, INFINITE_DISTANCE), (1, 0, 2.5), (3, 0, 4.0)] {
             w[(from, to)] = weight;
             out.set_edge(from, to, weight);
             t.set_edge(to, from, weight);
         }
         let mut fresh = AdjacencyList::new();
-        fresh.rebuild_transpose(&w);
-        assert_eq!(t, fresh);
         fresh.rebuild(&w);
         assert_eq!(out, fresh);
+        let mut fresh_t = AdjacencyList::new();
+        fresh_t.rebuild_transpose(&fresh);
+        assert_eq!(t, fresh_t);
+
+        // Filling through `push_edge` lands on the dense rebuild's lists.
+        let mut pushed = AdjacencyList::new();
+        pushed.clear_to(4);
+        for (u, v, weight) in
+            [(0, 1, 1.0), (1, 0, 2.5), (1, 3, 2.0), (3, 0, 4.0), (3, 2, INFINITE_DISTANCE)]
+        {
+            pushed.push_edge(u, v, weight);
+        }
+        assert_eq!(pushed, fresh);
+    }
+
+    #[test]
+    #[should_panic(expected = "is negative")]
+    fn push_edge_rejects_negative_weights() {
+        let mut list = AdjacencyList::new();
+        list.clear_to(2);
+        list.push_edge(0, 1, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is NaN")]
+    fn push_edge_rejects_nan_weights() {
+        let mut list = AdjacencyList::new();
+        list.clear_to(2);
+        list.push_edge(1, 0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "a u16 index plane can hold")]
+    fn tree_store_past_the_lane_cap_panics_before_allocating() {
+        SpTreeStore::new().reset(IndexPlane::MAX_NODES + 1);
+    }
+
+    #[test]
+    fn parallel_all_pairs_rows_decode_to_the_reference() {
+        // 16x16 clears the parallel fan-out's size floor, so the chunked
+        // `u16` row split is exercised (on a multi-core host).
+        let g = crate::topology::Mesh2D::square(16, cm(2.0)).to_graph();
+        let w = g.weight_matrix(|e| e.length.centimetres());
+        assert_matches_reference(&dijkstra_all_pairs(&w), &reference_dijkstra(&w), "parallel");
     }
 
     proptest! {
@@ -1167,6 +1325,59 @@ mod tests {
                 if deltas.is_empty() {
                     continue;
                 }
+                repair_all_and_check(&mut weights, &mut solved, &deltas);
+            }
+        }
+
+        /// Every solver that writes `u16` successor lanes — Floyd–Warshall
+        /// (dense-seeded and list-seeded), all-pairs Dijkstra (matrix and
+        /// list entry points), the tree-recording Dijkstra and, after a
+        /// mixed delta batch, `repair_source` — decodes to the
+        /// `Option<NodeId>` reference bit for bit.
+        #[test]
+        fn successor_lanes_decode_to_the_option_reference(
+            n in 2usize..9,
+            edges in proptest::collection::vec((0usize..9, 0usize..9, 1u32..5), 1..36),
+            batch in proptest::collection::vec((0usize..9, 0usize..9, 0u8..4, 1u32..5), 1..5),
+        ) {
+            // Small integer lengths make exact distance ties common.
+            let edges: Vec<(usize, usize, f64)> =
+                edges.into_iter().map(|(a, b, w)| (a % n, b % n, f64::from(w))).collect();
+            let mut weights = graph_from(n, &edges);
+            let mut adjacency = AdjacencyList::new();
+            adjacency.rebuild(&weights);
+
+            let fw_reference = reference_floyd_warshall(&weights);
+            assert_matches_reference(&floyd_warshall(&weights), &fw_reference, "fw");
+            let mut fw = crate::ShortestPaths::empty();
+            floyd_warshall_into(&adjacency, &mut fw);
+            assert_matches_reference(&fw, &fw_reference, "fw from the list");
+
+            let dj_reference = reference_dijkstra(&weights);
+            assert_matches_reference(&dijkstra_all_pairs(&weights), &dj_reference, "dijkstra");
+            let mut dj = crate::ShortestPaths::empty();
+            dijkstra_all_pairs_into(&adjacency, &mut DijkstraScratch::new(), &mut dj, false);
+            assert_matches_reference(&dj, &dj_reference, "dijkstra from the list");
+
+            let mut solved = solve(&weights);
+            prop_assert_eq!(decode(solved.succ.as_slice(), n), dj_reference.1.clone());
+            prop_assert_eq!(&solved.dist, &dj_reference.0);
+
+            let mut deltas: Vec<WeightDelta> = Vec::new();
+            for &(a, b, kind, w) in &batch {
+                let (a, b) = (a % n, b % n);
+                let old = weights[(a, b)];
+                let new = match kind {
+                    0 => old * 2.0,
+                    1 => INFINITE_DISTANCE,
+                    _ => f64::from(w),
+                };
+                if a != b && new != old && !deltas.iter().any(|d| (d.from, d.to) == (a as u32, b as u32)) {
+                    deltas.push(WeightDelta { from: a as u32, to: b as u32, old, new });
+                }
+            }
+            if !deltas.is_empty() {
+                // Checks the repaired rows against the reference too.
                 repair_all_and_check(&mut weights, &mut solved, &deltas);
             }
         }

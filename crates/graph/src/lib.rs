@@ -9,14 +9,17 @@
 //! This crate provides:
 //!
 //! * [`NodeId`] — a typed node index,
-//! * [`Matrix`] — a dense row-major matrix used for weights, distances and
-//!   successors,
+//! * [`Matrix`] — a dense row-major matrix used for weights and distances,
+//! * [`IndexPlane`] — `u16` node-index lanes, the one encoding of "node
+//!   index or none" for every `K × K` index plane (successors, repair-tree
+//!   links, snapshot planes),
 //! * [`DiGraph`] — a directed graph whose edges carry physical
 //!   [`Length`](etx_units::Length)s (textile transmission lines), stored
 //!   as per-node out- and in-link lists sorted by neighbour id,
 //! * [`floyd_warshall`] / [`ShortestPaths`] — the all-pairs computation
 //!   (plus [`dijkstra_all_pairs`], an `O(K·E log K)` alternative backend
-//!   that beats `O(K³)` on sparse fabrics),
+//!   that beats `O(K³)` on sparse fabrics); the `*_into` forms run over a
+//!   sparse [`AdjacencyList`], so no `K × K` weight matrix is needed,
 //! * [`topology`] — mesh / torus / line / ring / star builders, including
 //!   the coordinate bookkeeping for the paper's 2-D mesh ([`Mesh2D`]),
 //! * [`connectivity`] — reachability helpers used for system-death checks.

@@ -1,19 +1,24 @@
 //! [`IndexPlane`]: a contiguous plane of `u16`-compacted node indices.
 //!
-//! The serve tier's struct-of-arrays snapshots store node indices
-//! (successors, route destinations, first hops) in flat planes instead
-//! of `Option<NodeId>`-shaped structs. A `u16` lane packs an index 4x
-//! denser than the machine-word `NodeId` it replaces — the difference
-//! between a route table that lives in L1 and one that is chased
-//! through L2 on every batched lookup. "No index" is the reserved
-//! sentinel `u16::MAX`, which keeps the plane a plain `u16` slice that
-//! gather loops can stream over.
+//! Every `K × K` node-index plane of the workspace uses this one
+//! encoding: the phase-2 successors of
+//! [`ShortestPaths`](crate::ShortestPaths), the repair trees' parent and
+//! child links in [`SpTreeStore`](crate::SpTreeStore), and the serve
+//! tier's struct-of-arrays snapshots (successors, route destinations,
+//! first hops). A `u16` lane packs an index 8x denser than the
+//! `Option<NodeId>` it replaces — the difference between a route table
+//! that lives in L1 and one that is chased through L2 on every batched
+//! lookup, and between 2 MB and 16 MB of successors at `K = 1024`. "No
+//! index" is the reserved sentinel `u16::MAX`, which keeps the plane a
+//! plain `u16` slice that gather loops can stream over, and a snapshot
+//! publishes the router's successors by copying the lanes.
 //!
 //! One lane width covers every fabric the simulator accepts: its config
-//! validation caps a fabric at [`IndexPlane::MAX_NODES`] nodes. The
-//! paper sizes its controller for tens to a few hundreds of nodes, and
-//! a fabric past the cap would need a 34 GB dense phase-2 matrix
-//! anyway.
+//! validation caps a fabric at [`IndexPlane::MAX_NODES`] nodes, and the
+//! router and [`ShortestPaths`](crate::ShortestPaths) assert the cap
+//! before any `K × K` allocation. The paper sizes its controller for
+//! tens to a few hundreds of nodes, and a fabric past the cap would need
+//! a 34 GB dense phase-2 matrix anyway.
 
 /// A flat plane of optional node indices in `u16` lanes, with
 /// [`IndexPlane::SENTINEL`] as the "no index" value.
@@ -54,6 +59,22 @@ impl IndexPlane {
         IndexPlane::default()
     }
 
+    /// Checks that `node_count` nodes fit `u16` lanes. Owners of
+    /// `K × K` planes call it before allocating: a larger graph would
+    /// otherwise wrap its indices silently, after asking for tens of
+    /// gigabytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_count` exceeds [`IndexPlane::MAX_NODES`].
+    pub fn assert_fits(node_count: usize) {
+        assert!(
+            node_count <= Self::MAX_NODES,
+            "{node_count} nodes exceed the {} a u16 index plane can hold",
+            Self::MAX_NODES
+        );
+    }
+
     /// The entry at `i`; `None` for the sentinel and for out-of-range
     /// positions.
     #[must_use]
@@ -67,9 +88,30 @@ impl IndexPlane {
         &self.lanes
     }
 
+    /// The raw lanes, mutably: the write target of the row-wise
+    /// solvers, which store [`IndexPlane::SENTINEL`] for "none".
+    pub fn lanes_mut(&mut self) -> &mut [u16] {
+        &mut self.lanes
+    }
+
     /// Empties the plane, keeping its allocation.
     pub fn clear(&mut self) {
         self.lanes.clear();
+    }
+
+    /// Resizes to `len` lanes, every one [`IndexPlane::SENTINEL`],
+    /// reusing the allocation when it is large enough.
+    pub fn reset(&mut self, len: usize) {
+        self.lanes.clear();
+        self.lanes.resize(len, Self::SENTINEL);
+    }
+
+    /// Overwrites this plane with `other`'s lanes, reusing the
+    /// allocation when it is large enough (no heap allocation once the
+    /// length has been seen).
+    pub fn copy_from(&mut self, other: &IndexPlane) {
+        self.lanes.clear();
+        self.lanes.extend_from_slice(&other.lanes);
     }
 
     /// Appends one entry.
@@ -125,6 +167,9 @@ mod tests {
         plane.fill_with(2, |i| (i == 0).then_some(IndexPlane::MAX_NODES - 1));
         assert_eq!(plane.get(0), Some(65_534));
         assert_eq!(plane.get(1), None);
+        // So a 65,535-node fabric fits; one more node panics (the
+        // `*_past_the_lane_cap_*` tests of its owners).
+        IndexPlane::assert_fits(IndexPlane::MAX_NODES);
     }
 
     #[test]
@@ -140,6 +185,25 @@ mod tests {
         plane.push(Some(9));
         plane.push(None);
         assert_eq!(plane.lanes(), &[9, IndexPlane::SENTINEL]);
+    }
+
+    #[test]
+    fn reset_and_copy_keep_the_allocation() {
+        let mut plane = IndexPlane::new();
+        plane.reset(4);
+        assert_eq!(plane.lanes(), &[IndexPlane::SENTINEL; 4]);
+        plane.lanes_mut()[2] = 7;
+        assert_eq!(plane.get(2), Some(7));
+        let capacity = plane.lanes.capacity();
+        plane.reset(3);
+        assert_eq!(plane.lanes(), &[IndexPlane::SENTINEL; 3], "reset clears old lanes");
+        assert_eq!(plane.lanes.capacity(), capacity);
+
+        let mut source = IndexPlane::new();
+        source.fill_with(2, |i| (i == 1).then_some(5));
+        plane.copy_from(&source);
+        assert_eq!(plane, source);
+        assert_eq!(plane.lanes.capacity(), capacity, "copy reuses the allocation");
     }
 
     #[test]

@@ -6,13 +6,20 @@
 
 use core::fmt;
 
-use crate::{Matrix, NodeId};
+use crate::{IndexPlane, Matrix, NodeId};
 
 /// The weight used for "no edge" entries; any path through it loses.
 pub const INFINITE_DISTANCE: f64 = f64::INFINITY;
 
 /// Result of [`floyd_warshall`]: distances plus successors for path
 /// reconstruction.
+///
+/// The distances are a dense `f64` [`Matrix`]; the successors are one
+/// row-major [`IndexPlane`] of `u16` lanes (`from * n + to`), with
+/// [`IndexPlane::SENTINEL`] where no successor exists — the encoding the
+/// serve tier's snapshots publish by copying the lanes. At `K = 1024`
+/// that is 8 MB of distances and 2 MB of successors. A result covers at
+/// most [`IndexPlane::MAX_NODES`] nodes.
 ///
 /// # Examples
 ///
@@ -35,7 +42,8 @@ pub const INFINITE_DISTANCE: f64 = f64::INFINITY;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShortestPaths {
     dist: Matrix<f64>,
-    succ: Matrix<Option<NodeId>>,
+    /// Row-major successor lanes, [`IndexPlane::SENTINEL`] = none.
+    succ: IndexPlane,
 }
 
 /// Errors raised during path reconstruction.
@@ -90,12 +98,19 @@ impl ShortestPaths {
     /// The next hop out of `from` on a shortest path to `to`.
     ///
     /// `None` when `from == to` or `to` is unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
     #[must_use]
     pub fn successor(&self, from: NodeId, to: NodeId) -> Option<NodeId> {
-        if from == to {
+        let n = self.node_count();
+        let (i, j) = (from.index(), to.index());
+        assert!(i < n && j < n, "successor ({i},{j}) out of bounds");
+        if i == j {
             return None;
         }
-        self.succ[(from, to)]
+        self.succ.get(i * n + j).map(NodeId::new)
     }
 
     /// `true` if a path `from -> to` exists (trivially true for `from == to`).
@@ -158,9 +173,11 @@ impl ShortestPaths {
         &self.dist
     }
 
-    /// Read-only view of the successor matrix.
+    /// Read-only view of the successor plane: `u16` lanes, row-major
+    /// (`from * n + to`), [`IndexPlane::SENTINEL`] where no successor
+    /// exists (the diagonal and unreachable pairs).
     #[must_use]
-    pub fn successors(&self) -> &Matrix<Option<NodeId>> {
+    pub fn successors(&self) -> &IndexPlane {
         &self.succ
     }
 
@@ -168,15 +185,21 @@ impl ShortestPaths {
     /// filled by the `*_into` backends before first use.
     #[must_use]
     pub fn empty() -> Self {
-        ShortestPaths { dist: Matrix::filled(0, 0, 0.0), succ: Matrix::filled(0, 0, None) }
+        ShortestPaths { dist: Matrix::filled(0, 0, 0.0), succ: IndexPlane::new() }
     }
 
     /// Resizes to `n` nodes and resets every pair to "unreachable"
-    /// (`dist = ∞`, diagonal `0`, successors `None`), reusing the
-    /// existing allocations whenever they are large enough.
+    /// (`dist = ∞`, diagonal `0`, successors none), reusing the existing
+    /// allocations whenever they are large enough.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`IndexPlane::MAX_NODES`], before
+    /// allocating.
     pub fn reset(&mut self, n: usize) {
+        IndexPlane::assert_fits(n);
         self.dist.reset(n, n, INFINITE_DISTANCE);
-        self.succ.reset(n, n, None);
+        self.succ.reset(n * n);
         for i in 0..n {
             self.dist[(i, i)] = 0.0;
         }
@@ -185,11 +208,22 @@ impl ShortestPaths {
     /// Ensures the matrices are `n x n` without touching existing
     /// entries when the dimensions already match — for callers about to
     /// overwrite every row anyway ([`dijkstra_all_pairs_into`]), skipping
-    /// the `2·n²` fill a full [`ShortestPaths::reset`] would pay.
+    /// the fill a full [`ShortestPaths::reset`] would pay.
     fn ensure_dims(&mut self, n: usize) {
         if self.dist.rows() != n || self.dist.cols() != n {
             self.reset(n);
         }
+    }
+
+    /// Borrows the distance and successor rows of one source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    #[must_use]
+    pub fn source_rows(&self, source: NodeId) -> (&[f64], &[u16]) {
+        let (n, s) = (self.node_count(), source.index());
+        (self.dist.row_slice(s), &self.succ.lanes()[s * n..(s + 1) * n])
     }
 
     /// Mutably borrows the distance and successor rows of one source —
@@ -199,8 +233,9 @@ impl ShortestPaths {
     /// # Panics
     ///
     /// Panics if `source` is out of range.
-    pub fn source_rows_mut(&mut self, source: NodeId) -> (&mut [f64], &mut [Option<NodeId>]) {
-        (self.dist.row_slice_mut(source.index()), self.succ.row_slice_mut(source.index()))
+    pub fn source_rows_mut(&mut self, source: NodeId) -> (&mut [f64], &mut [u16]) {
+        let (n, s) = (self.node_count(), source.index());
+        (self.dist.row_slice_mut(s), &mut self.succ.lanes_mut()[s * n..(s + 1) * n])
     }
 }
 
@@ -221,11 +256,25 @@ impl ShortestPaths {
 ///
 /// # Panics
 ///
-/// Panics if `weights` is not square or contains negative or NaN entries.
+/// Panics if `weights` is not square, contains negative or NaN entries,
+/// or covers more than [`IndexPlane::MAX_NODES`] nodes.
 #[must_use]
 pub fn floyd_warshall(weights: &Matrix<f64>) -> ShortestPaths {
+    validate_weights(weights);
+    let n = weights.rows();
     let mut out = ShortestPaths::empty();
-    floyd_warshall_into(weights, &mut out);
+    out.reset(n);
+    out.dist.copy_from(weights);
+    // S^(0): the successor of i toward a directly-connected j is j itself.
+    let succ = out.succ.lanes_mut();
+    for i in 0..n {
+        for j in 0..n {
+            if i != j && out.dist[(i, j)].is_finite() {
+                succ[i * n + j] = j as u16;
+            }
+        }
+    }
+    relax_floyd_warshall(&mut out);
     out
 }
 
@@ -237,28 +286,33 @@ fn validate_weights(weights: &Matrix<f64>) {
     }
 }
 
-/// [`floyd_warshall`] into a preallocated result: no heap allocation once
-/// `out` has seen the current node count.
+/// [`floyd_warshall`] over a sparse adjacency list, into a preallocated
+/// result: `dist`/`succ` are seeded from the list's edges (`0` on the
+/// diagonal, `∞` and no successor elsewhere), so no `K × K` weight copy
+/// exists. Equal to [`floyd_warshall`] over the matrix the list was
+/// built from. No heap allocation once `out` has seen the node count.
 ///
 /// # Panics
 ///
-/// Panics if `weights` is not square or contains negative or NaN entries.
-pub fn floyd_warshall_into(weights: &Matrix<f64>, out: &mut ShortestPaths) {
-    validate_weights(weights);
-    let n = weights.rows();
-
-    out.dist.copy_from(weights);
-    // S^(0): the successor of i toward a directly-connected j is j itself.
-    out.succ.reset(n, n, None);
-    let (dist, succ) = (&mut out.dist, &mut out.succ);
-    for i in 0..n {
-        for j in 0..n {
-            if i != j && dist[(i, j)].is_finite() {
-                succ[(i, j)] = Some(NodeId::new(j));
-            }
+/// Panics if `adjacency` covers more than [`IndexPlane::MAX_NODES`]
+/// nodes.
+pub fn floyd_warshall_into(adjacency: &AdjacencyList, out: &mut ShortestPaths) {
+    let n = adjacency.len();
+    out.reset(n);
+    let succ = out.succ.lanes_mut();
+    for u in 0..n {
+        for &(v, w) in adjacency.neighbors(u) {
+            out.dist[(u, v)] = w;
+            succ[u * n + v] = v as u16;
         }
     }
+    relax_floyd_warshall(out);
+}
 
+/// The Fig 5 triple loop over seeded `dist`/`succ`.
+fn relax_floyd_warshall(out: &mut ShortestPaths) {
+    let n = out.node_count();
+    let (dist, succ) = (&mut out.dist, out.succ.lanes_mut());
     for k in 0..n {
         for i in 0..n {
             let d_ik = dist[(i, k)];
@@ -269,17 +323,24 @@ pub fn floyd_warshall_into(weights: &Matrix<f64>, out: &mut ShortestPaths) {
                 let via = d_ik + dist[(k, j)];
                 if via < dist[(i, j)] {
                     dist[(i, j)] = via;
-                    succ[(i, j)] = succ[(i, k)];
+                    succ[i * n + j] = succ[i * n + k];
                 }
             }
         }
     }
 }
 
-/// Sparse out-neighbour lists extracted from a weight matrix, kept sorted
-/// by neighbour id so that incremental updates preserve the exact
+/// Sparse out-neighbour lists of a weighted digraph, kept sorted by
+/// neighbour id so that incremental updates preserve the exact
 /// iteration order a full rebuild would produce (Dijkstra's successor
 /// tie-breaking depends on it).
+///
+/// This is the routing pipeline's only phase-1 store: the router fills
+/// it straight from the graph and the report
+/// ([`AdjacencyList::clear_to`] plus [`AdjacencyList::push_edge`]),
+/// reads a frame's old weights from it ([`AdjacencyList::weight`]) and
+/// applies the frame's edge deltas with [`AdjacencyList::set_edge`]. A
+/// mesh row holds about four entries where a dense weight row holds `K`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdjacencyList {
     lists: Vec<Vec<(usize, f64)>>,
@@ -336,31 +397,73 @@ impl AdjacencyList {
         }
     }
 
-    /// Re-extracts every list from the *transpose* of `weights`, so
+    /// Rebuilds every list as the *transpose* of `out_lists`, so
     /// `neighbors(v)` yields the **in**-neighbours `(u, w(u, v))` of `v`,
-    /// ascending by `u`. The incremental path repair uses this to find a
-    /// node's shortest-path achievers in `O(indeg)` instead of an `O(K)`
-    /// column scan.
-    pub fn rebuild_transpose(&mut self, weights: &Matrix<f64>) {
-        let n = weights.rows();
+    /// ascending by `u`, reusing per-node capacity. The incremental path
+    /// repair uses this to find a node's shortest-path achievers in
+    /// `O(indeg)` instead of an `O(K)` column scan.
+    pub fn rebuild_transpose(&mut self, out_lists: &AdjacencyList) {
+        self.clear_to(out_lists.len());
+        for (u, list) in out_lists.lists.iter().enumerate() {
+            for &(v, w) in list {
+                self.lists[v].push((u, w));
+            }
+        }
+        self.edge_count = out_lists.edge_count;
+    }
+
+    /// Empties every list and resizes to `n` nodes, reusing per-node
+    /// capacity — the first step of a sparse rebuild through
+    /// [`AdjacencyList::push_edge`].
+    pub fn clear_to(&mut self, n: usize) {
         self.lists.resize_with(n, Vec::new);
-        self.edge_count = 0;
         for list in &mut self.lists {
             list.clear();
         }
-        for (r, c, w) in weights.entries() {
-            if r != c && w.is_finite() {
-                self.lists[c].push((r, *w));
-                self.edge_count += 1;
-            }
+        self.edge_count = 0;
+    }
+
+    /// Appends the edge `u -> v` of a sparse rebuild: pushes for one
+    /// node must come in ascending `v`, which keeps the list in the
+    /// order [`AdjacencyList::rebuild`] gives a dense matrix. An infinite
+    /// weight (an unusable link) adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` is NaN or negative (the checks
+    /// [`floyd_warshall`] runs over a whole matrix, made per edge), if
+    /// `v` is not above `u`'s last neighbour, or if `u == v`.
+    pub fn push_edge(&mut self, u: usize, v: usize, weight: f64) {
+        assert!(!weight.is_nan(), "weight ({u},{v}) is NaN");
+        assert!(weight >= 0.0, "weight ({u},{v}) is negative: {weight}");
+        if weight.is_finite() {
+            let list = &mut self.lists[u];
+            assert!(
+                u != v && list.last().is_none_or(|&(last, _)| last < v),
+                "edge ({u},{v}) pushed out of order"
+            );
+            list.push((v, weight));
+            self.edge_count += 1;
         }
+    }
+
+    /// The weight of the list entry `u -> v`, [`INFINITE_DISTANCE`] when
+    /// absent — `O(log deg u)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[must_use]
+    pub fn weight(&self, u: usize, v: usize) -> f64 {
+        let list = &self.lists[u];
+        list.binary_search_by_key(&v, |&(c, _)| c).map_or(INFINITE_DISTANCE, |pos| list[pos].1)
     }
 
     /// Sets the weight of the list entry `u -> v`: inserted at its
     /// sorted position, updated in place, or removed when `weight` is
-    /// infinite — `O(deg u)`. On a list built by
-    /// [`AdjacencyList::rebuild`] this is the edge `u -> v`; on one built
-    /// by [`AdjacencyList::rebuild_transpose`] pass the reversed pair
+    /// infinite — `O(deg u)`. On an out-list this is the edge `u -> v`;
+    /// on one built by [`AdjacencyList::rebuild_transpose`] pass the
+    /// reversed pair
     /// (`v`'s in-list gains `u`). Setting every edge whose weight changed
     /// equals a full rebuild from the new weights, which is how the
     /// routing pipeline applies a frame's edge-delta stream.
@@ -435,7 +538,8 @@ impl DijkstraScratch {
 
 /// Recomputes the all-pairs rows of `source` by binary-heap Dijkstra,
 /// writing distances into `dist_row` and first hops into `succ_row`
-/// (both of length `adjacency.len()`).
+/// (both of length `adjacency.len()`; `u16` lanes with
+/// [`IndexPlane::SENTINEL`] where no first hop exists).
 ///
 /// Successor tie-breaking is deterministic: the heap pops by
 /// `(distance, node id)` and predecessors update only on strict
@@ -451,7 +555,7 @@ pub fn dijkstra_source_into(
     source: NodeId,
     scratch: &mut DijkstraScratch,
     dist_row: &mut [f64],
-    succ_row: &mut [Option<NodeId>],
+    succ_row: &mut [u16],
 ) {
     let n = adjacency.len();
     assert!(source.index() < n, "source {source} out of range");
@@ -472,7 +576,7 @@ pub fn dijkstra_source_into(
     // predecessor settled earlier), so no pred chain or second pass is
     // needed.
     dist_row.fill(INFINITE_DISTANCE);
-    succ_row.fill(None);
+    succ_row.fill(IndexPlane::SENTINEL);
     dist_row[source] = 0.0;
     scratch.heap.push(core::cmp::Reverse(pack_entry(0.0, source)));
     while let Some(core::cmp::Reverse(entry)) = scratch.heap.pop() {
@@ -480,14 +584,15 @@ pub fn dijkstra_source_into(
         if du > dist_row[u] {
             continue; // stale entry
         }
-        let via_u = if u == source { None } else { succ_row[u] };
+        let off_source = u == source;
+        let via_u = succ_row[u];
         for &(v, w) in adjacency.neighbors(u) {
             let nd = du + w;
             if nd < dist_row[v] {
                 dist_row[v] = nd;
                 // First hop toward v: v itself off the source, else the
                 // settled first hop of u.
-                succ_row[v] = via_u.or(Some(NodeId::new(v)));
+                succ_row[v] = if off_source { v as u16 } else { via_u };
                 scratch.heap.push(core::cmp::Reverse(pack_entry(nd, v)));
             }
         }
@@ -501,29 +606,28 @@ const PARALLEL_MIN_NODES: usize = 128;
 /// Minimum sources per worker thread for the parallel fan-out.
 const PARALLEL_MIN_ROWS_PER_THREAD: usize = 32;
 
-/// [`dijkstra_all_pairs`] into preallocated storage.
+/// [`dijkstra_all_pairs`] over a sparse adjacency list, into
+/// preallocated storage.
 ///
-/// `adjacency` is rebuilt from `weights`; `out` is resized and every row
-/// recomputed. With `parallel` set, sources are fanned out over scoped
-/// threads in contiguous row blocks (each worker allocates its own
-/// [`DijkstraScratch`]), producing bit-identical results to the serial
-/// path since every row is an independent deterministic computation. The
-/// serial path (`parallel = false`) reuses `scratch` and performs no
-/// steady-state allocation.
+/// `out` is resized and every row recomputed. With `parallel` set,
+/// sources are fanned out over scoped threads in contiguous row blocks
+/// (each worker allocates its own [`DijkstraScratch`]), producing
+/// bit-identical results to the serial path since every row is an
+/// independent deterministic computation. The serial path
+/// (`parallel = false`) reuses `scratch` and performs no steady-state
+/// allocation.
 ///
 /// # Panics
 ///
-/// Panics if `weights` is not square or contains negative or NaN entries.
+/// Panics if `adjacency` covers more than [`IndexPlane::MAX_NODES`]
+/// nodes.
 pub fn dijkstra_all_pairs_into(
-    weights: &Matrix<f64>,
-    adjacency: &mut AdjacencyList,
+    adjacency: &AdjacencyList,
     scratch: &mut DijkstraScratch,
     out: &mut ShortestPaths,
     parallel: bool,
 ) {
-    validate_weights(weights);
-    let n = weights.rows();
-    adjacency.rebuild(weights);
+    let n = adjacency.len();
     // Every row is fully rewritten below, so only the dimensions need
     // fixing up front.
     out.ensure_dims(n);
@@ -542,12 +646,11 @@ pub fn dijkstra_all_pairs_into(
     }
 
     let rows_per_chunk = n.div_ceil(threads);
-    let adjacency = &*adjacency;
     std::thread::scope(|scope| {
         for (chunk_idx, (dist_chunk, succ_chunk)) in out
             .dist
             .row_chunks_mut(rows_per_chunk)
-            .zip(out.succ.row_chunks_mut(rows_per_chunk))
+            .zip(out.succ.lanes_mut().chunks_mut(rows_per_chunk * n))
             .enumerate()
         {
             let first_source = chunk_idx * rows_per_chunk;
@@ -583,13 +686,16 @@ pub fn dijkstra_all_pairs_into(
 ///
 /// # Panics
 ///
-/// Panics if `weights` is not square or contains negative or NaN entries.
+/// Panics if `weights` is not square, contains negative or NaN entries,
+/// or covers more than [`IndexPlane::MAX_NODES`] nodes.
 #[must_use]
 pub fn dijkstra_all_pairs(weights: &Matrix<f64>) -> ShortestPaths {
+    validate_weights(weights);
     let mut adjacency = AdjacencyList::new();
+    adjacency.rebuild(weights);
     let mut scratch = DijkstraScratch::new();
     let mut out = ShortestPaths::empty();
-    dijkstra_all_pairs_into(weights, &mut adjacency, &mut scratch, &mut out, true);
+    dijkstra_all_pairs_into(&adjacency, &mut scratch, &mut out, true);
     out
 }
 
@@ -669,6 +775,12 @@ mod tests {
     fn negative_weights_rejected() {
         let w = Matrix::from_vec(2, 2, vec![0.0, -1.0, 1.0, 0.0]);
         let _ = floyd_warshall(&w);
+    }
+
+    #[test]
+    #[should_panic(expected = "a u16 index plane can hold")]
+    fn reset_past_the_lane_cap_panics_before_allocating() {
+        ShortestPaths::empty().reset(IndexPlane::MAX_NODES + 1);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!    `W(i,j) = f(N_B(j)) · L(i,j)`, with the exponential weighting
 //!    `f(n) = Q^(N_B − 1 − n)`: a full battery costs `Q⁰ = 1` (EAR
 //!    degenerates to SDR), an almost-empty one costs `Q^(N_B−1)`.
-//!    See [`BatteryWeighting`], [`sdr_weights`], [`ear_weights`].
+//!    See [`BatteryWeighting`], [`sdr_weights`], [`ear_weights`]: those
+//!    build the paper's dense matrix `W`. The [`Router`] itself keeps
+//!    phase 1 as a sparse adjacency list (each node's usable out-links,
+//!    about four on a mesh), filled from the graph and the report in
+//!    `O(K + E)` and updated per changed edge between frames.
 //! 2. **Phase 2 — all-pairs shortest paths** with successors, through a
 //!    pluggable backend ([`PathBackend`]): the paper's Floyd–Warshall
 //!    variant (Fig 5, `O(K³)`), an all-sources Dijkstra
@@ -23,7 +27,11 @@
 //!    [`RecomputeStrategy`]: incremental shortest-path-tree repair
 //!    (Ramalingam–Reps style, `O(changed subtree · log K)` per source)
 //!    under `Auto`, or a full phase 2 — into preallocated
-//!    [`RoutingScratch`] storage with zero steady-state allocation.
+//!    [`RoutingScratch`] storage with zero steady-state allocation. The
+//!    successor matrix `S` and the repair trees' links are `u16` lanes
+//!    ([`IndexPlane`](etx_graph::IndexPlane)), so a graph has at most
+//!    65,535 nodes; at `K = 1024` a warm fabric holds 8 MB of distances,
+//!    2 MB of successors and 8 MB of tree links.
 //! 3. **Phase 3 — destination selection.** For every node and every
 //!    module, pick the nearest *live* duplicate of that module (w.r.t. the
 //!    phase-2 distances) while avoiding ports in a deadlock state
@@ -71,5 +79,4 @@ pub use router::{Algorithm, RecomputeStrategy, Router};
 pub use scratch::{RecomputeStats, RoutingScratch};
 pub use table::{RouteEntry, RouteTablePlanes, RoutingState};
 pub use weighting::BatteryWeighting;
-pub(crate) use weights::update_node_weights;
 pub use weights::{ear_weights, ear_weights_into, sdr_weights, sdr_weights_into};

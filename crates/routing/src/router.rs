@@ -4,18 +4,15 @@
 use core::fmt;
 
 use etx_graph::{
-    dijkstra_source_tree_into, repair_source, DiGraph, NodeId, PathBackend, RepairOutcome,
-    ResolvedBackend,
+    dijkstra_source_tree_into, repair_source, DiGraph, IndexPlane, NodeId, PathBackend,
+    RepairOutcome, ResolvedBackend,
 };
 use etx_metrics::SpanId;
 
 use crate::scratch::WeightsKey;
 use crate::table::{module_masks_into, PathPolicy};
-use crate::weights::collect_node_weight_deltas;
-use crate::{
-    ear_weights_into, sdr_weights_into, update_node_weights, BatteryWeighting, RoutingScratch,
-    RoutingState, SystemReport,
-};
+use crate::weights::{adjacency_into, collect_node_weight_deltas};
+use crate::{BatteryWeighting, RoutingScratch, RoutingState, SystemReport};
 
 /// Delta gate: fall back to a full recompute once more than this fraction
 /// of the nodes is dirty (the incremental bookkeeping stops paying for
@@ -105,7 +102,15 @@ impl fmt::Display for RecomputeStrategy {
 /// "For a fair comparison, the proposed energy-aware routing strategy and
 /// its non-energy-aware counterpart are kept exactly the same except their
 /// routing algorithms" — [`Router`] embodies that: EAR and SDR differ only
-/// in the phase-1 weight matrix.
+/// in the phase-1 edge weights.
+///
+/// The router keeps phase 1 as a sparse adjacency list (each node's
+/// usable out-links), never as the paper's dense `W`; the public
+/// [`sdr_weights`](crate::sdr_weights) and
+/// [`ear_weights`](crate::ear_weights) build that matrix for oracles and
+/// the paper's own formulation. Every `K × K` node-index plane
+/// (successors, repair-tree links) is `u16` lanes, so a graph may have
+/// at most [`IndexPlane::MAX_NODES`] nodes.
 ///
 /// # The staged recompute pipeline
 ///
@@ -113,9 +118,9 @@ impl fmt::Display for RecomputeStrategy {
 /// state in place through three explicit stages:
 ///
 /// 1. **Weight-delta extraction** — the caller's dirty-node list
-///    becomes an edge-delta stream against the cached
-///    phase-1 matrix, in `O(degree)` per changed node: only the changed
-///    nodes' own links are read and rewritten.
+///    becomes an edge-delta stream against the cached adjacency list,
+///    in `O(degree)` per changed node: only the changed nodes' own links
+///    are read, and each delta is applied to the list in place.
 /// 2. **Path repair or re-solve** — selected by [`RecomputeStrategy`]:
 ///    incremental tree repair or a full phase 2.
 /// 3. **Table rebuild** — phase 3 (nearest-duplicate selection with
@@ -232,7 +237,8 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if `report` covers a different node count than `graph`.
+    /// Panics if `report` covers a different node count than `graph`, or
+    /// `graph` has more than [`IndexPlane::MAX_NODES`] nodes.
     #[must_use]
     pub fn compute(
         &self,
@@ -241,6 +247,7 @@ impl Router {
         report: &SystemReport,
         previous: Option<&RoutingState>,
     ) -> RoutingState {
+        IndexPlane::assert_fits(graph.node_count());
         let mut scratch = RoutingScratch::new().with_parallel(true);
         let mut out = RoutingState::empty();
         if let Some(prev) = previous {
@@ -277,8 +284,9 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if `report` covers a different node count than `graph`, or
-    /// a dirty index is out of range.
+    /// Panics if `report` covers a different node count than `graph`, a
+    /// dirty index is out of range, or `graph` has more than
+    /// [`IndexPlane::MAX_NODES`] nodes.
     pub fn recompute_dirty_into(
         &self,
         graph: &DiGraph,
@@ -288,6 +296,7 @@ impl Router {
         scratch: &mut RoutingScratch,
         out: &mut RoutingState,
     ) {
+        IndexPlane::assert_fits(graph.node_count());
         let n = graph.node_count();
         scratch.dirty.clear();
         // Reserving the per-node bound up front keeps burst frames (mass
@@ -374,7 +383,7 @@ impl Router {
         let metrics = scratch.metrics.clone();
 
         // Stage 1 — extract the edge-delta stream against the cached
-        // weights (no writes yet; the old values are part of the
+        // adjacency list (no writes yet; the old values are part of the
         // stream).
         {
             let _delta_span = metrics.span(SpanId::RoutingRepairDelta);
@@ -394,7 +403,7 @@ impl Router {
                     report,
                     weighting,
                     NodeId::new(d),
-                    &scratch.weights,
+                    &scratch.adjacency,
                     &scratch.dirty_mark,
                     &mut scratch.deltas,
                 );
@@ -447,12 +456,9 @@ impl Router {
             // the increase span otherwise, so the two repair regimes get
             // separate latency distributions.
             let stage2_timer = metrics.timer();
-            // Stage 1b — apply the stream: the dirty nodes' links in the
-            // weight matrix, and every changed edge in both adjacency
-            // mirrors (`O(degree)` per changed node throughout).
-            for &d in &scratch.dirty {
-                update_node_weights(graph, report, weighting, NodeId::new(d), &mut scratch.weights);
-            }
+            // Stage 1b — apply the stream: every changed edge in the
+            // adjacency list and, while the trees are warm, its transpose
+            // (`O(degree)` per changed node).
             for delta in &scratch.deltas {
                 let (from, to) = (delta.from as usize, delta.to as usize);
                 scratch.adjacency.set_edge(from, to, delta.new);
@@ -466,7 +472,7 @@ impl Router {
             // once, recording trees; warm frames repair.
             if !trees_ok {
                 scratch.trees.reset(n);
-                scratch.in_adjacency.rebuild_transpose(&scratch.weights);
+                scratch.in_adjacency.rebuild_transpose(&scratch.adjacency);
             }
             scratch.repair.reserve_batch(graph.edge_count());
             scratch.repair.prepare(&scratch.deltas, n);
@@ -549,7 +555,7 @@ impl Router {
                                     improved_set,
                                     &scratch.dup_mask,
                                     module_nodes,
-                                    &scratch.weights,
+                                    &scratch.adjacency,
                                     report,
                                 );
                                 patched_entries += cells;
@@ -611,7 +617,7 @@ impl Router {
                     if mask == u64::MAX {
                         out.rebuild_table_row(
                             s,
-                            &scratch.weights,
+                            &scratch.adjacency,
                             module_nodes,
                             report,
                             &scratch.dup_mask,
@@ -626,7 +632,7 @@ impl Router {
                                 s,
                                 module,
                                 module_nodes,
-                                &scratch.weights,
+                                &scratch.adjacency,
                                 report,
                             );
                             rebuilt += 1;
@@ -656,16 +662,11 @@ impl Router {
         out: &mut RoutingState,
     ) {
         let n = graph.node_count();
-        match self.algorithm {
-            Algorithm::Sdr => sdr_weights_into(graph, report, &mut scratch.weights),
-            Algorithm::Ear => {
-                ear_weights_into(graph, report, &self.weighting, &mut scratch.weights);
-            }
-        }
+        let weighting = (self.algorithm == Algorithm::Ear).then_some(&self.weighting);
+        adjacency_into(graph, report, weighting, &mut scratch.adjacency);
         let resolved = self.backend.resolve(n, graph.edge_count());
         resolved.compute_into(
-            &scratch.weights,
-            &mut scratch.adjacency,
+            &scratch.adjacency,
             &mut scratch.dijkstra,
             out.paths_mut(),
             scratch.parallel,
@@ -695,7 +696,7 @@ impl Router {
         let n = report.node_count();
         module_masks_into(module_nodes, n, &mut scratch.dup_mask);
         let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
-        out.rebuild_table(&scratch.weights, module_nodes, report, prev, &scratch.dup_mask);
+        out.rebuild_table(&scratch.adjacency, module_nodes, report, prev, &scratch.dup_mask);
         scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
     }
 
@@ -1033,6 +1034,108 @@ mod tests {
         let reference = router.compute(&graph, &modules, &report, None);
         assert_eq!(state.route_table(), reference.route_table(), "post-death frame");
         assert_eq!(scratch.stats().table_delta_rebuilds, frames + 2);
+    }
+
+    /// A graph one node past the `u16` lanes' cap: edgeless, so it
+    /// builds in milliseconds, and each entry point must refuse it before
+    /// its first `K × K` allocation (about 34 GB of distances alone).
+    fn oversized() -> (DiGraph, SystemReport) {
+        let k = IndexPlane::MAX_NODES + 1;
+        (DiGraph::new(k), SystemReport::fresh(k, 16))
+    }
+
+    #[test]
+    #[should_panic(expected = "65536 nodes exceed the 65535 a u16 index plane can hold")]
+    fn compute_refuses_a_graph_past_the_lane_cap() {
+        let (graph, report) = oversized();
+        let _ = Router::new(Algorithm::Ear).compute(&graph, &[], &report, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "65536 nodes exceed the 65535 a u16 index plane can hold")]
+    fn recompute_refuses_a_graph_past_the_lane_cap() {
+        let (graph, report) = oversized();
+        let (mut scratch, mut state) = (RoutingScratch::new(), RoutingState::empty());
+        Router::new(Algorithm::Sdr).recompute_dirty_into(
+            &graph,
+            &[],
+            &report,
+            &[],
+            &mut scratch,
+            &mut state,
+        );
+    }
+
+    /// Applies random report steps: drains, deaths and revivals.
+    fn apply_steps(report: &mut SystemReport, steps: &[(u8, usize, u32)]) {
+        let n = report.node_count();
+        for &(kind, node, level) in steps {
+            let node = NodeId::new(node % n);
+            match kind {
+                0 if report.is_alive(node) => report.set_battery_level(node, level),
+                1 => report.set_dead(node),
+                2 if !report.is_alive(node) => report.revive(node, level),
+                _ => {}
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Over drain, death and revival chains, for SDR and EAR, the
+        /// adjacency list the router maintains in place (full fills,
+        /// then per-frame `set_edge` deltas) equals the list extracted
+        /// from the paper's dense weight matrix for the current report,
+        /// entry for entry; so does its transpose while the trees are
+        /// warm.
+        #[test]
+        fn incremental_adjacency_equals_dense_weights_list(
+            side in 7usize..9,
+            ear in any::<bool>(),
+            frames in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0usize..64, 0u32..16), 1..6),
+                1..8,
+            ),
+        ) {
+            let graph = Mesh2D::square(side, cm(2.05)).to_graph();
+            let k = graph.node_count();
+            let modules: Vec<Vec<NodeId>> =
+                (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect();
+            let algorithm = if ear { Algorithm::Ear } else { Algorithm::Sdr };
+            let router = Router::new(algorithm);
+            let dense = |report: &SystemReport| match algorithm {
+                Algorithm::Sdr => crate::sdr_weights(&graph, report),
+                Algorithm::Ear => crate::ear_weights(&graph, report, router.weighting()),
+            };
+            let mut report = SystemReport::fresh(k, 16);
+            let mut scratch = RoutingScratch::new();
+            let mut state = RoutingState::empty();
+            router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
+            for steps in &frames {
+                let old = report.clone();
+                apply_steps(&mut report, steps);
+                let dirty: Vec<NodeId> = (0..k)
+                    .map(NodeId::new)
+                    .filter(|&n| {
+                        old.is_alive(n) != report.is_alive(n)
+                            || old.battery_level(n) != report.battery_level(n)
+                    })
+                    .collect();
+                router.recompute_dirty_into(
+                    &graph, &modules, &report, &dirty, &mut scratch, &mut state,
+                );
+                let mut expected = etx_graph::AdjacencyList::new();
+                expected.rebuild(&dense(&report));
+                prop_assert_eq!(&scratch.adjacency, &expected);
+                if scratch.trees_valid {
+                    let mut transpose = etx_graph::AdjacencyList::new();
+                    transpose.rebuild_transpose(&expected);
+                    prop_assert_eq!(&scratch.in_adjacency, &transpose);
+                }
+            }
+            prop_assert!(scratch.stats().repair_recomputes > 0 || frames.iter().all(|f| f.is_empty()));
+        }
     }
 
     proptest! {

@@ -4,14 +4,14 @@
 use core::fmt;
 use core::ops::AddAssign;
 
-use etx_graph::{AdjacencyList, DijkstraScratch, Matrix, NodeId, RepairScratch, SpTreeStore};
+use etx_graph::{AdjacencyList, DijkstraScratch, NodeId, RepairScratch, SpTreeStore};
 use etx_metrics::{CounterId, MetricsHandle, Registry};
 
 use crate::{Algorithm, BatteryWeighting};
 
-/// Identifies the inputs the scratch's cached weight matrix was built
-/// from; the delta-aware recompute only engages when the fingerprint of
-/// the current call matches the previous one.
+/// Identifies the inputs the scratch's cached phase-1 adjacency list was
+/// built from; the delta-aware recompute only engages when the
+/// fingerprint of the current call matches the previous one.
 ///
 /// The graph is identified by [`DiGraph::version_stamp`] — an `O(1)`
 /// identity refreshed (globally uniquely) on every mutation — so
@@ -209,13 +209,15 @@ impl fmt::Display for RecomputeStats {
 /// [`Router::recompute_dirty_into`](crate::Router::recompute_dirty_into).
 ///
 /// Holds everything a recompute needs between TDMA frames: the phase-1
-/// weight matrix, the sparse adjacency lists (plus their transpose) and
-/// Dijkstra workspace of phase 2, the per-source shortest-path trees and
-/// repair scratch of the incremental pipeline, and the previous-table
-/// snapshot phase 3's deadlock avoidance reads. All buffers retain
-/// capacity across calls, so once the scratch has seen the system's
-/// dimensions, recomputes perform **no heap allocation** (verified by
-/// the `zero_alloc` integration test).
+/// weights as a sparse adjacency list (plus its transpose), the
+/// Dijkstra workspace of phase 2, the per-source shortest-path trees
+/// (`u16` link planes) and repair scratch of the incremental pipeline,
+/// and the previous-table snapshot phase 3's deadlock avoidance reads.
+/// No `K × K` weight matrix exists: at `K = 1024` the phase-1 store is
+/// about 4 links per node instead of 8 MB. All buffers retain capacity
+/// across calls, so once the scratch has seen the system's dimensions,
+/// recomputes perform **no heap allocation** (verified by the
+/// `zero_alloc` integration test).
 ///
 /// A scratch may be reused across different graphs/routers — it resizes
 /// as needed — but the cached state that powers the repair path is
@@ -223,11 +225,11 @@ impl fmt::Display for RecomputeStats {
 /// back to full recomputes.
 #[derive(Debug, Default)]
 pub struct RoutingScratch {
-    /// Phase-1 weight matrix of the *previous* call (the "old" side of
-    /// the frame's edge-delta stream), updated in place to the current
-    /// weights.
-    pub(crate) weights: Matrix<f64>,
-    /// Sparse adjacency mirroring `weights`, kept in sync incrementally.
+    /// The phase-1 weights: each node's usable out-links, ascending by
+    /// neighbour id. Filled from the graph and the report by a full
+    /// recompute; between frames it holds the *previous* call's weights
+    /// (the "old" side of the frame's edge-delta stream) until stage 1
+    /// applies the deltas in place.
     pub(crate) adjacency: AdjacencyList,
     /// Transposed adjacency (in-edge lists) for the repair pipeline's
     /// achiever scans; valid only while `trees_valid` holds.
@@ -268,7 +270,7 @@ pub struct RoutingScratch {
     /// `true` while `prev_alive`/`prev_any_deadlock`/`prev_modules`
     /// describe the table currently held by the paired `RoutingState`.
     pub(crate) table_cache_valid: bool,
-    /// What the cached `weights`/`adjacency` were built from.
+    /// What the cached `adjacency` was built from.
     pub(crate) key: Option<WeightsKey>,
     /// Let the full Dijkstra backend fan sources out over threads.
     /// Defaults to `false`: thread spawning allocates, and the steady

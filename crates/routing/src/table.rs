@@ -1,7 +1,7 @@
 //! Phase 3: routing tables — nearest-duplicate destination selection with
 //! deadlock avoidance (the paper's Fig 6).
 
-use etx_graph::{IndexPlane, Matrix, NodeBitset, NodeId, ShortestPaths};
+use etx_graph::{AdjacencyList, IndexPlane, Matrix, NodeBitset, NodeId, ShortestPaths};
 
 use crate::SystemReport;
 
@@ -165,7 +165,9 @@ impl RoutingState {
     /// unlocked detour phase 2 already paid for.
     ///
     /// `weights` is the phase-1 matrix the phase-2 result was computed
-    /// from; finite off-diagonal entries are exactly the usable links.
+    /// from; finite off-diagonal entries are exactly the usable links
+    /// (extracted once into an [`AdjacencyList`], which the detour scan
+    /// walks).
     ///
     /// Unreachable or extinct modules yield `None` entries (the system is
     /// about to be declared dead by the caller).
@@ -199,9 +201,16 @@ impl RoutingState {
                 p.module_count() == module_nodes.len() && p.node_count() == state.paths.node_count()
             })
             .map(RoutingState::next_hop_snapshot);
+        assert_eq!(
+            weights.rows(),
+            state.paths.node_count(),
+            "weight matrix does not match phase 2"
+        );
+        let mut adjacency = AdjacencyList::new();
+        adjacency.rebuild(weights);
         let mut dup_mask = Vec::new();
         module_masks_into(module_nodes, state.paths.node_count(), &mut dup_mask);
-        state.rebuild_table(weights, module_nodes, report, prev_hops.as_deref(), &dup_mask);
+        state.rebuild_table(&adjacency, module_nodes, report, prev_hops.as_deref(), &dup_mask);
         state
     }
 
@@ -250,20 +259,22 @@ impl RoutingState {
     /// (the paper's Fig 6), reusing the table buffer: no allocation once
     /// the `(node, module)` dimensions have been seen.
     ///
-    /// `prev_hops` is a [`RoutingState::next_hop_snapshot`] of the
-    /// previous controller invocation (deadlock-port avoidance); its
-    /// length must be `n * module_nodes.len()` if present. `dup_mask`
-    /// holds the placement's per-node module masks
-    /// ([`module_masks_into`]), which let each live, non-deadlocked row
-    /// fill in one pass over its distance row.
+    /// `adjacency` holds the phase-1 weights the phase-2 result was
+    /// computed from (each node's usable out-links, the ports a deadlock
+    /// detour may take). `prev_hops` is a
+    /// [`RoutingState::next_hop_snapshot`] of the previous controller
+    /// invocation (deadlock-port avoidance); its length must be `n *
+    /// module_nodes.len()` if present. `dup_mask` holds the placement's
+    /// per-node module masks ([`module_masks_into`]), which let each
+    /// live, non-deadlocked row fill in one pass over its distance row.
     ///
     /// # Panics
     ///
-    /// Panics if the report or weight matrix cover a different number of
-    /// nodes than the phase-2 result.
+    /// Panics if the report or adjacency list cover a different number
+    /// of nodes than the phase-2 result.
     pub(crate) fn rebuild_table(
         &mut self,
-        weights: &Matrix<f64>,
+        adjacency: &AdjacencyList,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         prev_hops: Option<&[Option<NodeId>]>,
@@ -276,7 +287,7 @@ impl RoutingState {
             "report covers {} nodes but phase 2 covered {n}",
             report.node_count()
         );
-        assert_eq!(weights.rows(), n, "weight matrix does not match phase 2");
+        assert_eq!(adjacency.len(), n, "adjacency list does not match phase 2");
         let m = module_nodes.len();
         if let Some(prev) = prev_hops {
             assert_eq!(prev.len(), n * m, "previous-hop snapshot dimensions mismatch");
@@ -289,7 +300,7 @@ impl RoutingState {
                 &self.paths,
                 &mut self.table[node_idx * m..(node_idx + 1) * m],
                 node_idx,
-                weights,
+                adjacency,
                 module_nodes,
                 report,
                 prev_hops,
@@ -312,7 +323,7 @@ impl RoutingState {
     pub(crate) fn rebuild_table_row(
         &mut self,
         node_idx: usize,
-        weights: &Matrix<f64>,
+        adjacency: &AdjacencyList,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         dup_mask: &[u64],
@@ -323,7 +334,7 @@ impl RoutingState {
             &self.paths,
             &mut self.table[node_idx * m..(node_idx + 1) * m],
             node_idx,
-            weights,
+            adjacency,
             module_nodes,
             report,
             None,
@@ -348,7 +359,7 @@ impl RoutingState {
         node_idx: usize,
         module: usize,
         module_nodes: &[Vec<NodeId>],
-        weights: &Matrix<f64>,
+        adjacency: &AdjacencyList,
         report: &SystemReport,
     ) {
         let m = module_nodes.len();
@@ -359,7 +370,7 @@ impl RoutingState {
             node_idx,
             module,
             &module_nodes[module],
-            weights,
+            adjacency,
             report,
             None,
             m,
@@ -419,7 +430,7 @@ impl RoutingState {
         improved: &[u32],
         dup_mask: &[u64],
         module_nodes: &[Vec<NodeId>],
-        weights: &Matrix<f64>,
+        adjacency: &AdjacencyList,
         report: &SystemReport,
     ) -> (u64, u64) {
         let m = module_nodes.len();
@@ -473,7 +484,7 @@ impl RoutingState {
                                     node_idx,
                                     module,
                                     &module_nodes[module],
-                                    weights,
+                                    adjacency,
                                     report,
                                     None,
                                     m,
@@ -489,7 +500,7 @@ impl RoutingState {
                             node_idx,
                             module,
                             &module_nodes[module],
-                            weights,
+                            adjacency,
                             report,
                             None,
                             m,
@@ -637,7 +648,7 @@ fn fill_table_row(
     paths: &ShortestPaths,
     row: &mut [Option<RouteEntry>],
     node_idx: usize,
-    weights: &Matrix<f64>,
+    adjacency: &AdjacencyList,
     module_nodes: &[Vec<NodeId>],
     report: &SystemReport,
     prev_hops: Option<&[Option<NodeId>]>,
@@ -649,7 +660,7 @@ fn fill_table_row(
         return;
     }
     if let Some(prev) = prev_hops.filter(|_| report.is_deadlocked(node)) {
-        fill_detour_row(paths, row, node_idx, weights, module_nodes, report, prev);
+        fill_detour_row(paths, row, node_idx, adjacency, module_nodes, report, prev);
     } else if dup_mask.len() == paths.node_count() {
         fill_row_one_pass(paths, row, node_idx, report, dup_mask);
     } else {
@@ -661,7 +672,7 @@ fn fill_table_row(
                 node_idx,
                 module,
                 duplicates,
-                weights,
+                adjacency,
                 report,
                 None,
                 m,
@@ -684,8 +695,7 @@ fn fill_row_one_pass(
     dup_mask: &[u64],
 ) {
     row.fill(None);
-    let dist_row = paths.distances().row_slice(node_idx);
-    let succ_row = paths.successors().row_slice(node_idx);
+    let (dist_row, succ_row) = paths.source_rows(NodeId::new(node_idx));
     for (x, &hosted) in dup_mask.iter().enumerate() {
         if hosted == 0 {
             continue;
@@ -702,8 +712,10 @@ fn fill_row_one_pass(
             bits &= bits - 1;
             if slot.as_ref().is_none_or(|best| distance < best.distance) {
                 // The first hop is read only when the candidate wins.
-                let Some(next_hop) = (if x == node_idx { Some(dest) } else { succ_row[x] }) else {
-                    break;
+                let next_hop = match succ_row[x] {
+                    _ if x == node_idx => dest,
+                    IndexPlane::SENTINEL => break,
+                    hop => NodeId::new(usize::from(hop)),
                 };
                 *slot = Some(RouteEntry { destination: dest, next_hop, distance });
             }
@@ -714,17 +726,17 @@ fn fill_row_one_pass(
 /// The row of a deadlocked `node_idx`. Cells without a blocked port (no
 /// previous first hop) take the plain nearest-duplicate pick. A blocked
 /// cell starts from its self-hosting entry, if any, and then scans the
-/// node's out-links once for the whole row: each live link other than
+/// node's usable out-links once for the whole row: each link other than
 /// the cell's blocked port offers `W(n, hop) + D(hop, j)` to every live
 /// duplicate `j`. Links come in ascending id, so among exact `(distance,
 /// destination)` ties the lowest hop wins — the same pick as
 /// [`fill_table_cell`]'s per-duplicate detour scan, at one pass over the
-/// weight row instead of one per duplicate.
+/// node's `O(degree)` out-links instead of one per duplicate.
 fn fill_detour_row(
     paths: &ShortestPaths,
     row: &mut [Option<RouteEntry>],
     node_idx: usize,
-    weights: &Matrix<f64>,
+    adjacency: &AdjacencyList,
     module_nodes: &[Vec<NodeId>],
     report: &SystemReport,
     prev_hops: &[Option<NodeId>],
@@ -740,7 +752,7 @@ fn fill_detour_row(
                 node_idx,
                 module,
                 duplicates,
-                weights,
+                adjacency,
                 report,
                 None,
                 m,
@@ -753,10 +765,7 @@ fn fill_detour_row(
             });
         }
     }
-    for (hop_idx, &w) in weights.row_slice(node_idx).iter().enumerate() {
-        if hop_idx == node_idx || !w.is_finite() {
-            continue;
-        }
+    for &(hop_idx, w) in adjacency.neighbors(node_idx) {
         let hop = NodeId::new(hop_idx);
         for (module, duplicates) in module_nodes.iter().enumerate() {
             if blocked[module].is_none_or(|port| port == hop) {
@@ -789,12 +798,11 @@ fn fill_table_cell(
     node_idx: usize,
     module: usize,
     duplicates: &[NodeId],
-    weights: &Matrix<f64>,
+    adjacency: &AdjacencyList,
     report: &SystemReport,
     prev_hops: Option<&[Option<NodeId>]>,
     module_count: usize,
 ) {
-    let n = paths.node_count();
     let node = NodeId::new(node_idx);
     if !report.is_alive(node) {
         *slot = None;
@@ -834,15 +842,11 @@ fn fill_table_cell(
                 consider(RouteEntry { destination: dest, next_hop, distance }, &mut best);
             }
             Some(blocked) => {
-                // Detour scan: first hop over any live link except the
-                // blocked port.
-                for hop_idx in 0..n {
+                // Detour scan: first hop over any usable out-link except
+                // the blocked port, in ascending id.
+                for &(hop_idx, w) in adjacency.neighbors(node_idx) {
                     let hop = NodeId::new(hop_idx);
-                    if hop == node || hop == blocked {
-                        continue;
-                    }
-                    let w = weights[(node_idx, hop_idx)];
-                    if !w.is_finite() {
+                    if hop == blocked {
                         continue;
                     }
                     let Some(rest) = paths.distance(hop, dest) else {
@@ -999,7 +1003,7 @@ mod tests {
     fn per_cell_row(
         paths: &ShortestPaths,
         node_idx: usize,
-        weights: &Matrix<f64>,
+        adjacency: &AdjacencyList,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         prev_hops: Option<&[Option<NodeId>]>,
@@ -1013,11 +1017,142 @@ mod tests {
                 node_idx,
                 module,
                 duplicates,
-                weights,
+                adjacency,
                 report,
                 prev_hops,
                 m,
             );
+        }
+        row
+    }
+
+    fn adjacency_of(weights: &Matrix<f64>) -> AdjacencyList {
+        let mut adjacency = AdjacencyList::new();
+        adjacency.rebuild(weights);
+        adjacency
+    }
+
+    /// [`fill_table_cell`] as it stood with a dense weight matrix: the
+    /// detour scan walks the node's whole weight row (`O(K)`) and skips
+    /// the diagonal and infinite entries. The reference twin of the
+    /// out-link walk.
+    #[allow(clippy::too_many_arguments)]
+    fn dense_row_cell(
+        paths: &ShortestPaths,
+        node_idx: usize,
+        module: usize,
+        duplicates: &[NodeId],
+        weights: &Matrix<f64>,
+        report: &SystemReport,
+        prev_hops: Option<&[Option<NodeId>]>,
+        module_count: usize,
+    ) -> Option<RouteEntry> {
+        let n = paths.node_count();
+        let node = NodeId::new(node_idx);
+        if !report.is_alive(node) {
+            return None;
+        }
+        let blocked_port = if report.is_deadlocked(node) {
+            prev_hops.and_then(|prev| prev[node_idx * module_count + module])
+        } else {
+            None
+        };
+        let mut best: Option<RouteEntry> = None;
+        let mut consider = |candidate: RouteEntry| {
+            if beats(&candidate, best.as_ref()) {
+                best = Some(candidate);
+            }
+        };
+        for &dest in duplicates {
+            if !report.is_alive(dest) {
+                continue;
+            }
+            if dest == node {
+                consider(RouteEntry { destination: dest, next_hop: node, distance: 0.0 });
+                continue;
+            }
+            match blocked_port {
+                None => {
+                    let (Some(distance), Some(next_hop)) =
+                        (paths.distance(node, dest), paths.successor(node, dest))
+                    else {
+                        continue;
+                    };
+                    consider(RouteEntry { destination: dest, next_hop, distance });
+                }
+                Some(blocked) => {
+                    for hop_idx in 0..n {
+                        let hop = NodeId::new(hop_idx);
+                        let w = weights[(node_idx, hop_idx)];
+                        if hop == node || hop == blocked || !w.is_finite() {
+                            continue;
+                        }
+                        let Some(rest) = paths.distance(hop, dest) else {
+                            continue;
+                        };
+                        consider(RouteEntry {
+                            destination: dest,
+                            next_hop: hop,
+                            distance: w + rest,
+                        });
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// [`fill_detour_row`] as it stood with a dense weight matrix: one
+    /// pass over the node's whole weight row.
+    fn dense_row_detour(
+        paths: &ShortestPaths,
+        node_idx: usize,
+        weights: &Matrix<f64>,
+        module_nodes: &[Vec<NodeId>],
+        report: &SystemReport,
+        prev_hops: &[Option<NodeId>],
+    ) -> Vec<Option<RouteEntry>> {
+        let m = module_nodes.len();
+        let node = NodeId::new(node_idx);
+        let blocked = &prev_hops[node_idx * m..(node_idx + 1) * m];
+        let mut row: Vec<Option<RouteEntry>> = module_nodes
+            .iter()
+            .enumerate()
+            .map(|(module, duplicates)| {
+                if blocked[module].is_none() {
+                    dense_row_cell(paths, node_idx, module, duplicates, weights, report, None, m)
+                } else {
+                    duplicates.contains(&node).then_some(RouteEntry {
+                        destination: node,
+                        next_hop: node,
+                        distance: 0.0,
+                    })
+                }
+            })
+            .collect();
+        for (hop_idx, &w) in weights.row_slice(node_idx).iter().enumerate() {
+            if hop_idx == node_idx || !w.is_finite() {
+                continue;
+            }
+            let hop = NodeId::new(hop_idx);
+            for (module, duplicates) in module_nodes.iter().enumerate() {
+                if blocked[module].is_none_or(|port| port == hop) {
+                    continue;
+                }
+                for &dest in duplicates {
+                    if dest == node || !report.is_alive(dest) {
+                        continue;
+                    }
+                    let Some(rest) = paths.distance(hop, dest) else {
+                        continue;
+                    };
+                    let candidate =
+                        RouteEntry { destination: dest, next_hop: hop, distance: w + rest };
+                    if beats(&candidate, row[module].as_ref()) {
+                        row[module] = Some(candidate);
+                    }
+                }
+            }
         }
         row
     }
@@ -1039,7 +1174,7 @@ mod tests {
             row[1].unwrap(),
             RouteEntry { destination: NodeId::new(1), next_hop: NodeId::new(1), distance: 0.0 }
         );
-        assert_eq!(row, per_cell_row(&paths, 1, &w, &modules, &report, None));
+        assert_eq!(row, per_cell_row(&paths, 1, &adjacency_of(&w), &modules, &report, None));
     }
 
     proptest! {
@@ -1104,16 +1239,94 @@ mod tests {
                     (p < n).then(|| NodeId::new(p))
                 })
                 .collect();
+            let adjacency = adjacency_of(&w);
             let mut masks = Vec::new();
             module_masks_into(&modules, n, &mut masks);
             for node_idx in 0..n {
                 for prev_hops in [None, Some(prev.as_slice())] {
                     let mut row = vec![None; 4];
                     fill_table_row(
-                        &paths, &mut row, node_idx, &w, &modules, &report, prev_hops, &masks,
+                        &paths, &mut row, node_idx, &adjacency, &modules, &report, prev_hops,
+                        &masks,
                     );
-                    let expected = per_cell_row(&paths, node_idx, &w, &modules, &report, prev_hops);
+                    let expected =
+                        per_cell_row(&paths, node_idx, &adjacency, &modules, &report, prev_hops);
                     prop_assert_eq!(row, expected, "node {}", node_idx);
+                }
+            }
+        }
+
+        /// Deadlocked rows and cells filled over the node's out-links
+        /// equal the dense-row detour scans they replaced, on random
+        /// digraphs (one-way edges, dead endpoints, exact distance ties)
+        /// with random blocked ports — including ports that are not
+        /// links and links to dead neighbours.
+        #[test]
+        fn out_link_detours_equal_dense_row_scans(
+            n in 2usize..10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..4, any::<bool>()), 0..30),
+            hosts in proptest::collection::vec((0usize..10, 0usize..3), 1..12),
+            dead in proptest::collection::vec(0usize..10, 0..3),
+            ports in proptest::collection::vec(0usize..11, 30),
+            levels in proptest::collection::vec(0u32..16, 10),
+            ear in any::<bool>(),
+        ) {
+            let mut g = DiGraph::new(n);
+            for (a, b, len, both) in edges {
+                let (a, b) = (NodeId::new(a % n), NodeId::new(b % n));
+                if a != b {
+                    g.add_edge(a, b, cm(f64::from(len))).unwrap();
+                    if both {
+                        g.add_edge(b, a, cm(f64::from(len))).unwrap();
+                    }
+                }
+            }
+            let mut modules = vec![Vec::new(); 3];
+            for (host, module) in hosts {
+                modules[module].push(NodeId::new(host % n));
+            }
+            let mut report = SystemReport::fresh(n, 16);
+            for (i, &level) in levels.iter().take(n).enumerate() {
+                report.set_battery_level(NodeId::new(i), level);
+            }
+            for &d in &dead {
+                report.set_dead(NodeId::new(d % n));
+            }
+            for i in 0..n {
+                if report.is_alive(NodeId::new(i)) {
+                    report.set_deadlocked(NodeId::new(i), true);
+                }
+            }
+            let w = if ear {
+                ear_weights(&g, &report, &BatteryWeighting::default())
+            } else {
+                sdr_weights(&g, &report)
+            };
+            let adjacency = adjacency_of(&w);
+            let paths = dijkstra_all_pairs(&w);
+            let prev: Vec<Option<NodeId>> = (0..n * 3)
+                .map(|i| {
+                    let p = ports[i % ports.len()] % (n + 1);
+                    (p < n).then(|| NodeId::new(p))
+                })
+                .collect();
+            for node_idx in 0..n {
+                if report.is_alive(NodeId::new(node_idx)) {
+                    let mut row = vec![None; 3];
+                    fill_detour_row(&paths, &mut row, node_idx, &adjacency, &modules, &report, &prev);
+                    let dense = dense_row_detour(&paths, node_idx, &w, &modules, &report, &prev);
+                    prop_assert_eq!(row, dense, "detour row {}", node_idx);
+                }
+                for (module, duplicates) in modules.iter().enumerate() {
+                    let mut cell = None;
+                    fill_table_cell(
+                        &paths, &mut cell, node_idx, module, duplicates, &adjacency, &report,
+                        Some(&prev), 3,
+                    );
+                    let dense = dense_row_cell(
+                        &paths, node_idx, module, duplicates, &w, &report, Some(&prev), 3,
+                    );
+                    prop_assert_eq!(cell, dense, "detour cell ({}, {})", node_idx, module);
                 }
             }
         }

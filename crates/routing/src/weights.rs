@@ -1,7 +1,8 @@
-//! Phase 1: edge-weight matrix construction for SDR and EAR, plus the
-//! edge-delta extraction the staged recompute pipeline feeds on.
+//! Phase 1: edge weights for SDR and EAR — the paper's dense weight
+//! matrix, the router's sparse adjacency list, and the edge-delta
+//! extraction the staged recompute pipeline feeds on.
 
-use etx_graph::{DiGraph, Matrix, NodeId, WeightDelta, INFINITE_DISTANCE};
+use etx_graph::{AdjacencyList, DiGraph, Matrix, NodeId, WeightDelta, INFINITE_DISTANCE};
 
 use crate::{BatteryWeighting, SystemReport};
 
@@ -26,12 +27,7 @@ fn edge_weight(
     }
 }
 
-fn weights_into(
-    graph: &DiGraph,
-    report: &SystemReport,
-    weighting: Option<&BatteryWeighting>,
-    out: &mut Matrix<f64>,
-) {
+fn assert_report_covers(graph: &DiGraph, report: &SystemReport) {
     let n = graph.node_count();
     assert_eq!(
         n,
@@ -39,6 +35,16 @@ fn weights_into(
         "report covers {} nodes but the graph has {n}",
         report.node_count()
     );
+}
+
+fn weights_into(
+    graph: &DiGraph,
+    report: &SystemReport,
+    weighting: Option<&BatteryWeighting>,
+    out: &mut Matrix<f64>,
+) {
+    assert_report_covers(graph, report);
+    let n = graph.node_count();
     out.reset(n, n, INFINITE_DISTANCE);
     for i in 0..n {
         out[(i, i)] = 0.0;
@@ -49,35 +55,40 @@ fn weights_into(
     }
 }
 
-/// Refreshes the entries of `node`'s in-links and out-links in a weight
-/// matrix previously built by [`sdr_weights_into`]/[`ear_weights_into`]
-/// over the same graph (`weighting` must match the original call). Every
-/// other entry of row and column `node` is a non-edge and stays
-/// infinite, so after refreshing every node whose battery bucket or
-/// liveness changed, the matrix equals a full rebuild against the new
-/// report — at `O(degree)` per changed node instead of `O(K²)`. This is
-/// the phase-1 half of the delta-aware recompute.
-pub(crate) fn update_node_weights(
+/// Fills the router's phase-1 store: the adjacency list of the weights
+/// [`weights_into`] would put in a dense matrix, straight from the
+/// graph's sorted out-links in `O(K + E)`. Each list holds a node's
+/// usable out-links (finite weight) in ascending neighbour id — the
+/// lists [`AdjacencyList::rebuild`] extracts from the dense matrix. Each
+/// weight is checked as it is pushed: a NaN or negative weight panics,
+/// as the dense backends' matrix validation does.
+///
+/// # Panics
+///
+/// Panics if the report covers a different number of nodes than the
+/// graph, or an edge weight is NaN or negative.
+pub(crate) fn adjacency_into(
     graph: &DiGraph,
     report: &SystemReport,
     weighting: Option<&BatteryWeighting>,
-    node: NodeId,
-    out: &mut Matrix<f64>,
+    out: &mut AdjacencyList,
 ) {
-    debug_assert_eq!(out.rows(), graph.node_count(), "weight matrix does not match the graph");
-    for (other, len) in graph.in_neighbors(node) {
-        out[(other, node)] = edge_weight(report, weighting, other, node, len.centimetres());
-    }
-    for (other, len) in graph.neighbors(node) {
-        out[(node, other)] = edge_weight(report, weighting, node, other, len.centimetres());
+    assert_report_covers(graph, report);
+    out.clear_to(graph.node_count());
+    for from in graph.nodes() {
+        for (to, len) in graph.neighbors(from) {
+            let w = edge_weight(report, weighting, from, to, len.centimetres());
+            out.push_edge(from.index(), to.index(), w);
+        }
     }
 }
 
 /// Extracts the edge-weight deltas the new report implies for `node`
-/// *without* mutating the matrix: every in/out edge of `node` whose
+/// *without* mutating the list: every in/out edge of `node` whose
 /// weight under the new report differs from the cached value in
-/// `weights` is appended to `deltas` (stage 1 of the recompute
-/// pipeline), in `O(degree)`.
+/// `adjacency` (infinite where the list has no entry) is appended to
+/// `deltas` (stage 1 of the recompute pipeline), in `O(degree · log
+/// degree)`.
 ///
 /// The stream walks `node`'s in-links and out-links merged by ascending
 /// neighbour id and, per neighbour, emits the in-edge before the
@@ -91,13 +102,13 @@ pub(crate) fn collect_node_weight_deltas(
     report: &SystemReport,
     weighting: Option<&BatteryWeighting>,
     node: NodeId,
-    weights: &Matrix<f64>,
+    adjacency: &AdjacencyList,
     dirty: &[bool],
     deltas: &mut Vec<WeightDelta>,
 ) {
-    debug_assert_eq!(weights.rows(), graph.node_count(), "weight matrix does not match the graph");
+    debug_assert_eq!(adjacency.len(), graph.node_count(), "adjacency does not match the graph");
     let mut push = |from: NodeId, to: NodeId, length_cm: f64| {
-        let old = weights[(from, to)];
+        let old = adjacency.weight(from.index(), to.index());
         let new = edge_weight(report, weighting, from, to, length_cm);
         if old != new {
             deltas.push(WeightDelta { from: from.index() as u32, to: to.index() as u32, old, new });
@@ -287,13 +298,14 @@ mod tests {
 
     /// The stage-1 extraction as a dense scan over every other node —
     /// the `O(K)` reference twin of [`collect_node_weight_deltas`]'s
-    /// `O(degree)` merge.
+    /// `O(degree)` merge. Old weights come from the list, the router's
+    /// only phase-1 store (infinite where it has no entry).
     fn dense_node_deltas(
         graph: &DiGraph,
         report: &SystemReport,
         weighting: Option<&BatteryWeighting>,
         node: NodeId,
-        weights: &Matrix<f64>,
+        adjacency: &AdjacencyList,
         dirty: &[bool],
         deltas: &mut Vec<WeightDelta>,
     ) {
@@ -306,7 +318,7 @@ mod tests {
                 let new = graph.edge_length(from, to).map_or(INFINITE_DISTANCE, |len| {
                     edge_weight(report, weighting, from, to, len.centimetres())
                 });
-                let old = weights[(from, to)];
+                let old = adjacency.weight(from.index(), to.index());
                 if old != new {
                     deltas.push(WeightDelta {
                         from: from.index() as u32,
@@ -340,8 +352,8 @@ mod tests {
         /// (drains, deaths, revivals), the `O(degree)` delta stream
         /// equals the dense scan element for element and in order, for
         /// dirty lists in any order with over-approximations and repeats;
-        /// and refreshing the dirty nodes' links lands on the full
-        /// rebuild's matrix.
+        /// and applying the stream with `set_edge` lands on the full
+        /// rebuild's list, which is the dense matrix's list.
         #[test]
         fn sparse_delta_stream_equals_dense_scan(
             n in 2usize..10,
@@ -364,8 +376,8 @@ mod tests {
             apply_steps(&mut old, &before);
             let mut new = old.clone();
             apply_steps(&mut new, &after);
-            let mut weights = Matrix::filled(0, 0, 0.0);
-            weights_into(&graph, &old, weighting, &mut weights);
+            let mut adjacency = AdjacencyList::new();
+            adjacency_into(&graph, &old, weighting, &mut adjacency);
 
             // Changed nodes in descending order, then the extras.
             let mut dirty: Vec<usize> = (0..n)
@@ -385,18 +397,25 @@ mod tests {
             for &d in &dirty {
                 let node = NodeId::new(d);
                 collect_node_weight_deltas(
-                    &graph, &new, weighting, node, &weights, &dirty_mark, &mut sparse,
+                    &graph, &new, weighting, node, &adjacency, &dirty_mark, &mut sparse,
                 );
-                dense_node_deltas(&graph, &new, weighting, node, &weights, &dirty_mark, &mut dense);
+                dense_node_deltas(
+                    &graph, &new, weighting, node, &adjacency, &dirty_mark, &mut dense,
+                );
             }
             proptest::prop_assert_eq!(&sparse, &dense);
 
-            for &d in &dirty {
-                update_node_weights(&graph, &new, weighting, NodeId::new(d), &mut weights);
+            for delta in &sparse {
+                adjacency.set_edge(delta.from as usize, delta.to as usize, delta.new);
             }
-            let mut fresh = Matrix::filled(0, 0, 0.0);
-            weights_into(&graph, &new, weighting, &mut fresh);
-            proptest::prop_assert_eq!(weights, fresh);
+            let mut fresh = AdjacencyList::new();
+            adjacency_into(&graph, &new, weighting, &mut fresh);
+            proptest::prop_assert_eq!(&adjacency, &fresh);
+            let mut dense_fresh = Matrix::filled(0, 0, 0.0);
+            weights_into(&graph, &new, weighting, &mut dense_fresh);
+            let mut from_dense = AdjacencyList::new();
+            from_dense.rebuild(&dense_fresh);
+            proptest::prop_assert_eq!(adjacency, from_dense);
         }
     }
 }

@@ -19,13 +19,14 @@
 //!      valid     word-packed bitset                               1 bit/entry
 //! ```
 //!
-//! The phase-2 matrices split the same way: distances stay one
-//! contiguous `f64` plane (cost queries touch nothing else) and the
-//! successor matrix becomes an [`IndexPlane`] (path walks touch nothing
-//! else). Index planes are `u16` lanes: simulator config validation
-//! caps a fabric at [`IndexPlane::MAX_NODES`] nodes, so one lane width
-//! serves every fabric, and the gather loops and path walks read the
-//! bare `u16` slices.
+//! The phase-2 data is already in plane form in the router: distances
+//! are one contiguous `f64` plane (cost queries touch nothing else) and
+//! the successors one [`IndexPlane`] (path walks touch nothing else), so
+//! a publish copies both as they stand. Index planes are `u16` lanes:
+//! simulator config validation caps a fabric at
+//! [`IndexPlane::MAX_NODES`] nodes and the router asserts the cap, so
+//! one lane width serves every fabric, and the gather loops and path
+//! walks read the bare `u16` slices.
 
 use etx_graph::{IndexPlane, Matrix, NodeId};
 use etx_routing::{RouteEntry, RouteTablePlanes, RoutingState};
@@ -75,22 +76,18 @@ impl TableSnapshot {
         }
     }
 
-    /// Overwrites this snapshot with `routing`'s tables at `epoch`,
-    /// compacted into planes in one pass over each source buffer. Every
-    /// plane is refilled in place — refills on warmed snapshots of
-    /// unchanged dimensions perform no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `routing` covers more than [`IndexPlane::MAX_NODES`]
-    /// nodes.
+    /// Overwrites this snapshot with `routing`'s tables at `epoch`: the
+    /// distance and successor planes are copied as they stand (the
+    /// router already keeps successors in `u16` lanes), and the route
+    /// table is compacted into planes in one pass. Every plane is
+    /// refilled in place — refills on warmed snapshots of unchanged
+    /// dimensions perform no heap allocation.
     pub fn fill_from(&mut self, epoch: u64, routing: &RoutingState) {
         self.epoch = epoch;
         self.modules = routing.module_count();
         self.nodes = routing.node_count();
         self.dist.copy_from(routing.paths().distances());
-        let succ = routing.paths().successors().as_slice();
-        self.succ.fill_with(succ.len(), |i| succ[i].map(NodeId::index));
+        self.succ.copy_from(routing.paths().successors());
         routing.export_route_planes(&mut self.table);
     }
 
