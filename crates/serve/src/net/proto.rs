@@ -333,7 +333,7 @@ fn take_u32(c: &mut Cursor<'_>) -> Result<u32, WireError> {
 /// A fabric/node/module index bound: decoded ids above this are
 /// malformed by construction (no deployment approaches 2^24 nodes),
 /// which keeps hostile ids from turning into huge `NodeId` values.
-const MAX_INDEX: u64 = 1 << 24;
+pub(crate) const MAX_INDEX: u64 = 1 << 24;
 
 fn take_index(c: &mut Cursor<'_>) -> Result<u32, WireError> {
     let v = c.take_uvarint()?;
@@ -467,7 +467,9 @@ pub fn decode_results_into(payload: &[u8], out: &mut QueryOutput) -> Result<u64,
     Ok(request_id)
 }
 
-#[inline]
+// Forced inline: left to LLVM it stayed out of line in the `served`
+// binary, one call per decoded entry on the client's RESULTS path.
+#[inline(always)]
 fn take_entry(c: &mut Cursor<'_>) -> Result<RouteEntry, WireError> {
     let destination = NodeId::new(take_index(c)? as usize);
     let next_hop = NodeId::new(take_index(c)? as usize);
@@ -613,6 +615,262 @@ mod tests {
         let mut decoded = Vec::new();
         assert_eq!(decode_ingest_into(&frame[1..], &mut decoded), Ok((5, 2)));
         assert_eq!(decoded, items);
+    }
+
+    /// Ids on both sides of the one-, two- and three-byte varint
+    /// boundaries and of the decoders' index bound.
+    const EDGE_IDS: [u64; 8] = [0, 127, 128, 16_383, 16_384, 2_097_152, MAX_INDEX - 1, MAX_INDEX];
+
+    fn node(id: u64) -> NodeId {
+        NodeId::new(id as usize)
+    }
+
+    /// The payload of an encoded frame (length prefix stripped).
+    fn payload(frame: &[u8]) -> Vec<u8> {
+        let mut c = Cursor::new(frame);
+        let len = c.take_uvarint().expect("length prefix") as usize;
+        c.take_bytes(len).expect("whole frame").to_vec()
+    }
+
+    /// A RESULTS body exercising every tag, with ids and path nodes
+    /// across the varint boundaries and paths long enough that cut
+    /// payloads trip the path-length check.
+    fn edge_output(ids: &[u64]) -> QueryOutput {
+        let mut out = QueryOutput::new();
+        out.reset(7 * ids.len());
+        let mut slot = 0;
+        for (i, &id) in ids.iter().enumerate() {
+            let entry = RouteEntry {
+                destination: node(id),
+                next_hop: node(ids[(i + 1) % ids.len()]),
+                distance: 0.5 + id as f64,
+            };
+            let start = out.arena_mut().len() as u32;
+            out.arena_mut().extend((0..=i * 6).map(|k| node(ids[(i + k) % ids.len()])));
+            let end = out.arena_mut().len() as u32;
+            for result in [
+                QueryResult::NextHop(Some(entry)),
+                QueryResult::NextHop(None),
+                QueryResult::Path { entry: Some(entry), nodes: (start, end) },
+                QueryResult::Path { entry: None, nodes: (0, 0) },
+                QueryResult::Cost(Some(id as f64)),
+                QueryResult::Cost(None),
+                QueryResult::UnknownFabric,
+            ] {
+                out.set(slot, result);
+                slot += 1;
+            }
+        }
+        out
+    }
+
+    /// The count checks a decoder runs on a payload, in decode order:
+    /// `(offset past the count field, least payload length it needs)`.
+    /// Past a check, a cut payload ends mid-field.
+    fn count_checks(payload: &[u8]) -> Vec<(usize, u64)> {
+        let mut c = Cursor::new(payload);
+        let kind = c.take_u8().expect("type byte");
+        c.take_uvarint().expect("request id");
+        if kind == msg::INGEST {
+            c.take_uvarint().expect("fabric");
+        }
+        let count = c.take_uvarint().expect("count");
+        let needs = match kind {
+            msg::QUERY => count.saturating_mul(4),
+            msg::INGEST => count.saturating_mul(2),
+            _ => count,
+        };
+        let mut checks = vec![(c.position(), needs)];
+        if kind == msg::RESULTS {
+            for _ in 0..count {
+                match c.take_u8().expect("tag") {
+                    R_NEXT_HOP_SOME => {
+                        take_entry(&mut c).expect("entry");
+                    }
+                    R_PATH_SOME => {
+                        take_entry(&mut c).expect("entry");
+                        let len = c.take_uvarint().expect("path length");
+                        checks.push((c.position(), len));
+                        for _ in 0..len {
+                            c.take_uvarint().expect("path node");
+                        }
+                    }
+                    R_COST_SOME => {
+                        c.take_f64().expect("cost");
+                    }
+                    _ => {}
+                }
+            }
+        }
+        checks
+    }
+
+    /// What a decoder returns for `payload` cut to `cut` bytes: the
+    /// first count check the cut fails is `Malformed`; otherwise the
+    /// input ends mid-field.
+    fn expected_cut(checks: &[(usize, u64)], cut: usize) -> WireError {
+        for &(after, needs) in checks {
+            if cut < after {
+                return WireError::Truncated;
+            }
+            if needs > cut as u64 {
+                return WireError::Malformed;
+            }
+        }
+        WireError::Truncated
+    }
+
+    #[test]
+    fn every_cut_payload_fails_as_the_layout_predicts() {
+        let mut buf = Vec::new();
+        let ids = &EDGE_IDS[..EDGE_IDS.len() - 1];
+        let queries: Vec<Query> = ids
+            .iter()
+            .flat_map(|&id| {
+                let (fabric, source) = (id as u32, node(ids[(id % 7) as usize]));
+                [
+                    Query::NextHop { fabric, source, module: id as u32 },
+                    Query::Path { fabric, source, module: 3 },
+                    Query::Cost { fabric, source, target: node(id) },
+                ]
+            })
+            .collect();
+        let items: Vec<(u32, u32)> =
+            ids.iter().map(|&id| (id as u32, u32::MAX - id as u32)).collect();
+        let payloads = [
+            payload(encode_query(&mut buf, 16_384, &queries)),
+            payload(encode_query(&mut buf, 1, &queries[..1])),
+            payload(encode_results(&mut buf, 300, &edge_output(ids))),
+            payload(encode_results(&mut buf, 2, &edge_output(&ids[..1]))),
+            payload(encode_ingest(&mut buf, 128, 16_383, &items)),
+            payload(encode_ingest(&mut buf, 0, 0, &items[..1])),
+        ];
+        let mut batch = QueryBatch::new();
+        let mut out = QueryOutput::new();
+        let mut decoded = Vec::new();
+        for payload in &payloads {
+            let checks = count_checks(payload);
+            for cut in 0..payload.len() {
+                let cut_payload = &payload[..cut];
+                let got = match payload[0] {
+                    msg::QUERY => decode_query_into(cut_payload, &mut batch).map(drop),
+                    msg::RESULTS => decode_results_into(cut_payload, &mut out).map(drop),
+                    _ => decode_ingest_into(cut_payload, &mut decoded).map(drop),
+                };
+                assert_eq!(
+                    got,
+                    Err(expected_cut(&checks, cut)),
+                    "type {:#x}, cut {cut}",
+                    payload[0]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ids_at_varint_boundaries_round_trip_or_fail() {
+        let mut buf = Vec::new();
+        let mut batch = QueryBatch::new();
+        let mut out = QueryOutput::new();
+        let mut items = Vec::new();
+        for id in EDGE_IDS {
+            let want_ok = id < MAX_INDEX;
+            let expect = |ok: bool| if want_ok { Ok(ok) } else { Err(WireError::Malformed) };
+            let small = node(5);
+            for query in [
+                Query::NextHop { fabric: id as u32, source: small, module: 1 },
+                Query::Path { fabric: 2, source: node(id), module: 0 },
+                Query::NextHop { fabric: 0, source: small, module: id as u32 },
+                Query::Cost { fabric: 1, source: small, target: node(id) },
+            ] {
+                let frame = payload(encode_query(&mut buf, id, &[query]));
+                let got = decode_query_into(&frame, &mut batch).map(|rid| rid == id);
+                assert_eq!(got, expect(true), "{query:?}");
+                if want_ok {
+                    assert_eq!(batch.queries(), &[query]);
+                }
+            }
+            let results = edge_output(&[id, 16_384, 127]);
+            let frame = payload(encode_results(&mut buf, id, &results));
+            let got = decode_results_into(&frame, &mut out).map(|rid| rid == id);
+            assert_eq!(got, expect(true), "RESULTS with id {id}");
+            if want_ok {
+                assert_eq!(out.results(), results.results());
+                for (a, b) in out.results().iter().zip(results.results()) {
+                    assert_eq!(out.path_nodes(a), results.path_nodes(b));
+                }
+            }
+            for (fabric, sent) in [(id as u32, vec![(3, id as u32)]), (4, vec![(id as u32, 1)])] {
+                let frame = payload(encode_ingest(&mut buf, id, fabric, &sent));
+                let got = decode_ingest_into(&frame, &mut items);
+                let fabric_ok = u64::from(fabric) < MAX_INDEX;
+                let node_ok = sent.iter().all(|&(n, _)| u64::from(n) < MAX_INDEX);
+                if fabric_ok && node_ok {
+                    assert_eq!(got, Ok((id, fabric)));
+                    assert_eq!(items, sent);
+                } else {
+                    assert_eq!(got, Err(WireError::Malformed), "INGEST {fabric} {sent:?}");
+                }
+            }
+        }
+    }
+
+    /// The RESULTS encoder as it stood when the decoders gained their
+    /// inlined varint path, kept to pin the wire bytes.
+    fn reference_results<'a>(buf: &'a mut Vec<u8>, request_id: u64, out: &QueryOutput) -> &'a [u8] {
+        fn entry(buf: &mut Vec<u8>, entry: &RouteEntry) {
+            put_uvarint(buf, entry.destination.index() as u64);
+            put_uvarint(buf, entry.next_hop.index() as u64);
+            put_f64(buf, entry.distance);
+        }
+        begin_frame(buf);
+        buf.push(msg::RESULTS);
+        put_uvarint(buf, request_id);
+        put_uvarint(buf, out.results().len() as u64);
+        for result in out.results() {
+            match result {
+                QueryResult::NextHop(None) => buf.push(0),
+                QueryResult::NextHop(Some(e)) => {
+                    buf.push(1);
+                    entry(buf, e);
+                }
+                QueryResult::Path { entry: None, .. } => buf.push(2),
+                QueryResult::Path { entry: Some(e), .. } => {
+                    buf.push(3);
+                    entry(buf, e);
+                    let nodes = out.path_nodes(result);
+                    put_uvarint(buf, nodes.len() as u64);
+                    for node in nodes {
+                        put_uvarint(buf, node.index() as u64);
+                    }
+                }
+                QueryResult::Cost(None) => buf.push(4),
+                QueryResult::Cost(Some(cost)) => {
+                    buf.push(5);
+                    put_f64(buf, *cost);
+                }
+                QueryResult::UnknownFabric => buf.push(6),
+            }
+        }
+        finish_frame(buf)
+    }
+
+    #[test]
+    fn results_frames_are_byte_identical_to_the_reference_encoder() {
+        let mut rng = proptest::TestRng::new(0x7e5_0175);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for case in 0..64 {
+            let ids: Vec<u64> = (0..1 + case % 9)
+                .map(|_| EDGE_IDS[rng.below(EDGE_IDS.len() as u64) as usize] + rng.below(3))
+                .collect();
+            let out = edge_output(&ids);
+            let request_id = rng.next_u64() >> rng.below(64);
+            assert_eq!(
+                encode_results(&mut a, request_id, &out),
+                reference_results(&mut b, request_id, &out),
+                "ids {ids:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! daemon protocol. Decoding is total: malformed input (say, from an
 //! arbitrary TCP peer) yields a [`WireError`], never a panic.
 //!
-//! Every function is `#[inline]`: release builds run without LTO, and
-//! the daemon's per-field calls must inline across the crate boundary.
+//! Every public function is `#[inline]`: release builds run without
+//! LTO, and the daemon's per-field calls must inline across the crate
+//! boundary. [`Cursor::take_uvarint`] is split to let them: the inlined
+//! fast path decodes one- and two-byte varints (every wire id below
+//! 16,384), and everything else (longer values, truncation, overflow)
+//! falls through to one out-of-line LEB128 loop with the same checks,
+//! errors and cursor positions.
 
 /// A decode failure. Total: every malformed input maps here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,8 +152,32 @@ impl<'a> Cursor<'a> {
     }
 
     /// An unsigned LEB128 varint ([`WireError::Overflow`] past 64 bits).
+    ///
+    /// One- and two-byte encodings (every value below 16,384) decode
+    /// inline at the call site; longer encodings and every failure take
+    /// the out-of-line loop from the same position, so values, errors
+    /// and cursor positions are those of the loop alone.
     #[inline]
     pub fn take_uvarint(&mut self) -> Result<u64, WireError> {
+        match *self.bytes.get(self.pos..).unwrap_or_default() {
+            [b0, ..] if b0 < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b0))
+            }
+            [b0, b1, ..] if b1 < 0x80 => {
+                self.pos += 2;
+                Ok(u64::from(b0 & 0x7f) | (u64::from(b1) << 7))
+            }
+            _ => self.take_uvarint_loop(),
+        }
+    }
+
+    /// The general LEB128 loop behind [`Cursor::take_uvarint`]: any
+    /// length, the overflow check on the tenth byte, and the cursor left
+    /// past the last byte read when the input ends or overflows.
+    #[cold]
+    #[inline(never)]
+    fn take_uvarint_loop(&mut self) -> Result<u64, WireError> {
         let mut value: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -221,6 +250,101 @@ mod tests {
         assert_eq!(cur.take_f64(), Err(WireError::Truncated));
         assert_eq!(cur.take_u64(), Err(WireError::Truncated));
         assert_eq!(cur.take_u32(), Ok(0));
+    }
+
+    /// The generic LEB128 loop the fast path must equal: value, error
+    /// and cursor position.
+    fn reference_uvarint(bytes: &[u8]) -> (Result<u64, WireError>, usize) {
+        let mut cur = Cursor::new(bytes);
+        let mut value: u64 = 0;
+        let mut shift = 0u32;
+        let result = loop {
+            let byte = match cur.take_u8() {
+                Ok(byte) => byte,
+                Err(e) => break Err(e),
+            };
+            if shift >= 64 || (shift == 63 && byte > 1) {
+                break Err(WireError::Overflow);
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                break Ok(value);
+            }
+            shift += 7;
+        };
+        (result, cur.position())
+    }
+
+    /// Decodes `bytes` with `take_uvarint` at offset `at` (after `at`
+    /// filler bytes) and checks value, error and position against the
+    /// reference.
+    fn assert_matches_reference(bytes: &[u8], at: usize) {
+        let mut framed = vec![0u8; at];
+        framed.extend_from_slice(bytes);
+        let mut cur = Cursor::new(&framed);
+        cur.take_bytes(at).expect("filler");
+        let got = cur.take_uvarint();
+        let (want, pos) = reference_uvarint(bytes);
+        assert_eq!(got, want, "{bytes:02x?} at {at}");
+        assert_eq!(cur.position(), at + pos, "position after {bytes:02x?} at {at}");
+    }
+
+    #[test]
+    fn fast_path_equals_the_generic_loop() {
+        // Every input of one and two bytes: the fast path's domain, its
+        // fall-through (a continuation second byte) and truncation. The
+        // filler offset puts the varint mid-buffer as a field decoder
+        // sees it, and at the end of the input.
+        assert_matches_reference(&[], 0);
+        assert_matches_reference(&[], 3);
+        for b0 in 0..=u8::MAX {
+            assert_matches_reference(&[b0], 0);
+            assert_matches_reference(&[b0], 1);
+            for b1 in 0..=u8::MAX {
+                assert_matches_reference(&[b0, b1], 0);
+                assert_matches_reference(&[b0, b1], 2);
+                // Followed by more input: the fast path must not read
+                // past its own encoding.
+                assert_matches_reference(&[b0, b1, 0x01], 0);
+                assert_matches_reference(&[b0, b1, 0x81, 0x01], 5);
+            }
+        }
+        // The 3-byte boundaries, the widest value, and every prefix of
+        // each encoding (truncated input).
+        let values = [
+            16_383u64,
+            16_384,
+            (1 << 21) - 1,
+            1 << 21,
+            1 << 24,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for v in values {
+            let mut buf = Vec::new();
+            put_uvarint(&mut buf, v);
+            assert_eq!(reference_uvarint(&buf), (Ok(v), buf.len()));
+            for cut in 0..=buf.len() {
+                assert_matches_reference(&buf[..cut], 0);
+                assert_matches_reference(&buf[..cut], 7);
+            }
+        }
+        // Overlong input: redundant zero groups (accepted, as by the
+        // loop), ten continuation bytes, and a tenth byte past the top
+        // bit of a u64.
+        let overlong: [&[u8]; 6] = [
+            &[0x80, 0x00],
+            &[0xff, 0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+            &[0x80; 10],
+            &[0x80; 12],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+        ];
+        for bytes in overlong {
+            assert_matches_reference(bytes, 0);
+            assert_matches_reference(bytes, 4);
+        }
     }
 
     #[test]
