@@ -3,15 +3,17 @@
 //! Every `K × K` node-index plane of the workspace uses this one
 //! encoding: the phase-2 successors of
 //! [`ShortestPaths`](crate::ShortestPaths), the repair trees' parent and
-//! child links in [`SpTreeStore`](crate::SpTreeStore), and the serve
-//! tier's struct-of-arrays snapshots (successors, route destinations,
-//! first hops). A `u16` lane packs an index 8x denser than the
-//! `Option<NodeId>` it replaces — the difference between a route table
-//! that lives in L1 and one that is chased through L2 on every batched
-//! lookup, and between 2 MB and 16 MB of successors at `K = 1024`. "No
-//! index" is the reserved sentinel `u16::MAX`, which keeps the plane a
-//! plain `u16` slice that gather loops can stream over, and a snapshot
-//! publishes the router's successors by copying the lanes.
+//! child links in [`SpTreeStore`](crate::SpTreeStore), and the phase-3
+//! route table's destination and first-hop planes (`etx-routing`'s
+//! `RouteTablePlanes`), which the router writes and the serve tier's
+//! snapshots copy as they stand. A `u16` lane packs an index 8x denser
+//! than the `Option<NodeId>` it replaces — the difference between a
+//! route table that lives in L1 and one that is chased through L2 on
+//! every batched lookup, and between 2 MB and 16 MB of successors at
+//! `K = 1024`. "No index" is the reserved sentinel `u16::MAX`, which
+//! keeps the plane a plain `u16` slice that gather loops can stream
+//! over, and a snapshot publishes the router's planes by copying the
+//! lanes.
 //!
 //! One lane width covers every fabric the simulator accepts: its config
 //! validation caps a fabric at [`IndexPlane::MAX_NODES`] nodes, and the
@@ -33,7 +35,9 @@
 /// use etx_graph::IndexPlane;
 ///
 /// let mut plane = IndexPlane::new();
-/// plane.fill_with(3, |i| if i == 1 { None } else { Some(i * 10) });
+/// plane.reset(3);
+/// plane.set(0, Some(0));
+/// plane.set(2, Some(20));
 /// assert_eq!(plane.get(0), Some(0));
 /// assert_eq!(plane.get(1), None);
 /// assert_eq!(plane.get(2), Some(20));
@@ -114,34 +118,21 @@ impl IndexPlane {
         self.lanes.extend_from_slice(&other.lanes);
     }
 
-    /// Appends one entry.
+    /// Stores `index` at lane `i` ([`IndexPlane::SENTINEL`] for `None`).
     ///
     /// # Panics
     ///
-    /// Panics if `index` is at or above [`IndexPlane::MAX_NODES`].
+    /// Panics if `i` is out of range, or `index` is at or above
+    /// [`IndexPlane::MAX_NODES`].
     #[inline]
-    pub fn push(&mut self, index: Option<usize>) {
-        self.lanes.push(match index {
+    pub fn set(&mut self, i: usize, index: Option<usize>) {
+        self.lanes[i] = match index {
             Some(x) => {
                 assert!(x < Self::MAX_NODES, "index {x} does not fit a u16 index plane");
                 x as u16
             }
             None => Self::SENTINEL,
-        });
-    }
-
-    /// Refills the plane with `len` entries produced by `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` returns an index at or above
-    /// [`IndexPlane::MAX_NODES`].
-    pub fn fill_with(&mut self, len: usize, mut f: impl FnMut(usize) -> Option<usize>) {
-        self.clear();
-        self.lanes.reserve(len);
-        for i in 0..len {
-            self.push(f(i));
-        }
+        };
     }
 }
 
@@ -149,10 +140,19 @@ impl IndexPlane {
 mod tests {
     use super::*;
 
+    /// A plane of `len` lanes holding `f(i)` at lane `i`.
+    fn plane_of(len: usize, f: impl Fn(usize) -> Option<usize>) -> IndexPlane {
+        let mut plane = IndexPlane::new();
+        plane.reset(len);
+        for i in 0..len {
+            plane.set(i, f(i));
+        }
+        plane
+    }
+
     #[test]
     fn narrow_roundtrip_with_sentinels() {
-        let mut plane = IndexPlane::new();
-        plane.fill_with(5, |i| (i % 2 == 0).then_some(i * 7));
+        let plane = plane_of(5, |i| (i % 2 == 0).then_some(i * 7));
         assert_eq!(plane.get(0), Some(0));
         assert_eq!(plane.get(1), None);
         assert_eq!(plane.get(4), Some(28));
@@ -163,8 +163,7 @@ mod tests {
     #[test]
     fn narrow_bound_is_exact() {
         // 65535 indices (0..=65534) fit; u16::MAX is the sentinel.
-        let mut plane = IndexPlane::new();
-        plane.fill_with(2, |i| (i == 0).then_some(IndexPlane::MAX_NODES - 1));
+        let plane = plane_of(2, |i| (i == 0).then_some(IndexPlane::MAX_NODES - 1));
         assert_eq!(plane.get(0), Some(65_534));
         assert_eq!(plane.get(1), None);
         // So a 65,535-node fabric fits; one more node panics (the
@@ -174,17 +173,19 @@ mod tests {
 
     #[test]
     fn refill_reuses_width_and_replaces_content() {
-        let mut plane = IndexPlane::new();
-        plane.fill_with(3, Some);
+        let mut plane = plane_of(3, Some);
         let capacity = plane.lanes.capacity();
-        plane.fill_with(2, |i| Some(i + 10));
+        plane.reset(2);
+        plane.set(0, Some(10));
+        plane.set(1, Some(11));
         assert_eq!(plane.lanes(), &[10, 11]);
         assert_eq!(plane.get(2), None);
         assert_eq!(plane.lanes.capacity(), capacity, "refill keeps the allocation");
+        // Clearing a lane stores the sentinel, as a never-written lane.
+        plane.set(1, None);
+        assert_eq!(plane.lanes(), &[10, IndexPlane::SENTINEL]);
         plane.clear();
-        plane.push(Some(9));
-        plane.push(None);
-        assert_eq!(plane.lanes(), &[9, IndexPlane::SENTINEL]);
+        assert_eq!(plane.get(0), None);
     }
 
     #[test]
@@ -199,8 +200,7 @@ mod tests {
         assert_eq!(plane.lanes(), &[IndexPlane::SENTINEL; 3], "reset clears old lanes");
         assert_eq!(plane.lanes.capacity(), capacity);
 
-        let mut source = IndexPlane::new();
-        source.fill_with(2, |i| (i == 1).then_some(5));
+        let source = plane_of(2, |i| (i == 1).then_some(5));
         plane.copy_from(&source);
         assert_eq!(plane, source);
         assert_eq!(plane.lanes.capacity(), capacity, "copy reuses the allocation");
@@ -209,7 +209,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit a u16 index plane")]
     fn out_of_bound_index_panics() {
-        let mut plane = IndexPlane::new();
-        plane.fill_with(1, |_| Some(IndexPlane::MAX_NODES));
+        plane_of(1, |_| Some(IndexPlane::MAX_NODES));
     }
 }

@@ -188,6 +188,14 @@ impl ShortestPaths {
         ShortestPaths { dist: Matrix::filled(0, 0, 0.0), succ: IndexPlane::new() }
     }
 
+    /// Overwrites this result with `other`'s distances and successors,
+    /// reusing both allocations when they are large enough (no heap
+    /// allocation once the node count has been seen).
+    pub fn copy_from(&mut self, other: &ShortestPaths) {
+        self.dist.copy_from(&other.dist);
+        self.succ.copy_from(&other.succ);
+    }
+
     /// Resizes to `n` nodes and resets every pair to "unreachable"
     /// (`dist = ∞`, diagonal `0`, successors none), reusing the existing
     /// allocations whenever they are large enough.

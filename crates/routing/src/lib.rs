@@ -35,7 +35,11 @@
 //! 3. **Phase 3 — destination selection.** For every node and every
 //!    module, pick the nearest *live* duplicate of that module (w.r.t. the
 //!    phase-2 distances) while avoiding ports in a deadlock state
-//!    (the paper's Fig 6). See [`RoutingState`].
+//!    (the paper's Fig 6). See [`RoutingState`]. The table is stored
+//!    as [`RouteTablePlanes`]: a destination and a first-hop `u16`
+//!    plane plus an `f64` distance plane, 12 bytes per entry. It is the
+//!    table's only encoding: every phase-3 writer fills the planes, and
+//!    `etx-serve` publishes a state by copying them.
 //!
 //! [`Router`] packages the three phases behind one call.
 //!
@@ -79,4 +83,4 @@ pub use router::{Algorithm, RecomputeStrategy, Router};
 pub use scratch::{RecomputeStats, RoutingScratch};
 pub use table::{RouteEntry, RouteTablePlanes, RoutingState};
 pub use weighting::BatteryWeighting;
-pub use weights::{ear_weights, ear_weights_into, sdr_weights, sdr_weights_into};
+pub use weights::{ear_weights, sdr_weights};

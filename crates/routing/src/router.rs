@@ -10,7 +10,7 @@ use etx_graph::{
 use etx_metrics::SpanId;
 
 use crate::scratch::WeightsKey;
-use crate::table::{module_masks_into, PathPolicy};
+use crate::table::module_masks_into;
 use crate::weights::{adjacency_into, collect_node_weight_deltas};
 use crate::{BatteryWeighting, RoutingScratch, RoutingState, SystemReport};
 
@@ -228,8 +228,9 @@ impl Router {
     /// avoidance of phase 3; pass the routing state of the previous
     /// controller invocation (or `None` on the first run).
     ///
-    /// Always runs the full pipeline on a fresh [`RoutingScratch`]
-    /// (parallel phase 2 enabled), so it never takes the repair path.
+    /// Always runs the full pipeline on a fresh [`RoutingScratch`], with
+    /// the Dijkstra backend's sources fanned out over threads, so it
+    /// never takes the repair path.
     /// Callers that advance one state frame after frame use
     /// [`Router::recompute_dirty_into`] instead. Complexity is dominated
     /// by phase 2: `O(K³)` under Floyd–Warshall — matching the paper —
@@ -248,22 +249,22 @@ impl Router {
         previous: Option<&RoutingState>,
     ) -> RoutingState {
         IndexPlane::assert_fits(graph.node_count());
-        let mut scratch = RoutingScratch::new().with_parallel(true);
+        let mut scratch = RoutingScratch::new();
         let mut out = RoutingState::empty();
         if let Some(prev) = previous {
             Self::snapshot_prev_hops(graph, module_nodes, &mut scratch, prev);
         }
         let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
-        self.full_recompute(graph, module_nodes, report, key, &mut scratch, &mut out);
+        self.full_recompute(graph, module_nodes, report, key, true, &mut scratch, &mut out);
         out
     }
 
     /// Runs phases 1–3 **in place**, the router's one in-place entry
     /// point. The simulation engine calls it at start-up and on every
     /// recomputing TDMA frame, and the daemon on every telemetry
-    /// ingest. Once `scratch` and `out` have seen the current
-    /// dimensions, the call performs no heap allocation (with
-    /// `scratch`'s serial default; see [`RoutingScratch::with_parallel`]).
+    /// ingest. Every phase 2 it runs is serial (spawning threads
+    /// allocates), so once `scratch` and `out` have seen the current
+    /// dimensions, the call performs no heap allocation.
     ///
     /// `dirty` lists every node whose battery bucket or liveness changed
     /// since the call that produced `out` with this `scratch`. The
@@ -325,7 +326,7 @@ impl Router {
         if previous.module_count() == module_nodes.len()
             && previous.node_count() == graph.node_count()
         {
-            previous.next_hop_snapshot_into(&mut scratch.prev_hops);
+            scratch.prev_hops.copy_from(previous.route_planes().next_hop());
         } else {
             scratch.prev_hops.clear();
         }
@@ -350,7 +351,7 @@ impl Router {
         // phase 2 must have used the Dijkstra successor policy (kept rows
         // must be bit-identical to what a fresh run would produce).
         let cache_ok = scratch.key == Some(key)
-            && out.policy == PathPolicy::Dijkstra
+            && out.backend == Some(ResolvedBackend::DijkstraAllPairs)
             && out.node_count() == n
             && report.node_count() == n
             && self.backend.resolve(n, graph.edge_count()) == ResolvedBackend::DijkstraAllPairs;
@@ -359,7 +360,7 @@ impl Router {
         if self.strategy == RecomputeStrategy::Auto && cache_ok && few_dirty {
             self.repair_recompute(graph, module_nodes, report, scratch, out);
         } else {
-            self.full_recompute(graph, module_nodes, report, key, scratch, out);
+            self.full_recompute(graph, module_nodes, report, key, false, scratch, out);
         }
     }
 
@@ -444,7 +445,7 @@ impl Router {
         let masks_ok = scratch.dup_mask.len() == n
             && m_count <= 64
             && out.module_count() == m_count
-            && out.route_table().len() == n * m_count;
+            && out.route_planes().len() == n * m_count;
         let (mut patched_entries, mut patched_full) = (0u64, 0u64);
 
         // An empty batch (deadlock-flag-only or remap-only frame) leaves
@@ -480,7 +481,7 @@ impl Router {
             let (mut dec_repairs, mut dec_improved) = (0u64, 0u64);
             for s in 0..n {
                 let source = NodeId::new(s);
-                let (paths, prev_table, _) = out.paths_and_table_mut();
+                let (paths, prev_table) = out.paths_and_table_mut();
                 let (dist_row, succ_row) = paths.source_rows_mut(source);
                 let outcome = if trees_ok {
                     repair_source(
@@ -515,9 +516,8 @@ impl Router {
                                     while bits != 0 {
                                         let module = bits.trailing_zeros() as usize;
                                         bits &= bits - 1;
-                                        let winner = prev_table[s * m_count + module]
-                                            .as_ref()
-                                            .is_some_and(|e| e.destination.index() == t as usize);
+                                        let winner = prev_table.dest().get(s * m_count + module)
+                                            == Some(t as usize);
                                         if winner {
                                             mask |= 1u64 << module;
                                         }
@@ -651,13 +651,18 @@ impl Router {
     }
 
     /// Full phases 1–3 into `out`, refreshing the scratch caches.
-    /// Expects `scratch.prev_hops` to be snapshotted already.
+    /// Expects `scratch.prev_hops` to be snapshotted already. `parallel`
+    /// lets the Dijkstra backend fan sources out over threads, which
+    /// allocates: only the allocating oracle, [`Router::compute`], sets
+    /// it.
+    #[allow(clippy::too_many_arguments)] // the recompute inputs plus the fan-out choice
     fn full_recompute(
         &self,
         graph: &DiGraph,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         key: WeightsKey,
+        parallel: bool,
         scratch: &mut RoutingScratch,
         out: &mut RoutingState,
     ) {
@@ -665,16 +670,8 @@ impl Router {
         let weighting = (self.algorithm == Algorithm::Ear).then_some(&self.weighting);
         adjacency_into(graph, report, weighting, &mut scratch.adjacency);
         let resolved = self.backend.resolve(n, graph.edge_count());
-        resolved.compute_into(
-            &scratch.adjacency,
-            &mut scratch.dijkstra,
-            out.paths_mut(),
-            scratch.parallel,
-        );
-        out.policy = match resolved {
-            ResolvedBackend::FloydWarshall => PathPolicy::FloydWarshall,
-            ResolvedBackend::DijkstraAllPairs => PathPolicy::Dijkstra,
-        };
+        resolved.compute_into(&scratch.adjacency, &mut scratch.dijkstra, out.paths_mut(), parallel);
+        out.backend = Some(resolved);
         scratch.key = Some(key);
         // The trees describe the pre-recompute weights; a later repair
         // frame must rebuild them (recorded re-runs) before repairing.
@@ -695,7 +692,7 @@ impl Router {
     ) {
         let n = report.node_count();
         module_masks_into(module_nodes, n, &mut scratch.dup_mask);
-        let prev = (!scratch.prev_hops.is_empty()).then_some(scratch.prev_hops.as_slice());
+        let prev = (!scratch.prev_hops.lanes().is_empty()).then_some(&scratch.prev_hops);
         out.rebuild_table(&scratch.adjacency, module_nodes, report, prev, &scratch.dup_mask);
         scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
     }
@@ -994,7 +991,7 @@ mod tests {
                 &mut state,
             );
             let reference = router.compute(&graph, &modules, &report, None);
-            assert_eq!(state.route_table(), reference.route_table(), "frame {frame}");
+            assert_eq!(state.route_planes(), reference.route_planes(), "frame {frame}");
         }
         let stats = scratch.stats();
         assert_eq!(stats.table_delta_rebuilds, frames, "drain frames must take the delta path");
@@ -1015,7 +1012,7 @@ mod tests {
         let entries_before = scratch.stats().table_entries_rebuilt;
         router.recompute_dirty_into(&graph, &modules, &report, &[victim], &mut scratch, &mut state);
         let reference = router.compute(&graph, &modules, &report, None);
-        assert_eq!(state.route_table(), reference.route_table(), "death frame");
+        assert_eq!(state.route_planes(), reference.route_planes(), "death frame");
         assert_eq!(
             scratch.stats().table_delta_rebuilds,
             frames + 1,
@@ -1032,7 +1029,7 @@ mod tests {
         report.set_battery_level(node, report.battery_level(node).saturating_sub(1));
         router.recompute_dirty_into(&graph, &modules, &report, &[node], &mut scratch, &mut state);
         let reference = router.compute(&graph, &modules, &report, None);
-        assert_eq!(state.route_table(), reference.route_table(), "post-death frame");
+        assert_eq!(state.route_planes(), reference.route_planes(), "post-death frame");
         assert_eq!(scratch.stats().table_delta_rebuilds, frames + 2);
     }
 

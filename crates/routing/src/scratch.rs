@@ -4,7 +4,7 @@
 use core::fmt;
 use core::ops::AddAssign;
 
-use etx_graph::{AdjacencyList, DijkstraScratch, NodeId, RepairScratch, SpTreeStore};
+use etx_graph::{AdjacencyList, DijkstraScratch, IndexPlane, NodeId, RepairScratch, SpTreeStore};
 use etx_metrics::{CounterId, MetricsHandle, Registry};
 
 use crate::{Algorithm, BatteryWeighting};
@@ -212,7 +212,8 @@ impl fmt::Display for RecomputeStats {
 /// weights as a sparse adjacency list (plus its transpose), the
 /// Dijkstra workspace of phase 2, the per-source shortest-path trees
 /// (`u16` link planes) and repair scratch of the incremental pipeline,
-/// and the previous-table snapshot phase 3's deadlock avoidance reads.
+/// and the previous table's first-hop plane phase 3's deadlock
+/// avoidance reads.
 /// No `K × K` weight matrix exists: at `K = 1024` the phase-1 store is
 /// about 4 links per node instead of 8 MB. All buffers retain capacity
 /// across calls, so once the scratch has seen the system's dimensions,
@@ -243,8 +244,9 @@ pub struct RoutingScratch {
     /// `true` while `trees`/`in_adjacency` describe the current weights
     /// (set by the repair pipeline, cleared by full recomputes).
     pub(crate) trees_valid: bool,
-    /// Snapshot of the previous table's first hops (deadlock avoidance).
-    pub(crate) prev_hops: Vec<Option<NodeId>>,
+    /// Copy of the previous table's first-hop plane (deadlock
+    /// avoidance); empty when the previous table had other dimensions.
+    pub(crate) prev_hops: IndexPlane,
     /// Nodes whose battery bucket or liveness changed this frame.
     pub(crate) dirty: Vec<usize>,
     /// Dirty-membership flags (edge-delta extraction dedup).
@@ -272,10 +274,6 @@ pub struct RoutingScratch {
     pub(crate) table_cache_valid: bool,
     /// What the cached `adjacency` was built from.
     pub(crate) key: Option<WeightsKey>,
-    /// Let the full Dijkstra backend fan sources out over threads.
-    /// Defaults to `false`: thread spawning allocates, and the steady
-    /// state of the simulator must not.
-    pub(crate) parallel: bool,
     /// The per-run recompute counters, reported by
     /// [`RoutingScratch::stats`].
     pub(crate) stats: RecomputeStats,
@@ -291,17 +289,6 @@ impl RoutingScratch {
     #[must_use]
     pub fn new() -> Self {
         RoutingScratch::default()
-    }
-
-    /// Enables the scoped-thread fan-out for *full* Dijkstra recomputes.
-    ///
-    /// Spawning threads allocates, so leave this off (the default) on
-    /// paths that rely on the zero-allocation guarantee; the delta and
-    /// repair paths are always serial.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
     }
 
     /// Points the repair pipeline's stage spans (`routing.repair.*`) at

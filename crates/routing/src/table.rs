@@ -1,7 +1,7 @@
 //! Phase 3: routing tables — nearest-duplicate destination selection with
 //! deadlock avoidance (the paper's Fig 6).
 
-use etx_graph::{AdjacencyList, IndexPlane, Matrix, NodeBitset, NodeId, ShortestPaths};
+use etx_graph::{AdjacencyList, IndexPlane, Matrix, NodeId, ResolvedBackend, ShortestPaths};
 
 use crate::SystemReport;
 
@@ -19,42 +19,29 @@ pub struct RouteEntry {
     pub distance: f64,
 }
 
-/// Struct-of-arrays compaction of the flat phase-3 route table: the
-/// read-side layout `etx-serve` snapshots serve queries from.
+/// The phase-3 route table, struct of arrays: the router's own storage
+/// and the one encoding `etx-serve` snapshots copy and answer from.
 ///
-/// One `Option<RouteEntry>` (a 32-byte struct, half of it padding and
-/// `Option` discriminant) becomes one lane in each of four planes: a
-/// destination-index plane, a first-hop-index plane (both `u16` lanes
-/// via [`IndexPlane`]), an `f64` entry-distance plane, and a validity
-/// word-bitset. A batched next-hop lookup gathers 4–12 bytes from
-/// planes that stay resident in L1 instead of chasing 32-byte entries
-/// through L2, and queries that never read the distance (pure next-hop
-/// relaying) never touch the distance plane at all.
+/// Each flat position `node * module_count + module` is one lane in
+/// each of three planes: a destination-index plane and a first-hop-index
+/// plane (both `u16` lanes via [`IndexPlane`]) and an `f64`
+/// entry-distance plane — 12 bytes per entry instead of a 32-byte
+/// `Option<RouteEntry>`, half of it padding and discriminant. A batched
+/// next-hop lookup gathers from planes that stay resident in L1, and
+/// queries that never read the distance never touch that plane.
 ///
-/// Invalid entries store the sentinel in both index planes and `0.0`
-/// in the distance plane, so two plane sets filled from equal tables
-/// compare equal.
+/// The destination sentinel is the one validity mark. Every write goes
+/// through one crate-private `set`, which stores an invalid entry as
+/// the sentinel in both index planes and `0.0` in the distance plane,
+/// so two plane sets holding equal tables compare equal.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouteTablePlanes {
-    /// Destination-index plane (`flat = node * module_count + module`).
-    pub dest: IndexPlane,
-    /// First-hop-index plane.
-    pub next_hop: IndexPlane,
-    /// Entry-distance plane (`0.0` where invalid).
-    pub distance: Vec<f64>,
-    /// Validity bitset over flat table positions: a clear bit is a
-    /// `None` entry.
-    pub valid: NodeBitset,
+    dest: IndexPlane,
+    next_hop: IndexPlane,
+    distance: Vec<f64>,
 }
 
 impl RouteTablePlanes {
-    /// Empty planes; fill through [`RouteTablePlanes::fill_from_table`]
-    /// (or [`RoutingState::export_route_planes`]) before use.
-    #[must_use]
-    pub fn new() -> Self {
-        RouteTablePlanes::default()
-    }
-
     /// Number of flat table positions covered.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -67,61 +54,68 @@ impl RouteTablePlanes {
         self.distance.is_empty()
     }
 
-    /// Reconstructs the `Option<RouteEntry>` at flat position `flat`
-    /// (`None` for invalid and out-of-range positions) — byte-identical
-    /// to the entry the planes were filled from.
+    /// The destination-index plane ([`IndexPlane::SENTINEL`] = no
+    /// route).
     #[must_use]
+    pub fn dest(&self) -> &IndexPlane {
+        &self.dest
+    }
+
+    /// The first-hop-index plane ([`IndexPlane::SENTINEL`] = no route).
+    #[must_use]
+    pub fn next_hop(&self) -> &IndexPlane {
+        &self.next_hop
+    }
+
+    /// The entry-distance plane (`0.0` where no route).
+    #[must_use]
+    pub fn distance(&self) -> &[f64] {
+        &self.distance
+    }
+
+    /// The entry at flat position `flat`; `None` for an invalid or
+    /// out-of-range position.
+    #[must_use]
+    #[inline]
     pub fn entry(&self, flat: usize) -> Option<RouteEntry> {
-        if !self.valid.contains(NodeId::new(flat)) {
-            return None;
-        }
         Some(RouteEntry {
             destination: NodeId::new(self.dest.get(flat)?),
-            next_hop: NodeId::new(self.next_hop.get(flat)?),
+            next_hop: NodeId::new(usize::from(self.next_hop.lanes()[flat])),
             distance: self.distance[flat],
         })
     }
 
-    /// Refills every plane from a flat AoS table, in one pass, reusing
-    /// all four backing allocations (no heap allocation in steady
-    /// state).
+    /// Writes the entry at flat position `flat` — the table's only
+    /// write. `None` stores the sentinel in both index planes and `0.0`
+    /// as the distance, the lanes a never-written position holds.
     ///
     /// # Panics
     ///
-    /// Panics if an entry names a node at or above
-    /// [`IndexPlane::MAX_NODES`].
-    pub fn fill_from_table(&mut self, table: &[Option<RouteEntry>]) {
-        self.valid.resize(table.len());
-        self.distance.clear();
-        self.distance.reserve(table.len());
-        self.dest.clear();
-        self.next_hop.clear();
-        for (flat, entry) in table.iter().enumerate() {
-            self.dest.push(entry.map(|e| e.destination.index()));
-            self.next_hop.push(entry.map(|e| e.next_hop.index()));
-            self.distance.push(entry.map_or(0.0, |e| e.distance));
-            if entry.is_some() {
-                self.valid.insert(NodeId::new(flat));
-            }
-        }
+    /// Panics if `flat` is out of range, or the entry names a node at
+    /// or above [`IndexPlane::MAX_NODES`].
+    #[inline]
+    pub(crate) fn set(&mut self, flat: usize, entry: Option<RouteEntry>) {
+        self.dest.set(flat, entry.map(|e| e.destination.index()));
+        self.next_hop.set(flat, entry.map(|e| e.next_hop.index()));
+        self.distance[flat] = entry.map_or(0.0, |e| e.distance);
     }
-}
 
-/// Which phase-2 algorithm (and successor tie-breaking policy) filled the
-/// current [`ShortestPaths`] of a [`RoutingState`].
-///
-/// The incremental repair keeps untouched all-pairs rows as-is and
-/// repairs or re-runs the rest with single-source Dijkstra; that is
-/// only sound when every existing row was produced by the same
-/// deterministic Dijkstra policy, which this marker tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PathPolicy {
-    /// Provenance unknown (state assembled outside the router).
-    Unknown,
-    /// Rows produced by Floyd–Warshall tie-breaking.
-    FloydWarshall,
-    /// Rows produced by the deterministic Dijkstra policy.
-    Dijkstra,
+    /// Resizes to `len` positions, every one invalid, reusing the
+    /// allocations when they are large enough.
+    fn reset(&mut self, len: usize) {
+        self.dest.reset(len);
+        self.next_hop.reset(len);
+        self.distance.clear();
+        self.distance.resize(len, 0.0);
+    }
+
+    /// Overwrites these planes with `other`'s, reusing the allocations
+    /// when they are large enough.
+    fn copy_from(&mut self, other: &RouteTablePlanes) {
+        self.dest.copy_from(&other.dest);
+        self.next_hop.copy_from(&other.next_hop);
+        self.distance.clone_from(&other.distance);
+    }
 }
 
 /// The complete routing state computed by one controller invocation:
@@ -131,25 +125,50 @@ pub(crate) enum PathPolicy {
 /// origin nodes consult [`RoutingState::route`] to pick the destination
 /// duplicate for their job's next operation.
 ///
-/// The table is stored flat (`node * module_count + module`), so a
-/// recompute into an existing state touches one contiguous buffer and
-/// performs no allocation in steady state.
-#[derive(Debug, Clone)]
+/// The table is stored flat (`node * module_count + module`) as
+/// [`RouteTablePlanes`], so a recompute into an existing state touches
+/// three contiguous planes and performs no allocation in steady state,
+/// and a published snapshot copies them as they stand
+/// ([`Clone::clone_from`] refills a state in place).
+#[derive(Debug)]
 pub struct RoutingState {
     paths: ShortestPaths,
     /// Flat `[node × module]` table, row-major by node.
-    table: Vec<Option<RouteEntry>>,
+    table: RouteTablePlanes,
     modules: usize,
-    pub(crate) policy: PathPolicy,
+    /// The phase-2 backend that filled `paths`; `None` when the state
+    /// was assembled outside the router. The incremental repair keeps
+    /// untouched all-pairs rows as they are, which is only sound when
+    /// every row came from the same deterministic Dijkstra policy.
+    pub(crate) backend: Option<ResolvedBackend>,
 }
 
 /// Equality compares the routing *data* (phase-2 paths and phase-3
-/// table) only; the internal backend-provenance marker is excluded, so
-/// identically-routed states built through different entry points
-/// compare equal.
+/// table) only; the backend provenance is excluded, so identically
+/// routed states built through different entry points compare equal.
 impl PartialEq for RoutingState {
     fn eq(&self, other: &Self) -> bool {
         self.paths == other.paths && self.table == other.table && self.modules == other.modules
+    }
+}
+
+impl Clone for RoutingState {
+    fn clone(&self) -> Self {
+        RoutingState {
+            paths: self.paths.clone(),
+            table: self.table.clone(),
+            modules: self.modules,
+            backend: self.backend,
+        }
+    }
+
+    /// Copies every plane in place: no heap allocation once `self` has
+    /// seen `source`'s dimensions.
+    fn clone_from(&mut self, source: &Self) {
+        self.paths.copy_from(&source.paths);
+        self.table.copy_from(&source.table);
+        self.modules = source.modules;
+        self.backend = source.backend;
     }
 }
 
@@ -190,17 +209,16 @@ impl RoutingState {
     ) -> Self {
         let mut state = RoutingState {
             paths,
-            table: Vec::new(),
+            table: RouteTablePlanes::default(),
             modules: module_nodes.len(),
-            policy: PathPolicy::Unknown,
+            backend: None,
         };
-        // Snapshot the previous first hops (only deadlocked nodes need
-        // them; copying the full table keeps the loop branch-free).
-        let prev_hops: Option<Vec<Option<NodeId>>> = previous
+        // The previous first hops (only deadlocked nodes read them).
+        let prev_hops = previous
             .filter(|p| {
                 p.module_count() == module_nodes.len() && p.node_count() == state.paths.node_count()
             })
-            .map(RoutingState::next_hop_snapshot);
+            .map(|p| &p.table.next_hop);
         assert_eq!(
             weights.rows(),
             state.paths.node_count(),
@@ -210,7 +228,7 @@ impl RoutingState {
         adjacency.rebuild(weights);
         let mut dup_mask = Vec::new();
         module_masks_into(module_nodes, state.paths.node_count(), &mut dup_mask);
-        state.rebuild_table(&adjacency, module_nodes, report, prev_hops.as_deref(), &dup_mask);
+        state.rebuild_table(&adjacency, module_nodes, report, prev_hops, &dup_mask);
         state
     }
 
@@ -221,23 +239,10 @@ impl RoutingState {
     pub fn empty() -> Self {
         RoutingState {
             paths: ShortestPaths::empty(),
-            table: Vec::new(),
+            table: RouteTablePlanes::default(),
             modules: 0,
-            policy: PathPolicy::Unknown,
+            backend: None,
         }
-    }
-
-    /// Flat copy of every entry's first hop, indexed `node * modules +
-    /// module` — the part of a previous table the deadlock-avoidance scan
-    /// needs.
-    pub(crate) fn next_hop_snapshot(&self) -> Vec<Option<NodeId>> {
-        self.table.iter().map(|e| e.as_ref().map(|e| e.next_hop)).collect()
-    }
-
-    /// Writes the flat next-hop snapshot into `out` (reusing capacity).
-    pub(crate) fn next_hop_snapshot_into(&self, out: &mut Vec<Option<NodeId>>) {
-        out.clear();
-        out.extend(self.table.iter().map(|e| e.as_ref().map(|e| e.next_hop)));
     }
 
     /// Mutable access to the phase-2 data for in-place backends.
@@ -249,24 +254,22 @@ impl RoutingState {
     /// read-only view of the *current* (pre-rebuild) table, so stage 2
     /// can check which entries' winning destinations were touched while
     /// it rewrites the all-pairs rows.
-    pub(crate) fn paths_and_table_mut(
-        &mut self,
-    ) -> (&mut ShortestPaths, &[Option<RouteEntry>], usize) {
-        (&mut self.paths, &self.table, self.modules)
+    pub(crate) fn paths_and_table_mut(&mut self) -> (&mut ShortestPaths, &RouteTablePlanes) {
+        (&mut self.paths, &self.table)
     }
 
     /// Rebuilds the phase-3 table in place from the current phase-2 data
-    /// (the paper's Fig 6), reusing the table buffer: no allocation once
+    /// (the paper's Fig 6), reusing the table planes: no allocation once
     /// the `(node, module)` dimensions have been seen.
     ///
     /// `adjacency` holds the phase-1 weights the phase-2 result was
     /// computed from (each node's usable out-links, the ports a deadlock
-    /// detour may take). `prev_hops` is a
-    /// [`RoutingState::next_hop_snapshot`] of the previous controller
-    /// invocation (deadlock-port avoidance); its length must be `n *
-    /// module_nodes.len()` if present. `dup_mask` holds the placement's
-    /// per-node module masks ([`module_masks_into`]), which let each
-    /// live, non-deadlocked row fill in one pass over its distance row.
+    /// detour may take). `prev_hops` is the first-hop plane of the
+    /// previous controller invocation's table (deadlock-port
+    /// avoidance); its length must be `n * module_nodes.len()` if
+    /// present. `dup_mask` holds the placement's per-node module masks
+    /// ([`module_masks_into`]), which let each live, non-deadlocked row
+    /// fill in one pass over its distance row.
     ///
     /// # Panics
     ///
@@ -277,7 +280,7 @@ impl RoutingState {
         adjacency: &AdjacencyList,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
-        prev_hops: Option<&[Option<NodeId>]>,
+        prev_hops: Option<&IndexPlane>,
         dup_mask: &[u64],
     ) {
         let n = self.paths.node_count();
@@ -290,15 +293,14 @@ impl RoutingState {
         assert_eq!(adjacency.len(), n, "adjacency list does not match phase 2");
         let m = module_nodes.len();
         if let Some(prev) = prev_hops {
-            assert_eq!(prev.len(), n * m, "previous-hop snapshot dimensions mismatch");
+            assert_eq!(prev.lanes().len(), n * m, "previous-hop snapshot dimensions mismatch");
         }
         self.modules = m;
-        self.table.clear();
-        self.table.resize(n * m, None);
+        self.table.reset(n * m);
         for node_idx in 0..n {
             fill_table_row(
                 &self.paths,
-                &mut self.table[node_idx * m..(node_idx + 1) * m],
+                &mut self.table,
                 node_idx,
                 adjacency,
                 module_nodes,
@@ -328,11 +330,14 @@ impl RoutingState {
         report: &SystemReport,
         dup_mask: &[u64],
     ) {
-        let m = module_nodes.len();
-        assert_eq!(m, self.modules, "table was built for a different module count");
+        assert_eq!(
+            module_nodes.len(),
+            self.modules,
+            "table was built for a different module count"
+        );
         fill_table_row(
             &self.paths,
-            &mut self.table[node_idx * m..(node_idx + 1) * m],
+            &mut self.table,
             node_idx,
             adjacency,
             module_nodes,
@@ -364,9 +369,8 @@ impl RoutingState {
     ) {
         let m = module_nodes.len();
         assert_eq!(m, self.modules, "table was built for a different module count");
-        fill_table_cell(
+        let entry = fill_table_cell(
             &self.paths,
-            &mut self.table[node_idx * m + module],
             node_idx,
             module,
             &module_nodes[module],
@@ -375,6 +379,7 @@ impl RoutingState {
             None,
             m,
         );
+        self.table.set(node_idx * m + module, entry);
     }
 
     /// Patches the masked entries of one node's table row against the
@@ -445,7 +450,7 @@ impl RoutingState {
                 let module = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 touched += 1;
-                self.table[node_idx * m + module] = None;
+                self.table.set(node_idx * m + module, None);
             }
             return (touched, full);
         }
@@ -453,50 +458,27 @@ impl RoutingState {
             let module = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             touched += 1;
-            let slot_idx = node_idx * m + module;
+            let flat = node_idx * m + module;
             // O(1) winner check: did the cached winner worsen?
-            let kept: Option<RouteEntry> = match self.table[slot_idx] {
+            let kept = match self.table.entry(flat) {
                 // An empty cell has no winner to lose; only improved
                 // candidates can fill it, and the challenge loop below
                 // considers exactly those.
                 None => None,
                 Some(e) if e.destination == node => Some(e), // self-hosting: 0 cannot worsen
-                Some(e) => {
-                    if report.is_alive(e.destination) {
-                        match self.paths.distance(node, e.destination) {
-                            Some(d) if d <= e.distance => {
-                                let next_hop = self
-                                    .paths
-                                    .successor(node, e.destination)
-                                    .expect("finite distance implies a successor");
-                                Some(RouteEntry {
-                                    destination: e.destination,
-                                    next_hop,
-                                    distance: d,
-                                })
-                            }
-                            _ => {
-                                // Worsened or unreachable: re-pick.
-                                full += 1;
-                                fill_table_cell(
-                                    &self.paths,
-                                    &mut self.table[slot_idx],
-                                    node_idx,
-                                    module,
-                                    &module_nodes[module],
-                                    adjacency,
-                                    report,
-                                    None,
-                                    m,
-                                );
-                                continue;
-                            }
-                        }
-                    } else {
+                Some(e) => match self.paths.distance(node, e.destination) {
+                    Some(d) if d <= e.distance && report.is_alive(e.destination) => {
+                        let next_hop = self
+                            .paths
+                            .successor(node, e.destination)
+                            .expect("finite distance implies a successor");
+                        Some(RouteEntry { destination: e.destination, next_hop, distance: d })
+                    }
+                    _ => {
+                        // Died, worsened or unreachable: re-pick.
                         full += 1;
-                        fill_table_cell(
+                        let entry = fill_table_cell(
                             &self.paths,
-                            &mut self.table[slot_idx],
                             node_idx,
                             module,
                             &module_nodes[module],
@@ -505,9 +487,10 @@ impl RoutingState {
                             None,
                             m,
                         );
+                        self.table.set(flat, entry);
                         continue;
                     }
-                }
+                },
             };
             // Challenge round: only the improved duplicates can beat a
             // kept winner (or fill an empty cell).
@@ -536,7 +519,7 @@ impl RoutingState {
                     best = Some(candidate);
                 }
             }
-            self.table[slot_idx] = best;
+            self.table.set(flat, best);
         }
         (touched, full)
     }
@@ -547,22 +530,12 @@ impl RoutingState {
         self.paths.node_count()
     }
 
-    /// The flat phase-3 table, row-major by node (`node * module_count +
-    /// module`) — the AoS master copy read-side snapshot services
-    /// compact into planes in one pass (see
-    /// [`RoutingState::export_route_planes`] and `etx-serve`).
+    /// The phase-3 table planes, row-major by node (`node *
+    /// module_count + module`) — the storage batched queries gather
+    /// from directly.
     #[must_use]
-    pub fn route_table(&self) -> &[Option<RouteEntry>] {
+    pub fn route_planes(&self) -> &RouteTablePlanes {
         &self.table
-    }
-
-    /// Compacts the phase-3 table into struct-of-arrays planes — the
-    /// read-side export surface: `etx-serve` snapshots call this once
-    /// per published epoch and then answer batched lookups from the
-    /// planes without reconstructing `Option<RouteEntry>` values until
-    /// result write-back. Reuses every buffer in `out`.
-    pub fn export_route_planes(&self, out: &mut RouteTablePlanes) {
-        out.fill_from_table(&self.table);
     }
 
     /// Number of modules covered.
@@ -575,11 +548,58 @@ impl RoutingState {
     /// next operation belongs to `module`; `None` if no live duplicate is
     /// reachable (or `node`/`module` is unknown).
     #[must_use]
-    pub fn route(&self, node: NodeId, module: usize) -> Option<&RouteEntry> {
-        if module >= self.modules {
+    #[inline] // the simulator's per-job lookup, in another crate
+    pub fn route(&self, node: NodeId, module: usize) -> Option<RouteEntry> {
+        if module >= self.modules || node.index() >= self.node_count() {
             return None;
         }
-        self.table.get(node.index() * self.modules + module)?.as_ref()
+        self.table.entry(node.index() * self.modules + module)
+    }
+
+    /// Full-path materialization: resolves `node`'s table entry for
+    /// `module` and appends the complete node sequence (both endpoints
+    /// included; `[node]` when self-hosted) to `out`. The entry's first
+    /// hop is honoured even when it detours off the successor chain (a
+    /// deadlock redirect), with the remainder walked through the
+    /// successor plane. Returns the resolved entry, or `None` (with
+    /// `out` untouched) when no route exists or the walk does not
+    /// terminate (a corrupt successor plane; defensive guard).
+    pub fn path_into(
+        &self,
+        node: NodeId,
+        module: usize,
+        out: &mut Vec<NodeId>,
+    ) -> Option<RouteEntry> {
+        let entry = self.route(node, module)?;
+        let start = out.len();
+        out.push(node);
+        if entry.destination != node {
+            let n = self.node_count();
+            let dest = entry.destination.index();
+            let succ = self.paths.successors().lanes();
+            let mut cur = entry.next_hop;
+            out.push(cur);
+            let mut hops = 1usize;
+            while cur != entry.destination {
+                if cur.index() >= n {
+                    out.truncate(start);
+                    return None;
+                }
+                let next = succ[cur.index() * n + dest];
+                if next == IndexPlane::SENTINEL {
+                    out.truncate(start);
+                    return None;
+                }
+                cur = NodeId::new(usize::from(next));
+                out.push(cur);
+                hops += 1;
+                if hops > n {
+                    out.truncate(start);
+                    return None;
+                }
+            }
+        }
+        Some(entry)
     }
 
     /// The relay decision: the next hop out of `from` toward destination
@@ -646,55 +666,54 @@ fn beats(candidate: &RouteEntry, best: Option<&RouteEntry>) -> bool {
 #[allow(clippy::too_many_arguments)] // the Fig-6 input set plus the placement masks
 fn fill_table_row(
     paths: &ShortestPaths,
-    row: &mut [Option<RouteEntry>],
+    table: &mut RouteTablePlanes,
     node_idx: usize,
     adjacency: &AdjacencyList,
     module_nodes: &[Vec<NodeId>],
     report: &SystemReport,
-    prev_hops: Option<&[Option<NodeId>]>,
+    prev_hops: Option<&IndexPlane>,
     dup_mask: &[u64],
 ) {
     let node = NodeId::new(node_idx);
+    let m = module_nodes.len();
     if !report.is_alive(node) {
-        row.fill(None);
+        for module in 0..m {
+            table.set(node_idx * m + module, None);
+        }
         return;
     }
     if let Some(prev) = prev_hops.filter(|_| report.is_deadlocked(node)) {
-        fill_detour_row(paths, row, node_idx, adjacency, module_nodes, report, prev);
+        fill_detour_row(paths, table, node_idx, adjacency, module_nodes, report, prev);
     } else if dup_mask.len() == paths.node_count() {
-        fill_row_one_pass(paths, row, node_idx, report, dup_mask);
+        fill_row_one_pass(paths, table, node_idx, m, report, dup_mask);
     } else {
-        let m = module_nodes.len();
         for (module, duplicates) in module_nodes.iter().enumerate() {
-            fill_table_cell(
-                paths,
-                &mut row[module],
-                node_idx,
-                module,
-                duplicates,
-                adjacency,
-                report,
-                None,
-                m,
-            );
+            let entry =
+                fill_table_cell(paths, node_idx, module, duplicates, adjacency, report, None, m);
+            table.set(node_idx * m + module, entry);
         }
     }
 }
 
-/// The live, non-deadlocked row of `node_idx` in one ascending pass over
-/// its distance row: every live host `x` (a set bit in `dup_mask[x]`)
-/// offers one entry to each module it hosts, and each cell keeps the
-/// lowest `(distance, id)` — ascending ids make a later exact tie lose,
-/// which is [`fill_table_cell`]'s lower-id tie-break. The row itself is
-/// the per-module accumulator, so the pass allocates nothing.
+/// The live, non-deadlocked row of `node_idx` (`m` modules wide) in one
+/// ascending pass over its distance row: every live host `x` (a set bit
+/// in `dup_mask[x]`) offers one entry to each module it hosts, and each
+/// cell keeps the lowest `(distance, id)` — ascending ids make a later
+/// exact tie lose, which is [`fill_table_cell`]'s lower-id tie-break.
+/// The row itself is the per-module accumulator, so the pass allocates
+/// nothing.
 fn fill_row_one_pass(
     paths: &ShortestPaths,
-    row: &mut [Option<RouteEntry>],
+    table: &mut RouteTablePlanes,
     node_idx: usize,
+    m: usize,
     report: &SystemReport,
     dup_mask: &[u64],
 ) {
-    row.fill(None);
+    let base = node_idx * m;
+    for module in 0..m {
+        table.set(base + module, None);
+    }
     let (dist_row, succ_row) = paths.source_rows(NodeId::new(node_idx));
     for (x, &hosted) in dup_mask.iter().enumerate() {
         if hosted == 0 {
@@ -708,16 +727,16 @@ fn fill_row_one_pass(
         }
         let mut bits = hosted;
         while bits != 0 {
-            let slot = &mut row[bits.trailing_zeros() as usize];
+            let flat = base + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if slot.as_ref().is_none_or(|best| distance < best.distance) {
+            if table.entry(flat).is_none_or(|best| distance < best.distance) {
                 // The first hop is read only when the candidate wins.
                 let next_hop = match succ_row[x] {
                     _ if x == node_idx => dest,
                     IndexPlane::SENTINEL => break,
                     hop => NodeId::new(usize::from(hop)),
                 };
-                *slot = Some(RouteEntry { destination: dest, next_hop, distance });
+                table.set(flat, Some(RouteEntry { destination: dest, next_hop, distance }));
             }
         }
     }
@@ -734,41 +753,33 @@ fn fill_row_one_pass(
 /// node's `O(degree)` out-links instead of one per duplicate.
 fn fill_detour_row(
     paths: &ShortestPaths,
-    row: &mut [Option<RouteEntry>],
+    table: &mut RouteTablePlanes,
     node_idx: usize,
     adjacency: &AdjacencyList,
     module_nodes: &[Vec<NodeId>],
     report: &SystemReport,
-    prev_hops: &[Option<NodeId>],
+    prev_hops: &IndexPlane,
 ) {
     let m = module_nodes.len();
     let node = NodeId::new(node_idx);
-    let blocked = &prev_hops[node_idx * m..(node_idx + 1) * m];
+    let base = node_idx * m;
+    let blocked = |module: usize| prev_hops.get(base + module).map(NodeId::new);
     for (module, duplicates) in module_nodes.iter().enumerate() {
-        if blocked[module].is_none() {
-            fill_table_cell(
-                paths,
-                &mut row[module],
-                node_idx,
-                module,
-                duplicates,
-                adjacency,
-                report,
-                None,
-                m,
-            );
+        let entry = if blocked(module).is_none() {
+            fill_table_cell(paths, node_idx, module, duplicates, adjacency, report, None, m)
         } else {
-            row[module] = duplicates.contains(&node).then_some(RouteEntry {
+            duplicates.contains(&node).then_some(RouteEntry {
                 destination: node,
                 next_hop: node,
                 distance: 0.0,
-            });
-        }
+            })
+        };
+        table.set(base + module, entry);
     }
     for &(hop_idx, w) in adjacency.neighbors(node_idx) {
         let hop = NodeId::new(hop_idx);
         for (module, duplicates) in module_nodes.iter().enumerate() {
-            if blocked[module].is_none_or(|port| port == hop) {
+            if blocked(module).is_none_or(|port| port == hop) {
                 continue;
             }
             for &dest in duplicates {
@@ -779,39 +790,37 @@ fn fill_detour_row(
                     continue;
                 };
                 let candidate = RouteEntry { destination: dest, next_hop: hop, distance: w + rest };
-                if beats(&candidate, row[module].as_ref()) {
-                    row[module] = Some(candidate);
+                if beats(&candidate, table.entry(base + module).as_ref()) {
+                    table.set(base + module, Some(candidate));
                 }
             }
         }
     }
 }
 
-/// Fills one `(node, module)` table entry: the nearest live duplicate of
-/// `module` by phase-2 distance (deterministic lower-id tie-break), with
-/// the deadlock-port detour scan when the node is flagged. A dead origin
-/// yields `None`.
+/// The entry of one `(node, module)` cell: the nearest live duplicate
+/// of `module` by phase-2 distance (deterministic lower-id tie-break),
+/// with the deadlock-port detour scan when the node is flagged. A dead
+/// origin yields `None`.
 #[allow(clippy::too_many_arguments)] // the full Fig-6 input set for one cell
 fn fill_table_cell(
     paths: &ShortestPaths,
-    slot: &mut Option<RouteEntry>,
     node_idx: usize,
     module: usize,
     duplicates: &[NodeId],
     adjacency: &AdjacencyList,
     report: &SystemReport,
-    prev_hops: Option<&[Option<NodeId>]>,
+    prev_hops: Option<&IndexPlane>,
     module_count: usize,
-) {
+) -> Option<RouteEntry> {
     let node = NodeId::new(node_idx);
     if !report.is_alive(node) {
-        *slot = None;
-        return;
+        return None;
     }
     // A deadlocked node must be steered off the port its previous table
     // used for this module.
     let blocked_port = if report.is_deadlocked(node) {
-        prev_hops.and_then(|prev| prev[node_idx * module_count + module])
+        prev_hops.and_then(|prev| prev.get(node_idx * module_count + module)).map(NodeId::new)
     } else {
         None
     };
@@ -860,13 +869,13 @@ fn fill_table_cell(
             }
         }
     }
-    *slot = best;
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ear_weights, sdr_weights, BatteryWeighting};
+    use crate::{ear_weights, sdr_weights, Algorithm, BatteryWeighting, Router, RoutingScratch};
     use etx_graph::{dijkstra_all_pairs, floyd_warshall, topology, DiGraph};
     use etx_units::Length;
     use proptest::prelude::*;
@@ -1006,24 +1015,40 @@ mod tests {
         adjacency: &AdjacencyList,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
-        prev_hops: Option<&[Option<NodeId>]>,
+        prev_hops: Option<&IndexPlane>,
     ) -> Vec<Option<RouteEntry>> {
         let m = module_nodes.len();
-        let mut row = vec![None; m];
-        for (module, duplicates) in module_nodes.iter().enumerate() {
-            fill_table_cell(
-                paths,
-                &mut row[module],
-                node_idx,
-                module,
-                duplicates,
-                adjacency,
-                report,
-                prev_hops,
-                m,
-            );
+        (0..m)
+            .map(|module| {
+                let duplicates = &module_nodes[module];
+                fill_table_cell(
+                    paths, node_idx, module, duplicates, adjacency, report, prev_hops, m,
+                )
+            })
+            .collect()
+    }
+
+    /// Row `node_idx` of an `m`-module table, read back from the planes.
+    fn row_of(table: &RouteTablePlanes, node_idx: usize, m: usize) -> Vec<Option<RouteEntry>> {
+        (0..m).map(|module| table.entry(node_idx * m + module)).collect()
+    }
+
+    /// Empty planes of `len` positions, every one invalid.
+    fn planes(len: usize) -> RouteTablePlanes {
+        let mut table = RouteTablePlanes::default();
+        table.reset(len);
+        table
+    }
+
+    /// The first-hop plane encoding of a test-local `Option<NodeId>`
+    /// previous-hop list.
+    fn hop_plane(hops: &[Option<NodeId>]) -> IndexPlane {
+        let mut plane = IndexPlane::new();
+        plane.reset(hops.len());
+        for (i, hop) in hops.iter().enumerate() {
+            plane.set(i, hop.map(NodeId::index));
         }
-        row
+        plane
     }
 
     fn adjacency_of(weights: &Matrix<f64>) -> AdjacencyList {
@@ -1167,8 +1192,9 @@ mod tests {
         let paths = floyd_warshall(&w);
         let mut masks = Vec::new();
         module_masks_into(&modules, 3, &mut masks);
-        let mut row = vec![None; 2];
-        fill_row_one_pass(&paths, &mut row, 1, &report, &masks);
+        let mut table = planes(3 * 2);
+        fill_row_one_pass(&paths, &mut table, 1, 2, &report, &masks);
+        let row = row_of(&table, 1, 2);
         assert_eq!(row[0].unwrap().destination, NodeId::new(0));
         assert_eq!(
             row[1].unwrap(),
@@ -1239,19 +1265,20 @@ mod tests {
                     (p < n).then(|| NodeId::new(p))
                 })
                 .collect();
+            let prev = hop_plane(&prev);
             let adjacency = adjacency_of(&w);
             let mut masks = Vec::new();
             module_masks_into(&modules, n, &mut masks);
-            for node_idx in 0..n {
-                for prev_hops in [None, Some(prev.as_slice())] {
-                    let mut row = vec![None; 4];
+            for prev_hops in [None, Some(&prev)] {
+                let mut table = planes(n * 4);
+                for node_idx in 0..n {
                     fill_table_row(
-                        &paths, &mut row, node_idx, &adjacency, &modules, &report, prev_hops,
+                        &paths, &mut table, node_idx, &adjacency, &modules, &report, prev_hops,
                         &masks,
                     );
                     let expected =
                         per_cell_row(&paths, node_idx, &adjacency, &modules, &report, prev_hops);
-                    prop_assert_eq!(row, expected, "node {}", node_idx);
+                    prop_assert_eq!(row_of(&table, node_idx, 4), expected, "node {}", node_idx);
                 }
             }
         }
@@ -1310,18 +1337,20 @@ mod tests {
                     (p < n).then(|| NodeId::new(p))
                 })
                 .collect();
+            let prev_plane = hop_plane(&prev);
+            let mut table = planes(n * 3);
             for node_idx in 0..n {
                 if report.is_alive(NodeId::new(node_idx)) {
-                    let mut row = vec![None; 3];
-                    fill_detour_row(&paths, &mut row, node_idx, &adjacency, &modules, &report, &prev);
+                    fill_detour_row(
+                        &paths, &mut table, node_idx, &adjacency, &modules, &report, &prev_plane,
+                    );
                     let dense = dense_row_detour(&paths, node_idx, &w, &modules, &report, &prev);
-                    prop_assert_eq!(row, dense, "detour row {}", node_idx);
+                    prop_assert_eq!(row_of(&table, node_idx, 3), dense, "detour row {}", node_idx);
                 }
                 for (module, duplicates) in modules.iter().enumerate() {
-                    let mut cell = None;
-                    fill_table_cell(
-                        &paths, &mut cell, node_idx, module, duplicates, &adjacency, &report,
-                        Some(&prev), 3,
+                    let cell = fill_table_cell(
+                        &paths, node_idx, module, duplicates, &adjacency, &report,
+                        Some(&prev_plane), 3,
                     );
                     let dense = dense_row_cell(
                         &paths, node_idx, module, duplicates, &w, &report, Some(&prev), 3,
@@ -1341,23 +1370,139 @@ mod tests {
         report.set_dead(NodeId::new(2));
         let rs = build_line(&modules, &report, None);
 
-        let mut planes = RouteTablePlanes::new();
-        rs.export_route_planes(&mut planes);
-        assert_eq!(planes.len(), rs.route_table().len());
-        for (flat, expected) in rs.route_table().iter().enumerate() {
-            assert_eq!(planes.entry(flat), *expected, "flat position {flat}");
-            if expected.is_none() {
-                assert_eq!(planes.dest.lanes()[flat], IndexPlane::SENTINEL);
-                assert_eq!(planes.next_hop.lanes()[flat], IndexPlane::SENTINEL);
+        // The planes `rebuild_table` wrote hold the per-cell picks.
+        let g = topology::line(4, cm(1.0));
+        let w = ear_weights(&g, &report, &BatteryWeighting::default());
+        let adjacency = adjacency_of(&w);
+        let planes = rs.route_planes();
+        assert_eq!(planes.len(), 4 * 2);
+        for node_idx in 0..4 {
+            let want = per_cell_row(rs.paths(), node_idx, &adjacency, &modules, &report, None);
+            for (module, expected) in want.into_iter().enumerate() {
+                let flat = node_idx * 2 + module;
+                assert_eq!(planes.entry(flat), expected, "flat position {flat}");
+                assert_eq!(rs.route(NodeId::new(node_idx), module), expected);
+                if expected.is_none() {
+                    assert_eq!(planes.dest().lanes()[flat], IndexPlane::SENTINEL);
+                    assert_eq!(planes.next_hop().lanes()[flat], IndexPlane::SENTINEL);
+                    assert_eq!(planes.distance()[flat].to_bits(), 0.0f64.to_bits());
+                }
             }
         }
-        assert!(planes.dest.lanes().contains(&IndexPlane::SENTINEL), "some entry is invalid");
+        assert!(planes.dest().lanes().contains(&IndexPlane::SENTINEL), "some entry is invalid");
         assert_eq!(planes.entry(planes.len()), None, "out of range reads as absent");
 
-        // Refill in place from the same table: planes compare equal, so
-        // canonicalised invalid lanes carry no stale data across refills.
-        let again = planes.clone();
-        rs.export_route_planes(&mut planes);
-        assert_eq!(planes, again);
+        // An in-place refill from another state copies the planes
+        // exactly and keeps their allocations.
+        let mut copy = RoutingState::empty();
+        copy.clone_from(&build_line(&modules, &SystemReport::fresh(4, 16), None));
+        let capacity = copy.table.distance.capacity();
+        copy.clone_from(&rs);
+        assert_eq!(copy, rs);
+        assert_eq!(copy.route_planes(), planes);
+        assert_eq!(copy.table.distance.capacity(), capacity, "refill reuses the allocation");
+    }
+
+    #[test]
+    fn cleared_entries_equal_never_written_ones() {
+        let entry =
+            RouteEntry { destination: NodeId::new(7), next_hop: NodeId::new(3), distance: 2.5 };
+        let mut table = planes(3);
+        let fresh = table.clone();
+        table.set(1, Some(entry));
+        assert_eq!(table.entry(1), Some(entry));
+        assert_ne!(table, fresh);
+        table.set(1, None);
+        assert_eq!(table, fresh, "a cleared entry leaves no stale lane");
+        assert_eq!(table.dest().lanes(), &[IndexPlane::SENTINEL; 3]);
+        assert_eq!(table.next_hop().lanes(), &[IndexPlane::SENTINEL; 3]);
+        assert!(table.distance().iter().all(|d| d.to_bits() == 0.0f64.to_bits()));
+        assert_eq!(table.entry(1), None);
+    }
+
+    #[test]
+    fn delta_patched_tables_equal_full_rebuilds() {
+        // An 8x8 EAR fabric advanced through the repair pipeline's
+        // cell patches and row rebuilds (drains, a death, a revival)
+        // holds byte-identical planes to a fresh full rebuild.
+        let graph = topology::Mesh2D::square(8, cm(2.05)).to_graph();
+        let k = graph.node_count();
+        let modules: Vec<Vec<NodeId>> =
+            (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect();
+        let router = Router::new(Algorithm::Ear);
+        let mut report = SystemReport::fresh(k, 16);
+        let mut scratch = RoutingScratch::new();
+        let mut state = RoutingState::empty();
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
+        for frame in 0..12usize {
+            let node = NodeId::new((frame * 7 + 3) % k);
+            match frame {
+                5 => report.set_dead(node),
+                9 => report.revive(NodeId::new((5 * 7 + 3) % k), 15),
+                _ => report.set_battery_level(node, report.battery_level(node).saturating_sub(3)),
+            }
+            let dirty = if frame == 9 { NodeId::new((5 * 7 + 3) % k) } else { node };
+            router.recompute_dirty_into(
+                &graph,
+                &modules,
+                &report,
+                &[dirty],
+                &mut scratch,
+                &mut state,
+            );
+            let rebuilt = router.compute(&graph, &modules, &report, None);
+            assert_eq!(state.route_planes(), rebuilt.route_planes(), "frame {frame}");
+            assert_eq!(state, rebuilt, "frame {frame}");
+        }
+        let stats = scratch.stats();
+        assert_eq!(stats.full_recomputes, 1, "{stats:?}");
+        assert!(stats.table_cells_patched > 0, "the challenge patch must engage: {stats:?}");
+    }
+
+    fn ring_state(k: usize) -> RoutingState {
+        let graph = topology::ring(k, cm(1.0));
+        let modules = vec![vec![NodeId::new(0), NodeId::new(k / 2)]];
+        Router::new(Algorithm::Ear).compute(&graph, &modules, &SystemReport::fresh(k, 16), None)
+    }
+
+    #[test]
+    fn path_walks_to_the_chosen_duplicate() {
+        let state = ring_state(6);
+        let mut path = Vec::new();
+        let entry = state.path_into(NodeId::new(1), 0, &mut path).expect("route exists");
+        assert_eq!(path.first(), Some(&NodeId::new(1)));
+        assert_eq!(path.last(), Some(&entry.destination));
+        assert_eq!(path[1], entry.next_hop);
+        for pair in path.windows(2).skip(1) {
+            assert_eq!(state.next_hop(pair[0], entry.destination), Some(pair[1]));
+        }
+        // Appends after what the buffer already holds.
+        let len = path.len();
+        let again = state.path_into(NodeId::new(2), 0, &mut path).expect("route exists");
+        assert_eq!(path[len], NodeId::new(2));
+        assert_eq!(path.last(), Some(&again.destination));
+        // Self-hosted: single-node path.
+        path.clear();
+        let own = state.path_into(NodeId::new(0), 0, &mut path).expect("self route");
+        assert_eq!(own.destination, NodeId::new(0));
+        assert_eq!(path, vec![NodeId::new(0)]);
+    }
+
+    #[test]
+    fn out_of_range_queries_are_none() {
+        let state = ring_state(4);
+        let (n, m) = (state.node_count(), state.module_count());
+        let mut path = vec![NodeId::new(1)];
+        for node in [n, n + 1, (1 << 24) - 1, 1 << 24, (1 << 24) + 1] {
+            let node = NodeId::new(node);
+            assert!(state.route(node, 0).is_none(), "node {node}");
+            assert!(state.path_into(node, 0, &mut path).is_none(), "node {node}");
+        }
+        for module in [m, m + 1, 9, (1 << 24) - 1, 1 << 24] {
+            assert!(state.route(NodeId::new(0), module).is_none(), "module {module}");
+            assert!(state.path_into(NodeId::new(0), module, &mut path).is_none());
+        }
+        assert_eq!(path, vec![NodeId::new(1)], "a miss leaves the buffer untouched");
+        assert!(RoutingState::empty().route(NodeId::new(0), 0).is_none());
     }
 }

@@ -150,18 +150,8 @@ pub(crate) fn collect_node_weight_deltas(
 #[must_use]
 pub fn sdr_weights(graph: &DiGraph, report: &SystemReport) -> Matrix<f64> {
     let mut w = Matrix::filled(0, 0, 0.0);
-    sdr_weights_into(graph, report, &mut w);
+    weights_into(graph, report, None, &mut w);
     w
-}
-
-/// [`sdr_weights`] into a preallocated matrix: no heap allocation once
-/// `out` has seen the current node count.
-///
-/// # Panics
-///
-/// Panics if the report covers a different number of nodes than the graph.
-pub fn sdr_weights_into(graph: &DiGraph, report: &SystemReport, out: &mut Matrix<f64>) {
-    weights_into(graph, report, None, out);
 }
 
 /// Builds the EAR weight matrix: `W(i,j) = f(N_B(j)) · L(i,j)`, where
@@ -182,23 +172,8 @@ pub fn ear_weights(
     weighting: &BatteryWeighting,
 ) -> Matrix<f64> {
     let mut w = Matrix::filled(0, 0, 0.0);
-    ear_weights_into(graph, report, weighting, &mut w);
+    weights_into(graph, report, Some(weighting), &mut w);
     w
-}
-
-/// [`ear_weights`] into a preallocated matrix: no heap allocation once
-/// `out` has seen the current node count.
-///
-/// # Panics
-///
-/// Panics if the report covers a different number of nodes than the graph.
-pub fn ear_weights_into(
-    graph: &DiGraph,
-    report: &SystemReport,
-    weighting: &BatteryWeighting,
-    out: &mut Matrix<f64>,
-) {
-    weights_into(graph, report, Some(weighting), out);
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 //! *produces* tables. `etx-serve` consumes them at rate:
 //!
 //! * [`TableSnapshot`] — an immutable, epoch-numbered copy of one
-//!   controller invocation's tables, repacked as **struct-of-arrays
-//!   planes** (u16-compacted destination/first-hop/successor index
-//!   planes, an `f64` distance plane, a validity bitset) that
-//!   reconstruct entries byte-identical to the
-//!   [`RoutingState`](etx_routing::RoutingState) they were filled from;
+//!   controller invocation's [`RoutingState`](etx_routing::RoutingState),
+//!   whose tables are already **struct-of-arrays planes**
+//!   (u16-compacted destination/first-hop/successor index planes and
+//!   `f64` distance planes), so a publish copies them as they stand and
+//!   answers are byte-identical to the router's;
 //! * [`EpochPublisher`] / [`SnapshotReader`] — std-only double-buffered
 //!   `Arc` publication: the writer fills outside the lock and swaps a
 //!   pointer; readers pin with a pointer clone and can hold a snapshot

@@ -1,8 +1,9 @@
 //! Epoch publication: double-buffered `Arc` swap between one writer and
 //! any number of readers, std-only.
 //!
-//! The writer ([`EpochPublisher`]) fills a private [`TableSnapshot`]
-//! buffer *outside* any lock, wraps it in an `Arc`, and swaps it into
+//! The writer ([`EpochPublisher`]) copies the router's
+//! [`RoutingState`] into a private [`TableSnapshot`] buffer *outside*
+//! any lock, wraps it in an `Arc`, and swaps it into
 //! the shared slot under a mutex held only for the pointer exchange.
 //! Readers ([`SnapshotReader::pin`]) clone the `Arc` out of the slot —
 //! also just a pointer operation — and then query their pinned snapshot
@@ -12,9 +13,10 @@
 //!
 //! Double buffering: the snapshot displaced by a publish is retained as
 //! the writer's spare; if no reader still pins it by the next publish,
-//! its buffers are refilled in place (checked via `Arc::get_mut`), so a
-//! steady-state publish loop performs **no heap allocation** once both
-//! buffers have warmed to the fabric's dimensions.
+//! its `RoutingState` is refilled in place by `clone_from` (checked via
+//! `Arc::get_mut`), so a steady-state publish loop performs **no heap
+//! allocation** once both buffers have warmed to the fabric's
+//! dimensions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -93,7 +95,7 @@ impl EpochPublisher {
         self.next_epoch
     }
 
-    /// Copies `routing`'s tables into the next snapshot and publishes it
+    /// Copies `routing` into the next snapshot and publishes it
     /// atomically under a fresh epoch, which is returned. Readers
     /// pinned to earlier epochs are unaffected; new pins observe the
     /// complete new table or the complete old one, never a mix.
@@ -178,14 +180,14 @@ mod tests {
     fn epochs_increment_and_readers_observe_the_latest() {
         let (mut publisher, reader) = EpochPublisher::new();
         assert_eq!(reader.epoch(), 0);
-        assert_eq!(reader.pin().node_count(), 0);
+        assert_eq!(reader.pin().routing().node_count(), 0);
 
         let a = state(15);
         assert_eq!(publisher.publish(&a), 1);
         assert_eq!(reader.epoch(), 1);
         let pin = reader.pin();
         assert_eq!(pin.epoch(), 1);
-        assert!(pin.entries().eq(a.route_table().iter().copied()));
+        assert_eq!(pin.routing(), &a);
     }
 
     #[test]
@@ -206,7 +208,8 @@ mod tests {
         assert_eq!(*pin_a, copy_a);
         assert_eq!(pin_a.epoch(), 1);
         assert_eq!(reader.epoch(), 9);
-        assert!(!reader.pin().entries().eq(b.route_table().iter().copied())); // latest is `a`
+        assert_eq!(reader.pin().routing(), &a); // latest is `a`
+        assert_ne!(reader.pin().routing(), &b);
     }
 
     #[test]
@@ -225,15 +228,13 @@ mod tests {
         let (mut publisher, reader) = EpochPublisher::new();
         let a = state(15);
         let b = state(0);
-        let a_table = a.route_table().to_vec();
-        let b_table = b.route_table().to_vec();
         publisher.publish(&a);
 
         let stop = Arc::new(AtomicU64::new(0));
         let worker = {
             let reader = reader.clone();
             let stop = Arc::clone(&stop);
-            let (a_table, b_table) = (a_table.clone(), b_table.clone());
+            let (a, b) = (a.clone(), b.clone());
             std::thread::spawn(move || {
                 let mut pins = 0u64;
                 // Pin-then-check (not check-then-pin): on a loaded
@@ -244,9 +245,9 @@ mod tests {
                     let pin = reader.pin();
                     // Every pin is exactly one of the two published
                     // tables — never a mix, never a partial rebuild.
-                    let table: Vec<_> = pin.entries().collect();
+                    let routing = pin.routing();
                     assert!(
-                        table == a_table || table == b_table,
+                        routing == &a || routing == &b,
                         "pin at epoch {} observed a torn table",
                         pin.epoch()
                     );

@@ -13,11 +13,12 @@
 //! as before. Each fabric's sorted group is then split into
 //! per-type **lanes** — NextHop, Cost, Path — and every lane runs as a
 //! tight cache-blocked loop over exactly the snapshot planes that query
-//! type reads: next-hop lookups gather from two index planes, one `f64`
-//! plane and the validity bitset; cost lookups touch only the distance
-//! plane; path walks run last so the shared node arena fills in sorted
-//! order. No `Option<RouteEntry>` is reconstructed until result
-//! write-back. Results land in **caller-owned** buffers in the original
+//! type reads: next-hop lookups gather from the route table's two index
+//! planes and its distance plane, gated by the destination lane's
+//! sentinel; cost lookups touch only the phase-2 distance plane; path
+//! walks ([`RoutingState::path_into`](etx_routing::RoutingState::path_into))
+//! run last so the shared node arena fills in sorted order. Results
+//! land in **caller-owned** buffers in the original
 //! submission order (the sort is an internal permutation), and every
 //! buffer is reused across batches: once warmed, the execute path
 //! performs no heap allocation — the same counting-allocator discipline
@@ -166,8 +167,8 @@ pub(crate) fn execute_group(
         lanes.next_hop.reserve(order.len());
         lanes.cost.reserve(order.len());
         lanes.path.reserve(order.len());
-        let n = snap.node_count();
-        let modules = snap.module_count();
+        let n = snap.routing().node_count();
+        let modules = snap.routing().module_count();
         for &oi in order {
             match queries[oi as usize] {
                 Query::NextHop { source, module, .. } => {
@@ -211,34 +212,26 @@ pub(crate) fn execute_group(
             unreachable!("path lane holds only path queries")
         };
         let start = arena.len() as u32;
-        let entry = snap.path_into(source, module as usize, arena);
+        let entry = snap.routing().path_into(source, module as usize, arena);
         results[oi as usize] = QueryResult::Path { entry, nodes: (start, arena.len() as u32) };
     }
     metrics.observe_share(SpanId::ServeLatencyPath, lane_timer, lanes.path.len() as u64);
 }
 
-/// The NextHop lane: a tight gather over the two `u16` index planes,
-/// the entry-distance plane and the validity bitset. Flat indices were pre-resolved by the split pass, so each
-/// slot is four plane reads and one result write — and because the lane
-/// preserves the `(fabric, source)` sort, each `LANE_BLOCK`
-/// chunk's reads land in a bounded, monotonically advancing segment of
-/// every plane (the blocked schedule falls out of the sort).
+/// The NextHop lane: a tight gather over the route table's two `u16`
+/// index planes and its entry-distance plane. Flat indices were
+/// pre-resolved by the split pass, so each slot is three plane reads and
+/// one result write — and because the lane preserves the `(fabric,
+/// source)` sort, each `LANE_BLOCK` chunk's reads land in a bounded,
+/// monotonically advancing segment of every plane (the blocked schedule
+/// falls out of the sort).
 fn next_hop_lane(snap: &TableSnapshot, lane: &[(u32, usize)], results: &mut [QueryResult]) {
-    let planes = snap.table_planes();
-    let dest = planes.dest.lanes();
-    let next = planes.next_hop.lanes();
-    let dist: &[f64] = &planes.distance;
-    let valid = &planes.valid;
+    let planes = snap.routing().route_planes();
     for block in lane.chunks(LANE_BLOCK) {
         for &(oi, flat) in block {
-            // `contains` is false both for the OUT_OF_RANGE sentinel
-            // and for invalid entries, so one bit test gates the gather.
-            let entry = valid.contains(NodeId::new(flat)).then(|| RouteEntry {
-                destination: NodeId::new(usize::from(dest[flat])),
-                next_hop: NodeId::new(usize::from(next[flat])),
-                distance: dist[flat],
-            });
-            results[oi as usize] = QueryResult::NextHop(entry);
+            // The destination lane gates the gather: the OUT_OF_RANGE
+            // index misses it, and an invalid entry holds the sentinel.
+            results[oi as usize] = QueryResult::NextHop(planes.entry(flat));
         }
     }
 }
@@ -246,7 +239,7 @@ fn next_hop_lane(snap: &TableSnapshot, lane: &[(u32, usize)], results: &mut [Que
 /// The Cost lane: a gather over the phase-2 distance plane — the only
 /// plane a cost query reads (8 bytes per slot).
 fn cost_lane(snap: &TableSnapshot, lane: &[(u32, usize)], results: &mut [QueryResult]) {
-    let dist = snap.dist_plane();
+    let dist = snap.routing().paths().distances().as_slice();
     for block in lane.chunks(LANE_BLOCK) {
         for &(oi, flat) in block {
             let cost = (flat != OUT_OF_RANGE).then(|| dist[flat]).filter(|d| d.is_finite());
@@ -672,7 +665,7 @@ mod tests {
     /// Runs one mixed group through `execute_group` and returns the
     /// results (submission order) plus the arena.
     fn run_group(snap: &TableSnapshot) -> (Vec<QueryResult>, Vec<NodeId>) {
-        let n = snap.node_count();
+        let n = snap.routing().node_count();
         let mut queries = Vec::new();
         for s in 0..n {
             queries.push(Query::NextHop { fabric: 0, source: NodeId::new(s), module: 0 });
@@ -711,11 +704,11 @@ mod tests {
             let source = NodeId::new(oi / 3);
             match result {
                 QueryResult::NextHop(entry) => {
-                    let want = (oi / 3 < n).then(|| state.route(source, 0).copied()).flatten();
+                    let want = (oi / 3 < n).then(|| state.route(source, 0)).flatten();
                     assert_eq!(entry, want, "query {oi}");
                 }
                 QueryResult::Path { entry, nodes: (start, end) } => {
-                    assert_eq!(entry, state.route(source, 0).copied(), "query {oi}");
+                    assert_eq!(entry, state.route(source, 0), "query {oi}");
                     let path = &arena[start as usize..end as usize];
                     assert_eq!(path.first(), Some(&source));
                     assert_eq!(path.last(), entry.map(|e| e.destination).as_ref());

@@ -141,8 +141,10 @@ pub struct Simulation {
     jobs_lost: u64,
     finished_fraction: f64,
     deadlock_reports: u64,
-    routing_recomputes: u64,
     remaps: u64,
+    /// 1 after the start-up recompute, bumped by every frame recompute:
+    /// the table version jobs compare against, and the recompute count
+    /// `SimReport::routing_recomputes` reports.
     routing_version: u64,
     frames: u64,
     /// Scripted failures sorted by cycle; `failure_cursor` tracks the
@@ -291,7 +293,6 @@ impl Simulation {
             jobs_lost: 0,
             finished_fraction: 0.0,
             deadlock_reports: 0,
-            routing_recomputes: 1,
             remaps: 0,
             routing_version: 1,
             frames: 0,
@@ -734,7 +735,6 @@ impl Simulation {
                     &mut self.routing,
                 );
             }
-            self.routing_recomputes += 1;
             self.routing_version += 1;
             metrics.inc(CounterId::SimRecomputes);
             self.trace
@@ -1151,7 +1151,7 @@ impl Simulation {
             death_cause: cause,
             energy,
             deadlock_reports: self.deadlock_reports,
-            routing_recomputes: self.routing_recomputes,
+            routing_recomputes: self.routing_version,
             recompute,
             remaps: self.remaps,
             frames: self.frames,

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pin the fresh-system tables: this snapshot stays valid (and
     // byte-stable) no matter how far the simulation runs ahead.
     let fresh_pin = reader.pin();
-    println!("pinned epoch {} ({} nodes)", fresh_pin.epoch(), fresh_pin.node_count());
+    println!("pinned epoch {} ({} nodes)", fresh_pin.epoch(), fresh_pin.routing().node_count());
 
     // Drain the fabric for a while; the controller republishes as
     // battery buckets drop and nodes die.
