@@ -30,8 +30,7 @@ use crate::{
 /// | 1024 (32×32)| 695 ms         | 26 ms              | 27×   |
 ///
 /// (For the full three-phase EAR recompute the same machine measures
-/// 5.8× at K = 256 and 17× at K = 1024; with multiple cores the Dijkstra
-/// backend additionally fans sources out over threads.)
+/// 5.8× at K = 256 and 17× at K = 1024.)
 ///
 /// The backend choice also gates the *between-frame* fast path: the
 /// routing crate's incremental shortest-path-tree repair (its
@@ -104,9 +103,6 @@ impl ResolvedBackend {
     /// its distances and successors from the list's edges, so neither
     /// arm needs a `K × K` weight matrix.
     ///
-    /// `parallel` lets the Dijkstra arm fan sources out over scoped
-    /// threads; pass `false` on paths that must not allocate.
-    ///
     /// # Panics
     ///
     /// Panics if `adjacency` covers more than
@@ -116,12 +112,11 @@ impl ResolvedBackend {
         adjacency: &AdjacencyList,
         scratch: &mut DijkstraScratch,
         out: &mut ShortestPaths,
-        parallel: bool,
     ) {
         match self {
             ResolvedBackend::FloydWarshall => floyd_warshall_into(adjacency, out),
             ResolvedBackend::DijkstraAllPairs => {
-                dijkstra_all_pairs_into(adjacency, scratch, out, parallel);
+                dijkstra_all_pairs_into(adjacency, scratch, out);
             }
         }
     }

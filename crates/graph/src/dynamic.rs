@@ -1275,12 +1275,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_all_pairs_rows_decode_to_the_reference() {
-        // 16x16 clears the parallel fan-out's size floor, so the chunked
-        // `u16` row split is exercised (on a multi-core host).
+    fn all_pairs_rows_decode_to_the_reference() {
+        // A 16x16 mesh (K = 256): every source row of the `u16`
+        // successor plane decodes to the reference run.
         let g = crate::topology::Mesh2D::square(16, cm(2.0)).to_graph();
         let w = g.weight_matrix(|e| e.length.centimetres());
-        assert_matches_reference(&dijkstra_all_pairs(&w), &reference_dijkstra(&w), "parallel");
+        assert_matches_reference(&dijkstra_all_pairs(&w), &reference_dijkstra(&w), "K = 256");
     }
 
     proptest! {
@@ -1356,7 +1356,7 @@ mod tests {
             let dj_reference = reference_dijkstra(&weights);
             assert_matches_reference(&dijkstra_all_pairs(&weights), &dj_reference, "dijkstra");
             let mut dj = crate::ShortestPaths::empty();
-            dijkstra_all_pairs_into(&adjacency, &mut DijkstraScratch::new(), &mut dj, false);
+            dijkstra_all_pairs_into(&adjacency, &mut DijkstraScratch::new(), &mut dj);
             assert_matches_reference(&dj, &dj_reference, "dijkstra from the list");
 
             let mut solved = solve(&weights);

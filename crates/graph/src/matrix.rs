@@ -153,18 +153,6 @@ impl<T> Matrix<T> {
         &mut self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Splits the matrix into disjoint mutable blocks of up to
-    /// `rows_per_chunk` consecutive rows — the handoff used to compute
-    /// independent all-pairs rows on separate threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows_per_chunk` is zero.
-    pub fn row_chunks_mut(&mut self, rows_per_chunk: usize) -> impl Iterator<Item = &mut [T]> {
-        assert!(rows_per_chunk > 0, "rows_per_chunk must be non-zero");
-        self.data.chunks_mut(rows_per_chunk * self.cols.max(1))
-    }
-
     /// The full row-major backing slice (`rows * cols` entries) — the
     /// contiguous plane view that gather loops and SoA exporters stream
     /// over without per-row bookkeeping.

@@ -607,23 +607,11 @@ pub fn dijkstra_source_into(
     }
 }
 
-/// Below this node count the scoped-thread fan-out of
-/// [`dijkstra_all_pairs_into`] costs more than it saves.
-const PARALLEL_MIN_NODES: usize = 128;
-
-/// Minimum sources per worker thread for the parallel fan-out.
-const PARALLEL_MIN_ROWS_PER_THREAD: usize = 32;
-
 /// [`dijkstra_all_pairs`] over a sparse adjacency list, into
 /// preallocated storage.
 ///
-/// `out` is resized and every row recomputed. With `parallel` set,
-/// sources are fanned out over scoped threads in contiguous row blocks
-/// (each worker allocates its own [`DijkstraScratch`]), producing
-/// bit-identical results to the serial path since every row is an
-/// independent deterministic computation. The serial path
-/// (`parallel = false`) reuses `scratch` and performs no steady-state
-/// allocation.
+/// `out` is resized and every row recomputed, one source after another,
+/// reusing `scratch`: no steady-state allocation.
 ///
 /// # Panics
 ///
@@ -633,51 +621,15 @@ pub fn dijkstra_all_pairs_into(
     adjacency: &AdjacencyList,
     scratch: &mut DijkstraScratch,
     out: &mut ShortestPaths,
-    parallel: bool,
 ) {
     let n = adjacency.len();
     // Every row is fully rewritten below, so only the dimensions need
     // fixing up front.
     out.ensure_dims(n);
-
-    let threads = if parallel && n >= PARALLEL_MIN_NODES {
-        etx_par::chunk_count(n, PARALLEL_MIN_ROWS_PER_THREAD)
-    } else {
-        1
-    };
-    if threads <= 1 {
-        for source in 0..n {
-            let (dist_row, succ_row) = out.source_rows_mut(NodeId::new(source));
-            dijkstra_source_into(adjacency, NodeId::new(source), scratch, dist_row, succ_row);
-        }
-        return;
+    for source in 0..n {
+        let (dist_row, succ_row) = out.source_rows_mut(NodeId::new(source));
+        dijkstra_source_into(adjacency, NodeId::new(source), scratch, dist_row, succ_row);
     }
-
-    let rows_per_chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, (dist_chunk, succ_chunk)) in out
-            .dist
-            .row_chunks_mut(rows_per_chunk)
-            .zip(out.succ.lanes_mut().chunks_mut(rows_per_chunk * n))
-            .enumerate()
-        {
-            let first_source = chunk_idx * rows_per_chunk;
-            scope.spawn(move || {
-                let mut local = DijkstraScratch::new();
-                for (offset, (dist_row, succ_row)) in
-                    dist_chunk.chunks_mut(n).zip(succ_chunk.chunks_mut(n)).enumerate()
-                {
-                    dijkstra_source_into(
-                        adjacency,
-                        NodeId::new(first_source + offset),
-                        &mut local,
-                        dist_row,
-                        succ_row,
-                    );
-                }
-            });
-        }
-    });
 }
 
 /// Computes the same all-pairs result as [`floyd_warshall`] by running a
@@ -703,7 +655,7 @@ pub fn dijkstra_all_pairs(weights: &Matrix<f64>) -> ShortestPaths {
     adjacency.rebuild(weights);
     let mut scratch = DijkstraScratch::new();
     let mut out = ShortestPaths::empty();
-    dijkstra_all_pairs_into(&adjacency, &mut scratch, &mut out, true);
+    dijkstra_all_pairs_into(&adjacency, &mut scratch, &mut out);
     out
 }
 

@@ -39,7 +39,13 @@
 //!    as [`RouteTablePlanes`]: a destination and a first-hop `u16`
 //!    plane plus an `f64` distance plane, 12 bytes per entry. It is the
 //!    table's only encoding: every phase-3 writer fills the planes, and
-//!    `etx-serve` publishes a state by copying them.
+//!    `etx-serve` publishes a state by copying them. Between frames one
+//!    table cache in the [`RoutingScratch`] owns phase 3: it keeps the
+//!    liveness, deadlock flags and placement the table was built
+//!    against, challenge-patches the cells a repaired source can change,
+//!    refills re-run sources' rows whole, and rebuilds the whole table
+//!    while a node is or was just deadlocked, or when the placement
+//!    moves.
 //!
 //! [`Router`] packages the three phases behind one call.
 //!

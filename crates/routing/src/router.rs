@@ -10,7 +10,6 @@ use etx_graph::{
 use etx_metrics::SpanId;
 
 use crate::scratch::WeightsKey;
-use crate::table::module_masks_into;
 use crate::weights::{adjacency_into, collect_node_weight_deltas};
 use crate::{BatteryWeighting, RoutingScratch, RoutingState, SystemReport};
 
@@ -123,9 +122,10 @@ impl fmt::Display for RecomputeStrategy {
 ///    are read, and each delta is applied to the list in place.
 /// 2. **Path repair or re-solve** — selected by [`RecomputeStrategy`]:
 ///    incremental tree repair or a full phase 2.
-/// 3. **Table rebuild** — phase 3 (nearest-duplicate selection with
-///    deadlock-port avoidance) always refreshes: changed cells in place,
-///    whole rows in one pass over the source's distance row.
+/// 3. **Table refresh** — phase 3 (nearest-duplicate selection with
+///    deadlock-port avoidance) always refreshes, through the scratch's
+///    table cache: changed cells in place, whole rows in one pass over
+///    the source's distance row, or the whole table.
 ///
 /// # Examples
 ///
@@ -228,9 +228,8 @@ impl Router {
     /// avoidance of phase 3; pass the routing state of the previous
     /// controller invocation (or `None` on the first run).
     ///
-    /// Always runs the full pipeline on a fresh [`RoutingScratch`], with
-    /// the Dijkstra backend's sources fanned out over threads, so it
-    /// never takes the repair path.
+    /// Always runs the full pipeline, serially, on a fresh
+    /// [`RoutingScratch`], so it never takes the repair path.
     /// Callers that advance one state frame after frame use
     /// [`Router::recompute_dirty_into`] instead. Complexity is dominated
     /// by phase 2: `O(K³)` under Floyd–Warshall — matching the paper —
@@ -251,28 +250,26 @@ impl Router {
         IndexPlane::assert_fits(graph.node_count());
         let mut scratch = RoutingScratch::new();
         let mut out = RoutingState::empty();
-        if let Some(prev) = previous {
-            Self::snapshot_prev_hops(graph, module_nodes, &mut scratch, prev);
-        }
+        scratch.table.snapshot(previous, graph.node_count(), module_nodes.len());
         let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
-        self.full_recompute(graph, module_nodes, report, key, true, &mut scratch, &mut out);
+        self.full_recompute(graph, module_nodes, report, key, &mut scratch, &mut out);
         out
     }
 
     /// Runs phases 1–3 **in place**, the router's one in-place entry
     /// point. The simulation engine calls it at start-up and on every
     /// recomputing TDMA frame, and the daemon on every telemetry
-    /// ingest. Every phase 2 it runs is serial (spawning threads
-    /// allocates), so once `scratch` and `out` have seen the current
+    /// ingest. Once `scratch` and `out` have seen the current
     /// dimensions, the call performs no heap allocation.
     ///
     /// `dirty` lists every node whose battery bucket or liveness changed
     /// since the call that produced `out` with this `scratch`. The
     /// router turns it into an edge-delta stream against its cached
     /// weights (stage 1), repairs or re-solves the all-pairs rows
-    /// (stage 2, per [`RecomputeStrategy`]) and rebuilds the table
-    /// (stage 3). `out`'s table is the previous table that phase 3's
-    /// deadlock avoidance reads.
+    /// (stage 2, per [`RecomputeStrategy`]), and the scratch's table
+    /// cache refreshes the table (stage 3): the changed cells and rows
+    /// in place, or every row. `out`'s table is the previous table that
+    /// phase 3's deadlock avoidance reads.
     ///
     /// An over-approximate list is safe (a listed node whose weights did
     /// not change contributes no deltas), and so is a node listed more
@@ -309,33 +306,15 @@ impl Router {
             assert!(node.index() < n, "dirty node {node} out of range");
             node.index()
         }));
-        Self::snapshot_prev_hops(graph, module_nodes, scratch, out);
+        scratch.table.snapshot(Some(out), n, module_nodes.len());
         let key = WeightsKey::new(self.algorithm, &self.weighting, graph);
         self.staged_recompute(graph, module_nodes, report, key, scratch, out);
     }
 
-    /// Snapshots `previous`'s first hops for phase 3's deadlock
-    /// avoidance, or clears the snapshot when `previous` has other
-    /// dimensions.
-    fn snapshot_prev_hops(
-        graph: &DiGraph,
-        module_nodes: &[Vec<NodeId>],
-        scratch: &mut RoutingScratch,
-        previous: &RoutingState,
-    ) {
-        if previous.module_count() == module_nodes.len()
-            && previous.node_count() == graph.node_count()
-        {
-            scratch.prev_hops.copy_from(previous.route_planes().next_hop());
-        } else {
-            scratch.prev_hops.clear();
-        }
-    }
-
     /// Stage-2 dispatch: picks the phase-2 path for this frame from the
     /// configured strategy and the cache/backend gates, then runs it.
-    /// Expects `scratch.dirty` populated and `scratch.prev_hops`
-    /// snapshotted.
+    /// Expects `scratch.dirty` populated and the previous table's first
+    /// hops snapshotted.
     fn staged_recompute(
         &self,
         graph: &DiGraph,
@@ -360,13 +339,13 @@ impl Router {
         if self.strategy == RecomputeStrategy::Auto && cache_ok && few_dirty {
             self.repair_recompute(graph, module_nodes, report, scratch, out);
         } else {
-            self.full_recompute(graph, module_nodes, report, key, false, scratch, out);
+            self.full_recompute(graph, module_nodes, report, key, scratch, out);
         }
     }
 
     /// The incremental path-repair pipeline: edge-delta extraction, per-
     /// source Ramalingam–Reps repair (with cold-tree / gate / decrease
-    /// fallbacks to recorded re-runs), table rebuild. Expects the gates
+    /// fallbacks to recorded re-runs), table refresh. Expects the gates
     /// of [`Router::staged_recompute`] already checked.
     fn repair_recompute(
         &self,
@@ -415,38 +394,11 @@ impl Router {
             && scratch.trees.node_count() == n
             && scratch.in_adjacency.len() == n;
 
-        // Stage 2 marks, per source, the modules whose table entries can
-        // change this frame. The key invariant: when a `Repaired`
-        // outcome involved no decrease-half work, distances only grew —
-        // a candidate that was losing keeps losing, and the entry for
-        // (source, module) can change only when its **current winning
-        // destination** is in the touched set. A repair with
-        // improvements is the opposite: a losing candidate can *become*
-        // the winner — but only an **improved** one can, so the marked
-        // cells are challenged in place against the repair's improved
-        // set (see [`RoutingState::patch_table_row`]) instead of
-        // re-scanning every duplicate. Re-run sources (gate trips, cold
-        // trees) get whole-row marks for stage 3.
-        scratch.row_mask.clear();
-        scratch.row_mask.resize(n, 0);
-        let m_count = module_nodes.len();
-
-        // The stage-3 feasibility check runs *before* stage 2 so each
-        // repaired source's marked cells can be patched inline, straight
-        // from the per-source improved list (the repair scratch is
-        // reused by the next source, so no per-source state survives the
-        // loop). Liveness flips mark the flipped node's own row for a
-        // whole-row re-solve; the flip's effect on *other* sources' rows
-        // rides the ordinary marks — a died duplicate worsens out of its
-        // cells (its row distances went infinite), a revived one
-        // improves into them (its row distances dropped from infinity,
-        // putting it in every repaired source's improved set).
-        let table_patchable = Self::table_delta_ok(module_nodes, report, scratch, out);
-        let masks_ok = scratch.dup_mask.len() == n
-            && m_count <= 64
-            && out.module_count() == m_count
-            && out.route_planes().len() == n * m_count;
-        let (mut patched_entries, mut patched_full) = (0u64, 0u64);
+        // Phase 3 decides before stage 2 whether this frame patches the
+        // table in place, so each repaired source can be handed over as
+        // soon as its rows are repaired (the repair scratch is reused by
+        // the next source).
+        scratch.table.begin_frame(module_nodes, report, &scratch.dirty, out);
 
         // An empty batch (deadlock-flag-only or remap-only frame) leaves
         // the rows valid as they stand and skips phase 2 entirely; cold
@@ -481,9 +433,8 @@ impl Router {
             let (mut dec_repairs, mut dec_improved) = (0u64, 0u64);
             for s in 0..n {
                 let source = NodeId::new(s);
-                let (paths, prev_table) = out.paths_and_table_mut();
-                let (dist_row, succ_row) = paths.source_rows_mut(source);
                 let outcome = if trees_ok {
+                    let (dist_row, succ_row) = out.paths_mut().source_rows_mut(source);
                     repair_source(
                         &scratch.adjacency,
                         &scratch.in_adjacency,
@@ -501,74 +452,22 @@ impl Router {
                 match outcome {
                     RepairOutcome::Unchanged => {}
                     RepairOutcome::Repaired { improved, .. } => {
-                        let mut mask = u64::MAX;
-                        if masks_ok {
-                            mask = 0;
-                            if improved == 0 {
-                                // Pure increases: an entry can change
-                                // only when its current winning
-                                // destination was touched (a losing
-                                // candidate whose distance grew keeps
-                                // losing; an untouched winner keeps its
-                                // exact distance and successor bytes).
-                                for &t in scratch.repair.touched_nodes() {
-                                    let mut bits = scratch.dup_mask[t as usize];
-                                    while bits != 0 {
-                                        let module = bits.trailing_zeros() as usize;
-                                        bits &= bits - 1;
-                                        let winner = prev_table.dest().get(s * m_count + module)
-                                            == Some(t as usize);
-                                        if winner {
-                                            mask |= 1u64 << module;
-                                        }
-                                    }
-                                }
-                            } else {
-                                // The decrease half improved entries: a
-                                // touched duplicate may have *become*
-                                // the winner, so its module bits are
-                                // marked whether it currently wins or
-                                // not.
-                                for &t in scratch.repair.touched_nodes() {
-                                    mask |= scratch.dup_mask[t as usize];
-                                }
-                            }
-                        }
                         repaired += 1;
                         if improved > 0 {
                             dec_repairs += 1;
                             dec_improved += improved as u64;
                         }
-                        if table_patchable && masks_ok && scratch.row_mask[s] != u64::MAX {
-                            // Inline stage 3: challenge-patch the
-                            // marked cells now, while the improved list
-                            // still belongs to this source.
-                            if mask != 0 {
-                                let improved_set: &[u32] = if improved > 0 {
-                                    scratch.repair.improved_nodes()
-                                } else {
-                                    &[]
-                                };
-                                let (cells, full) = out.patch_table_row(
-                                    s,
-                                    mask,
-                                    improved_set,
-                                    &scratch.dup_mask,
-                                    module_nodes,
-                                    &scratch.adjacency,
-                                    report,
-                                );
-                                patched_entries += cells;
-                                patched_full += full;
-                            }
-                        } else {
-                            // A liveness flip already marked this row
-                            // MAX, or stage 3 cannot patch: leave the
-                            // marks for the post-loop sweep.
-                            scratch.row_mask[s] |= mask;
-                        }
+                        scratch.table.repaired_source(
+                            s,
+                            improved,
+                            &scratch.repair,
+                            &scratch.adjacency,
+                            report,
+                            out,
+                        );
                     }
                     RepairOutcome::Rerun => {
+                        let (dist_row, succ_row) = out.paths_mut().source_rows_mut(source);
                         dijkstra_source_tree_into(
                             &scratch.adjacency,
                             source,
@@ -577,9 +476,7 @@ impl Router {
                             succ_row,
                             &mut scratch.trees,
                         );
-                        // The whole row was re-solved: every entry of
-                        // this source may have changed.
-                        scratch.row_mask[s] = u64::MAX;
+                        scratch.table.rerun_source(s);
                         fallback += 1;
                     }
                 }
@@ -597,72 +494,30 @@ impl Router {
             metrics.observe_since(stage2_span, stage2_timer);
         }
 
-        // Stage 3 — delta-aware table maintenance for the rows the
-        // inline patch could not cover: re-run sources and liveness
-        // flips re-solve their whole row; leftover per-cell marks (a
-        // patchable frame whose duplicate masks were cold) re-pick just
-        // those entries. Deadlock raise *or* clear, remap and cold cache
-        // still rebuild in full — with those stable, the paper's
-        // `O(K·Σ|S_i|)` rebuild shrinks to the changed entries alone.
+        // Stage 3 — the table refresh the inline patches left: whole
+        // rows, or the whole table.
         {
             let _table_span = metrics.span(SpanId::RoutingRepairTable);
-            if table_patchable {
-                let m = module_nodes.len();
-                let mut rebuilt = 0u64;
-                for s in 0..n {
-                    let mask = scratch.row_mask[s];
-                    if mask == 0 {
-                        continue;
-                    }
-                    if mask == u64::MAX {
-                        out.rebuild_table_row(
-                            s,
-                            &scratch.adjacency,
-                            module_nodes,
-                            report,
-                            &scratch.dup_mask,
-                        );
-                        rebuilt += m as u64;
-                    } else {
-                        let mut bits = mask;
-                        while bits != 0 {
-                            let module = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            out.rebuild_table_cell(
-                                s,
-                                module,
-                                module_nodes,
-                                &scratch.adjacency,
-                                report,
-                            );
-                            rebuilt += 1;
-                        }
-                    }
-                }
-                scratch.stats.table_entries_rebuilt += rebuilt + patched_entries;
-                scratch.stats.table_cells_patched += patched_entries - patched_full;
-                scratch.stats.table_delta_rebuilds += 1;
-            } else {
-                Self::rebuild_full_table(module_nodes, report, scratch, out);
-            }
+            scratch.table.finish_frame(
+                out,
+                &scratch.adjacency,
+                module_nodes,
+                report,
+                &mut scratch.stats,
+            );
         }
-        Self::cache_table_inputs(module_nodes, report, scratch);
         scratch.stats.repair_recomputes += 1;
     }
 
     /// Full phases 1–3 into `out`, refreshing the scratch caches.
-    /// Expects `scratch.prev_hops` to be snapshotted already. `parallel`
-    /// lets the Dijkstra backend fan sources out over threads, which
-    /// allocates: only the allocating oracle, [`Router::compute`], sets
-    /// it.
-    #[allow(clippy::too_many_arguments)] // the recompute inputs plus the fan-out choice
+    /// Expects the previous table's first hops to be snapshotted
+    /// already.
     fn full_recompute(
         &self,
         graph: &DiGraph,
         module_nodes: &[Vec<NodeId>],
         report: &SystemReport,
         key: WeightsKey,
-        parallel: bool,
         scratch: &mut RoutingScratch,
         out: &mut RoutingState,
     ) {
@@ -670,116 +525,14 @@ impl Router {
         let weighting = (self.algorithm == Algorithm::Ear).then_some(&self.weighting);
         adjacency_into(graph, report, weighting, &mut scratch.adjacency);
         let resolved = self.backend.resolve(n, graph.edge_count());
-        resolved.compute_into(&scratch.adjacency, &mut scratch.dijkstra, out.paths_mut(), parallel);
+        resolved.compute_into(&scratch.adjacency, &mut scratch.dijkstra, out.paths_mut());
         out.backend = Some(resolved);
         scratch.key = Some(key);
         // The trees describe the pre-recompute weights; a later repair
         // frame must rebuild them (recorded re-runs) before repairing.
         scratch.trees_valid = false;
-        Self::rebuild_full_table(module_nodes, report, scratch, out);
-        Self::cache_table_inputs(module_nodes, report, scratch);
+        scratch.table.rebuild(out, &scratch.adjacency, module_nodes, report, &mut scratch.stats);
         scratch.stats.full_recomputes += 1;
-    }
-
-    /// Phase 3 in full: refreshes the placement's module masks, then
-    /// rebuilds every table row against them (deadlock detours read the
-    /// snapshotted `prev_hops`).
-    fn rebuild_full_table(
-        module_nodes: &[Vec<NodeId>],
-        report: &SystemReport,
-        scratch: &mut RoutingScratch,
-        out: &mut RoutingState,
-    ) {
-        let n = report.node_count();
-        module_masks_into(module_nodes, n, &mut scratch.dup_mask);
-        let prev = (!scratch.prev_hops.lanes().is_empty()).then_some(&scratch.prev_hops);
-        out.rebuild_table(&scratch.adjacency, module_nodes, report, prev, &scratch.dup_mask);
-        scratch.stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
-    }
-
-    /// Whether stage 3 may refresh only the changed entries of `out`'s
-    /// table instead of rebuilding it: the cached table inputs must
-    /// describe the current call's placement, and deadlock flags may
-    /// not differ from the table build they describe — deadlock
-    /// presence detours *every* row through `prev_hops`, so any change
-    /// forces a full rebuild. Deadlock-free frames also never read
-    /// `prev_hops`.
-    ///
-    /// Liveness transitions do not gate to full while the per-node
-    /// duplicate masks are warm: a changed node's own table row is
-    /// marked for a whole-row re-solve (`row_mask = MAX`), and that is
-    /// all — the flip's effect on other sources' entries travels through
-    /// the repair marks, because a died duplicate's row distances went
-    /// infinite (its cells fail the winner check and re-pick) and a
-    /// revived one's dropped from infinity (it lands in every repaired
-    /// source's improved set and challenges its cells). With cold masks
-    /// any liveness change forces a full rebuild.
-    ///
-    /// Deadlock presence is an `O(K)` scan over the report; the liveness
-    /// comparison needs only the dirty set, because the cached snapshot
-    /// is re-anchored to the previous report every frame and the dirty
-    /// set contains every node that changed since.
-    fn table_delta_ok(
-        module_nodes: &[Vec<NodeId>],
-        report: &SystemReport,
-        scratch: &mut RoutingScratch,
-        out: &RoutingState,
-    ) -> bool {
-        let n = report.node_count();
-        if !scratch.table_cache_valid
-            || scratch.prev_any_deadlock
-            || scratch.prev_alive.len() != n
-            || out.module_count() != module_nodes.len()
-            || scratch.prev_modules.as_slice() != module_nodes
-            || (0..n).any(|i| report.is_deadlocked(NodeId::new(i)))
-        {
-            return false;
-        }
-        let masks_warm =
-            scratch.dup_mask.len() == n && module_nodes.len() <= 64 && scratch.row_mask.len() == n;
-        for idx in 0..scratch.dirty.len() {
-            let d = scratch.dirty[idx];
-            if report.is_alive(NodeId::new(d)) != scratch.prev_alive[d] {
-                if !masks_warm {
-                    return false;
-                }
-                scratch.row_mask[d] = u64::MAX;
-            }
-        }
-        true
-    }
-
-    /// Records the table-relevant report state (liveness, deadlock
-    /// presence) and placement the table was just built against, so the
-    /// next frame's [`Router::table_delta_ok`] can compare.
-    fn cache_table_inputs(
-        module_nodes: &[Vec<NodeId>],
-        report: &SystemReport,
-        scratch: &mut RoutingScratch,
-    ) {
-        let n = report.node_count();
-        scratch.stats.nodes_scanned += n as u64;
-        scratch.prev_alive.clear();
-        scratch.prev_alive.reserve(n);
-        scratch.prev_any_deadlock = false;
-        for i in 0..n {
-            let node = NodeId::new(i);
-            scratch.prev_alive.push(report.is_alive(node));
-            scratch.prev_any_deadlock |= report.is_deadlocked(node);
-        }
-        // Nested `clone_from`-style copy: inner buffers are reused, so
-        // steady-state frames (placement unchanged) allocate nothing.
-        scratch.prev_modules.truncate(module_nodes.len());
-        for (dst, src) in scratch.prev_modules.iter_mut().zip(module_nodes) {
-            dst.clone_from(src);
-        }
-        for src in &module_nodes[scratch.prev_modules.len()..] {
-            scratch.prev_modules.push(src.clone());
-        }
-        // The module masks (`dup_mask`) were refreshed by the last full
-        // table build; delta frames keep the placement, so they stay
-        // valid alongside `prev_modules`.
-        scratch.table_cache_valid = true;
     }
 }
 

@@ -4,9 +4,10 @@
 use core::fmt;
 use core::ops::AddAssign;
 
-use etx_graph::{AdjacencyList, DijkstraScratch, IndexPlane, NodeId, RepairScratch, SpTreeStore};
+use etx_graph::{AdjacencyList, DijkstraScratch, RepairScratch, SpTreeStore};
 use etx_metrics::{CounterId, MetricsHandle, Registry};
 
+use crate::table::TableCache;
 use crate::{Algorithm, BatteryWeighting};
 
 /// Identifies the inputs the scratch's cached phase-1 adjacency list was
@@ -212,8 +213,8 @@ impl fmt::Display for RecomputeStats {
 /// weights as a sparse adjacency list (plus its transpose), the
 /// Dijkstra workspace of phase 2, the per-source shortest-path trees
 /// (`u16` link planes) and repair scratch of the incremental pipeline,
-/// and the previous table's first-hop plane phase 3's deadlock
-/// avoidance reads.
+/// and phase 3's table cache (the inputs the paired table was built
+/// against and the previous table's first hops).
 /// No `K × K` weight matrix exists: at `K = 1024` the phase-1 store is
 /// about 4 links per node instead of 8 MB. All buffers retain capacity
 /// across calls, so once the scratch has seen the system's dimensions,
@@ -244,34 +245,16 @@ pub struct RoutingScratch {
     /// `true` while `trees`/`in_adjacency` describe the current weights
     /// (set by the repair pipeline, cleared by full recomputes).
     pub(crate) trees_valid: bool,
-    /// Copy of the previous table's first-hop plane (deadlock
-    /// avoidance); empty when the previous table had other dimensions.
-    pub(crate) prev_hops: IndexPlane,
     /// Nodes whose battery bucket or liveness changed this frame.
     pub(crate) dirty: Vec<usize>,
     /// Dirty-membership flags (edge-delta extraction dedup).
     pub(crate) dirty_mark: Vec<bool>,
     /// The frame's extracted edge-weight deltas (phase 1 output).
     pub(crate) deltas: Vec<etx_graph::WeightDelta>,
-    /// Per-source bitmasks of the modules whose table entries must be
-    /// refreshed this frame (bit `m` = "source's distance to some
-    /// duplicate of module `m` may have changed"); `u64::MAX` marks a
-    /// whole-row rebuild (re-run sources, or > 64 modules).
-    pub(crate) row_mask: Vec<u64>,
-    /// Per-node bitmask of the modules hosting the node (the
-    /// touched-set → changed-entries translation table, and the key of
-    /// the one-pass table row fill), refreshed before every full table
-    /// build; empty past 64 modules.
-    pub(crate) dup_mask: Vec<u64>,
-    /// Per-node liveness the current table was built against.
-    pub(crate) prev_alive: Vec<bool>,
-    /// Whether any node was deadlocked when the current table was built.
-    pub(crate) prev_any_deadlock: bool,
-    /// The module placement the current table was built against.
-    pub(crate) prev_modules: Vec<Vec<NodeId>>,
-    /// `true` while `prev_alive`/`prev_any_deadlock`/`prev_modules`
-    /// describe the table currently held by the paired `RoutingState`.
-    pub(crate) table_cache_valid: bool,
+    /// Phase 3's incremental state: the inputs the paired table was
+    /// built against, the previous table's first hops and the frame's
+    /// row marks. It decides how each frame refreshes the table.
+    pub(crate) table: TableCache,
     /// What the cached `adjacency` was built from.
     pub(crate) key: Option<WeightsKey>,
     /// The per-run recompute counters, reported by
@@ -315,7 +298,7 @@ impl RoutingScratch {
     pub fn recycle(&mut self) {
         self.key = None;
         self.trees_valid = false;
-        self.table_cache_valid = false;
+        self.table.invalidate();
         self.metrics = MetricsHandle::default();
         self.stats = RecomputeStats::default();
     }

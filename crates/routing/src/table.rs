@@ -1,9 +1,11 @@
 //! Phase 3: routing tables — nearest-duplicate destination selection with
 //! deadlock avoidance (the paper's Fig 6).
 
-use etx_graph::{AdjacencyList, IndexPlane, Matrix, NodeId, ResolvedBackend, ShortestPaths};
+use etx_graph::{
+    AdjacencyList, IndexPlane, Matrix, NodeId, RepairScratch, ResolvedBackend, ShortestPaths,
+};
 
-use crate::SystemReport;
+use crate::{RecomputeStats, SystemReport};
 
 /// One routing-table entry: where node `n` should send a packet whose next
 /// operation belongs to module `i`.
@@ -250,14 +252,6 @@ impl RoutingState {
         &mut self.paths
     }
 
-    /// Split borrow for the repair pipeline: mutable phase-2 data plus a
-    /// read-only view of the *current* (pre-rebuild) table, so stage 2
-    /// can check which entries' winning destinations were touched while
-    /// it rewrites the all-pairs rows.
-    pub(crate) fn paths_and_table_mut(&mut self) -> (&mut ShortestPaths, &RouteTablePlanes) {
-        (&mut self.paths, &self.table)
-    }
-
     /// Rebuilds the phase-3 table in place from the current phase-2 data
     /// (the paper's Fig 6), reusing the table planes: no allocation once
     /// the `(node, module)` dimensions have been seen.
@@ -275,7 +269,7 @@ impl RoutingState {
     ///
     /// Panics if the report or adjacency list cover a different number
     /// of nodes than the phase-2 result.
-    pub(crate) fn rebuild_table(
+    fn rebuild_table(
         &mut self,
         adjacency: &AdjacencyList,
         module_nodes: &[Vec<NodeId>],
@@ -309,219 +303,6 @@ impl RoutingState {
                 dup_mask,
             );
         }
-    }
-
-    /// Refreshes the table row of a single node from the current phase-2
-    /// data — the delta-aware stage 3: when the router knows which
-    /// sources' all-pairs rows changed (and that liveness, deadlock flags
-    /// and placement did not), refreshing only those rows is exactly
-    /// equivalent to a full [`RoutingState::rebuild_table`]. Only sound
-    /// on deadlock-free frames (no `prev_hops` detour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table was not previously built for
-    /// (`node_count`, `module_nodes.len()`) dimensions.
-    pub(crate) fn rebuild_table_row(
-        &mut self,
-        node_idx: usize,
-        adjacency: &AdjacencyList,
-        module_nodes: &[Vec<NodeId>],
-        report: &SystemReport,
-        dup_mask: &[u64],
-    ) {
-        assert_eq!(
-            module_nodes.len(),
-            self.modules,
-            "table was built for a different module count"
-        );
-        fill_table_row(
-            &self.paths,
-            &mut self.table,
-            node_idx,
-            adjacency,
-            module_nodes,
-            report,
-            None,
-            dup_mask,
-        );
-    }
-
-    /// Refreshes a single `(node, module)` table entry — the finest
-    /// grain of the delta-aware stage 3: an entry's inputs are the
-    /// node's distances *to that module's duplicates* (plus liveness and
-    /// deadlock flags), so when the repair pipeline knows which
-    /// destinations a source's row changed for, everything else can be
-    /// left untouched. Only sound on deadlock-free frames (no
-    /// `prev_hops` detour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table was not previously built for
-    /// (`node_count`, `module_nodes.len()`) dimensions.
-    pub(crate) fn rebuild_table_cell(
-        &mut self,
-        node_idx: usize,
-        module: usize,
-        module_nodes: &[Vec<NodeId>],
-        adjacency: &AdjacencyList,
-        report: &SystemReport,
-    ) {
-        let m = module_nodes.len();
-        assert_eq!(m, self.modules, "table was built for a different module count");
-        let entry = fill_table_cell(
-            &self.paths,
-            node_idx,
-            module,
-            &module_nodes[module],
-            adjacency,
-            report,
-            None,
-            m,
-        );
-        self.table.set(node_idx * m + module, entry);
-    }
-
-    /// Patches the masked entries of one node's table row against the
-    /// just-repaired phase-2 rows by *challenging* the cached winners,
-    /// in `O(marked · |improved|)` comparisons instead of the
-    /// `O(marked · |S_i|)` duplicate re-scan of
-    /// [`RoutingState::rebuild_table_cell`] — the churn-frame half of
-    /// the delta-aware stage 3, where the marked duplicates vastly
-    /// outnumber the improved ones.
-    ///
-    /// Soundness leans on the repair contract. Between two
-    /// deadlock-free, placement-stable frames a `(node, module)` entry
-    /// can change hands in exactly two ways:
-    ///
-    /// * the cached winner **worsened** — its distance grew, became
-    ///   infinite, or the duplicate died — so a previously-losing
-    ///   candidate may take over and the cell needs the full duplicate
-    ///   re-scan (a died duplicate shows up here too: a dead node's
-    ///   row distance is infinite);
-    /// * some candidate's key got **better** — its distance shrank
-    ///   (revived duplicates included: their distance drops from
-    ///   infinity) — and every such node is in the repair's improved
-    ///   set by construction, so challenging the improved duplicates
-    ///   alone is exhaustive. A candidate whose distance grew keeps
-    ///   losing; one whose key is unchanged already lost to the
-    ///   cached winner's (unworsened) key.
-    ///
-    /// The winner check is `O(1)` because the stored entry keeps the
-    /// previous frame's distance: comparing it against the current row
-    /// separates "kept or improved" (refresh the fields in place — an
-    /// exact-tie achiever flip keeps the distance but can re-hang the
-    /// successor) from "worsened" (full re-pick). The tie-break mirrors
-    /// [`fill_table_cell`]'s `(distance, lower destination id)` order
-    /// bit for bit.
-    ///
-    /// Only sound on deadlock-free frames (no `prev_hops` detour), like
-    /// the cell rebuild it specialises. `improved` must hold the
-    /// repair's improved set for this node's source row; bit `i` of
-    /// `dup_mask[x]` says node `x` hosts module `i`.
-    ///
-    /// Returns `(entries touched, entries that needed the full
-    /// re-scan)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table was not previously built for
-    /// (`node_count`, `module_nodes.len()`) dimensions.
-    #[allow(clippy::too_many_arguments)] // the Fig-6 input set plus the repair's delta feed
-    pub(crate) fn patch_table_row(
-        &mut self,
-        node_idx: usize,
-        mut mask: u64,
-        improved: &[u32],
-        dup_mask: &[u64],
-        module_nodes: &[Vec<NodeId>],
-        adjacency: &AdjacencyList,
-        report: &SystemReport,
-    ) -> (u64, u64) {
-        let m = module_nodes.len();
-        assert_eq!(m, self.modules, "table was built for a different module count");
-        let node = NodeId::new(node_idx);
-        let (mut touched, mut full) = (0u64, 0u64);
-        if !report.is_alive(node) {
-            // Dead origins own all-`None` rows (the router marks a
-            // liveness flip's own row for a whole-row rebuild, so this
-            // is defensive, not load-bearing).
-            while mask != 0 {
-                let module = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                touched += 1;
-                self.table.set(node_idx * m + module, None);
-            }
-            return (touched, full);
-        }
-        while mask != 0 {
-            let module = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            touched += 1;
-            let flat = node_idx * m + module;
-            // O(1) winner check: did the cached winner worsen?
-            let kept = match self.table.entry(flat) {
-                // An empty cell has no winner to lose; only improved
-                // candidates can fill it, and the challenge loop below
-                // considers exactly those.
-                None => None,
-                Some(e) if e.destination == node => Some(e), // self-hosting: 0 cannot worsen
-                Some(e) => match self.paths.distance(node, e.destination) {
-                    Some(d) if d <= e.distance && report.is_alive(e.destination) => {
-                        let next_hop = self
-                            .paths
-                            .successor(node, e.destination)
-                            .expect("finite distance implies a successor");
-                        Some(RouteEntry { destination: e.destination, next_hop, distance: d })
-                    }
-                    _ => {
-                        // Died, worsened or unreachable: re-pick.
-                        full += 1;
-                        let entry = fill_table_cell(
-                            &self.paths,
-                            node_idx,
-                            module,
-                            &module_nodes[module],
-                            adjacency,
-                            report,
-                            None,
-                            m,
-                        );
-                        self.table.set(flat, entry);
-                        continue;
-                    }
-                },
-            };
-            // Challenge round: only the improved duplicates can beat a
-            // kept winner (or fill an empty cell).
-            let mut best = kept;
-            let module_bit = 1u64 << module;
-            for &x in improved {
-                let dest = NodeId::new(x as usize);
-                if dup_mask[x as usize] & module_bit == 0
-                    || !report.is_alive(dest)
-                    || best.is_some_and(|b| b.destination == dest)
-                {
-                    continue;
-                }
-                let candidate = if dest == node {
-                    RouteEntry { destination: dest, next_hop: node, distance: 0.0 }
-                } else {
-                    let Some(distance) = self.paths.distance(node, dest) else {
-                        continue;
-                    };
-                    let Some(next_hop) = self.paths.successor(node, dest) else {
-                        continue;
-                    };
-                    RouteEntry { destination: dest, next_hop, distance }
-                };
-                if beats(&candidate, best.as_ref()) {
-                    best = Some(candidate);
-                }
-            }
-            self.table.set(flat, best);
-        }
-        (touched, full)
     }
 
     /// Number of nodes covered.
@@ -603,19 +384,31 @@ impl RoutingState {
     }
 
     /// The relay decision: the next hop out of `from` toward destination
-    /// `to`, from the phase-2 successor matrix.
+    /// `to`, from the phase-2 successor matrix; `None` if `to` is
+    /// unreachable (or either node is unknown).
     #[must_use]
+    #[inline] // the simulator's per-hop lookup, in another crate
     pub fn next_hop(&self, from: NodeId, to: NodeId) -> Option<NodeId> {
-        if from == to {
-            Some(to)
-        } else {
-            self.paths.successor(from, to)
+        let n = self.node_count();
+        let (i, j) = (from.index(), to.index());
+        if i >= n || j >= n {
+            return None;
         }
+        if i == j {
+            return Some(to);
+        }
+        self.paths.successors().get(i * n + j).map(NodeId::new)
     }
 
-    /// The phase-2 (weighted) distance between two nodes.
+    /// The phase-2 (weighted) distance between two nodes; `None` if `to`
+    /// is unreachable from `from` (or either node is unknown).
     #[must_use]
+    #[inline]
     pub fn distance(&self, from: NodeId, to: NodeId) -> Option<f64> {
+        let n = self.node_count();
+        if from.index() >= n || to.index() >= n {
+            return None;
+        }
         self.paths.distance(from, to)
     }
 
@@ -626,11 +419,399 @@ impl RoutingState {
     }
 }
 
+/// The router's one owner of phase-3 maintenance: the inputs the table
+/// of the paired [`RoutingState`] was built against, the previous
+/// table's first hops, and one frame's row marks.
+///
+/// A full recompute calls [`TableCache::rebuild`]. A repair frame calls
+/// [`TableCache::begin_frame`], hands over each source stage 2 repaired
+/// or re-ran, and ends with [`TableCache::finish_frame`]. Both first
+/// [snapshot](TableCache::snapshot) the previous table's first hops.
+///
+/// A repair frame **patches** the table in place when the cached inputs
+/// describe its placement and no node is or was deadlocked (deadlock
+/// presence detours every row through the previous first hops, so a
+/// raise *or* a clear rebuilds the whole table). Then a repaired
+/// source's changed cells are challenge-patched at once
+/// ([`TableCache::patch_row`]), and a re-run source's row and the own
+/// row of a node whose liveness flipped are refilled whole at the end
+/// ([`TableCache::refill_row`]). A flip's effect on *other* rows rides
+/// the patch: a died duplicate's distances went infinite, so it loses
+/// its cells, and a revived one's dropped from infinity, so it is in
+/// every repaired source's improved set. Past 64 modules there are no
+/// module masks: a repaired source's row is refilled whole, and a
+/// liveness flip rebuilds the whole table.
+#[derive(Debug, Default)]
+pub(crate) struct TableCache {
+    /// Copy of the previous table's first-hop plane, the blocked ports
+    /// of a full rebuild's deadlock detours; empty when that table had
+    /// other dimensions.
+    prev_hops: IndexPlane,
+    /// Per-node bitmask of the modules the node hosts, refreshed by
+    /// every full rebuild: the key of the one-pass row fill and of the
+    /// touched-set → changed-cells translation. Empty past 64 modules.
+    dup_mask: Vec<u64>,
+    /// Per-node liveness the current table was built against.
+    prev_alive: Vec<bool>,
+    /// Whether any node was deadlocked when the current table was built.
+    prev_any_deadlock: bool,
+    /// The module placement the current table was built against.
+    prev_modules: Vec<Vec<NodeId>>,
+    /// `true` while the inputs above describe the paired table.
+    valid: bool,
+    /// Whether this frame patches the table in place; a frame that does
+    /// not rebuilds it whole and records nothing per source.
+    patching: bool,
+    /// The rows to refill whole when the frame finishes.
+    refill: Vec<bool>,
+    /// Cells the challenge patch wrote this frame, and how many of them
+    /// took the full duplicate re-pick.
+    patched: u64,
+    repicked: u64,
+}
+
+impl TableCache {
+    /// Forgets the cached inputs, so the next repair frame rebuilds the
+    /// whole table. Every buffer keeps its capacity.
+    pub(crate) fn invalidate(&mut self) {
+        self.valid = false;
+    }
+
+    /// Snapshots `previous`'s first hops for the deadlock detours of a
+    /// full rebuild; clears the snapshot when there is no previous
+    /// state or it covers other than `n` nodes and `m` modules.
+    pub(crate) fn snapshot(&mut self, previous: Option<&RoutingState>, n: usize, m: usize) {
+        match previous {
+            Some(prev) if prev.module_count() == m && prev.node_count() == n => {
+                self.prev_hops.copy_from(&prev.table.next_hop);
+            }
+            _ => self.prev_hops.clear(),
+        }
+    }
+
+    /// Phase 3 in full: refreshes the module masks, rebuilds every row
+    /// of `out`'s table and caches the inputs it was built against.
+    pub(crate) fn rebuild(
+        &mut self,
+        out: &mut RoutingState,
+        adjacency: &AdjacencyList,
+        module_nodes: &[Vec<NodeId>],
+        report: &SystemReport,
+        stats: &mut RecomputeStats,
+    ) {
+        let n = report.node_count();
+        module_masks_into(module_nodes, n, &mut self.dup_mask);
+        let prev = (!self.prev_hops.lanes().is_empty()).then_some(&self.prev_hops);
+        out.rebuild_table(adjacency, module_nodes, report, prev, &self.dup_mask);
+        stats.table_entries_rebuilt += (n * module_nodes.len()) as u64;
+        self.cache_inputs(module_nodes, report, stats);
+    }
+
+    /// Starts a repair frame: clears the row marks and decides whether
+    /// the frame patches `out`'s table in place. `dirty` must list every
+    /// node that changed since the last frame: the cached liveness is
+    /// re-anchored every frame, so only dirty nodes can have flipped.
+    pub(crate) fn begin_frame(
+        &mut self,
+        module_nodes: &[Vec<NodeId>],
+        report: &SystemReport,
+        dirty: &[usize],
+        out: &RoutingState,
+    ) {
+        let n = report.node_count();
+        self.refill.clear();
+        self.refill.resize(n, false);
+        (self.patched, self.repicked) = (0, 0);
+        self.patching = self.valid
+            && !self.prev_any_deadlock
+            && self.prev_alive.len() == n
+            && out.module_count() == module_nodes.len()
+            && self.prev_modules.as_slice() == module_nodes
+            && !(0..n).any(|i| report.is_deadlocked(NodeId::new(i)));
+        if !self.patching {
+            return;
+        }
+        let masked = self.masks_cover(n);
+        for &d in dirty {
+            if report.is_alive(NodeId::new(d)) != self.prev_alive[d] {
+                if !masked {
+                    self.patching = false;
+                    return;
+                }
+                self.refill[d] = true;
+            }
+        }
+    }
+
+    /// Hands over source `s`, whose rows stage 2 just repaired in place
+    /// with `improved` decrease-half improvements; `repair` still holds
+    /// its touched and improved sets.
+    ///
+    /// When the repair improved nothing, distances only grew: a losing
+    /// candidate keeps losing, so a cell can change only when its
+    /// **current winning destination** was touched. When it improved
+    /// some nodes, a touched duplicate may have *become* the winner, so
+    /// every module a touched node hosts is patched.
+    pub(crate) fn repaired_source(
+        &mut self,
+        s: usize,
+        improved: usize,
+        repair: &RepairScratch,
+        adjacency: &AdjacencyList,
+        report: &SystemReport,
+        out: &mut RoutingState,
+    ) {
+        if !self.patching {
+            return;
+        }
+        if self.refill[s] || !self.masks_cover(report.node_count()) {
+            self.refill[s] = true;
+            return;
+        }
+        // A patching frame's placement is the cached one.
+        let m = self.prev_modules.len();
+        let mut mask = 0u64;
+        if improved == 0 {
+            for &t in repair.touched_nodes() {
+                let mut bits = self.dup_mask[t as usize];
+                while bits != 0 {
+                    let module = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if out.table.dest.get(s * m + module) == Some(t as usize) {
+                        mask |= 1u64 << module;
+                    }
+                }
+            }
+        } else {
+            for &t in repair.touched_nodes() {
+                mask |= self.dup_mask[t as usize];
+            }
+        }
+        if mask != 0 {
+            let improved_set: &[u32] = if improved > 0 { repair.improved_nodes() } else { &[] };
+            self.patch_row(out, s, mask, improved_set, adjacency, report);
+        }
+    }
+
+    /// Hands over source `s`, whose rows stage 2 re-solved from scratch:
+    /// its row is refilled whole when the frame finishes.
+    pub(crate) fn rerun_source(&mut self, s: usize) {
+        self.refill[s] = true;
+    }
+
+    /// Ends a repair frame: a patching frame refills its marked rows,
+    /// any other rebuilds the whole table. Either way the inputs are
+    /// cached for the next frame.
+    pub(crate) fn finish_frame(
+        &mut self,
+        out: &mut RoutingState,
+        adjacency: &AdjacencyList,
+        module_nodes: &[Vec<NodeId>],
+        report: &SystemReport,
+        stats: &mut RecomputeStats,
+    ) {
+        if !self.patching {
+            self.rebuild(out, adjacency, module_nodes, report, stats);
+            return;
+        }
+        let mut rows = 0u64;
+        for s in 0..self.refill.len() {
+            if self.refill[s] {
+                self.refill_row(out, s, adjacency, module_nodes, report);
+                rows += 1;
+            }
+        }
+        stats.table_entries_rebuilt += rows * module_nodes.len() as u64 + self.patched;
+        stats.table_cells_patched += self.patched - self.repicked;
+        stats.table_delta_rebuilds += 1;
+        self.cache_inputs(module_nodes, report, stats);
+    }
+
+    /// Refills row `node_idx` of `out`'s table whole from its phase-2
+    /// row, as a full rebuild would on a deadlock-free frame (no
+    /// detour).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table was built for another module count.
+    fn refill_row(
+        &self,
+        out: &mut RoutingState,
+        node_idx: usize,
+        adjacency: &AdjacencyList,
+        module_nodes: &[Vec<NodeId>],
+        report: &SystemReport,
+    ) {
+        assert_eq!(module_nodes.len(), out.modules, "table was built for another module count");
+        fill_table_row(
+            &out.paths,
+            &mut out.table,
+            node_idx,
+            adjacency,
+            module_nodes,
+            report,
+            None,
+            &self.dup_mask,
+        );
+    }
+
+    /// Patches the `mask`ed cells of row `node_idx` against the
+    /// just-repaired phase-2 rows by *challenging* the cached winners,
+    /// in `O(marked · |improved|)` comparisons instead of an
+    /// `O(marked · |S_i|)` duplicate re-scan: on churn frames the marked
+    /// duplicates vastly outnumber the improved ones.
+    ///
+    /// Soundness leans on the repair contract. Between two
+    /// deadlock-free, placement-stable frames a `(node, module)` entry
+    /// can change hands in exactly two ways:
+    ///
+    /// * the cached winner **worsened** — its distance grew, became
+    ///   infinite, or the duplicate died (a dead node's row distance is
+    ///   infinite) — so a previously-losing candidate may take over and
+    ///   the cell needs the full duplicate re-scan;
+    /// * some candidate's key got **better** — its distance shrank
+    ///   (revived duplicates included: their distance drops from
+    ///   infinity) — and every such node is in the repair's improved
+    ///   set by construction, so challenging the improved duplicates
+    ///   alone is exhaustive. A candidate whose distance grew keeps
+    ///   losing; one whose key is unchanged already lost to the
+    ///   cached winner's (unworsened) key.
+    ///
+    /// The winner check is `O(1)` because the stored entry keeps the
+    /// previous frame's distance: comparing it against the current row
+    /// separates "kept or improved" (refresh the fields in place — an
+    /// exact-tie achiever flip keeps the distance but can re-hang the
+    /// successor) from "worsened" (full re-pick). The tie-break mirrors
+    /// [`fill_table_cell`]'s `(distance, lower destination id)` order
+    /// bit for bit.
+    ///
+    /// The origin is live: a node dead at both ends of the frame has no
+    /// usable out-links, so its repair is `Unchanged`, and a liveness
+    /// flip marks the node's own row for a whole refill.
+    fn patch_row(
+        &mut self,
+        out: &mut RoutingState,
+        node_idx: usize,
+        mut mask: u64,
+        improved: &[u32],
+        adjacency: &AdjacencyList,
+        report: &SystemReport,
+    ) {
+        let m = self.prev_modules.len();
+        let node = NodeId::new(node_idx);
+        debug_assert!(report.is_alive(node), "patched origin {node} is dead");
+        let paths = &out.paths;
+        while mask != 0 {
+            let module = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            self.patched += 1;
+            let flat = node_idx * m + module;
+            // O(1) winner check: did the cached winner worsen?
+            let kept = match out.table.entry(flat) {
+                // An empty cell has no winner to lose; only improved
+                // candidates can fill it, and the challenge loop below
+                // considers exactly those.
+                None => None,
+                Some(e) if e.destination == node => Some(e), // self-hosting: 0 cannot worsen
+                Some(e) => match paths.distance(node, e.destination) {
+                    Some(d) if d <= e.distance && report.is_alive(e.destination) => {
+                        let next_hop = paths
+                            .successor(node, e.destination)
+                            .expect("finite distance implies a successor");
+                        Some(RouteEntry { destination: e.destination, next_hop, distance: d })
+                    }
+                    _ => {
+                        // Died, worsened or unreachable: re-pick.
+                        self.repicked += 1;
+                        let entry = fill_table_cell(
+                            paths,
+                            node_idx,
+                            module,
+                            &self.prev_modules[module],
+                            adjacency,
+                            report,
+                            None,
+                            m,
+                        );
+                        out.table.set(flat, entry);
+                        continue;
+                    }
+                },
+            };
+            // Challenge round: only the improved duplicates can beat a
+            // kept winner (or fill an empty cell).
+            let mut best = kept;
+            let module_bit = 1u64 << module;
+            for &x in improved {
+                let dest = NodeId::new(x as usize);
+                if self.dup_mask[x as usize] & module_bit == 0
+                    || !report.is_alive(dest)
+                    || best.is_some_and(|b| b.destination == dest)
+                {
+                    continue;
+                }
+                let candidate = if dest == node {
+                    RouteEntry { destination: dest, next_hop: node, distance: 0.0 }
+                } else {
+                    let Some(distance) = paths.distance(node, dest) else {
+                        continue;
+                    };
+                    let Some(next_hop) = paths.successor(node, dest) else {
+                        continue;
+                    };
+                    RouteEntry { destination: dest, next_hop, distance }
+                };
+                if beats(&candidate, best.as_ref()) {
+                    best = Some(candidate);
+                }
+            }
+            out.table.set(flat, best);
+        }
+    }
+
+    /// Whether the module masks cover this placement: built for `n`
+    /// nodes and at most 64 modules.
+    fn masks_cover(&self, n: usize) -> bool {
+        self.dup_mask.len() == n && self.prev_modules.len() <= 64
+    }
+
+    /// Records the liveness, deadlock presence and placement the table
+    /// now describes. The module masks stay valid beside them: only a
+    /// full rebuild changes the placement they were built from.
+    fn cache_inputs(
+        &mut self,
+        module_nodes: &[Vec<NodeId>],
+        report: &SystemReport,
+        stats: &mut RecomputeStats,
+    ) {
+        let n = report.node_count();
+        stats.nodes_scanned += n as u64;
+        self.prev_alive.clear();
+        self.prev_alive.reserve(n);
+        self.prev_any_deadlock = false;
+        for i in 0..n {
+            let node = NodeId::new(i);
+            self.prev_alive.push(report.is_alive(node));
+            self.prev_any_deadlock |= report.is_deadlocked(node);
+        }
+        // Nested `clone_from`-style copy: inner buffers are reused, so
+        // steady-state frames (placement unchanged) allocate nothing.
+        self.prev_modules.truncate(module_nodes.len());
+        for (dst, src) in self.prev_modules.iter_mut().zip(module_nodes) {
+            dst.clone_from(src);
+        }
+        for src in &module_nodes[self.prev_modules.len()..] {
+            self.prev_modules.push(src.clone());
+        }
+        self.valid = true;
+    }
+}
+
 /// Writes the per-node module masks of a placement into `out`: bit `m`
 /// of `out[x]` says node `x` hosts module `m`. Only placements of at
 /// most 64 modules have masks; larger ones leave `out` empty, and every
 /// consumer then falls back to per-module duplicate scans.
-pub(crate) fn module_masks_into(module_nodes: &[Vec<NodeId>], n: usize, out: &mut Vec<u64>) {
+fn module_masks_into(module_nodes: &[Vec<NodeId>], n: usize, out: &mut Vec<u64>) {
     out.clear();
     if module_nodes.len() > 64 {
         return;
@@ -1493,11 +1674,18 @@ mod tests {
         let state = ring_state(4);
         let (n, m) = (state.node_count(), state.module_count());
         let mut path = vec![NodeId::new(1)];
+        let known = NodeId::new(0);
         for node in [n, n + 1, (1 << 24) - 1, 1 << 24, (1 << 24) + 1] {
             let node = NodeId::new(node);
             assert!(state.route(node, 0).is_none(), "node {node}");
             assert!(state.path_into(node, 0, &mut path).is_none(), "node {node}");
+            assert_eq!(state.next_hop(node, known), None, "next hop from {node}");
+            assert_eq!(state.next_hop(known, node), None, "next hop to {node}");
+            assert_eq!(state.next_hop(node, node), None, "next hop {node} to itself");
+            assert_eq!(state.distance(node, known), None, "distance from {node}");
+            assert_eq!(state.distance(known, node), None, "distance to {node}");
         }
+        assert_eq!(state.next_hop(known, known), Some(known), "an in-range self hop stays");
         for module in [m, m + 1, 9, (1 << 24) - 1, 1 << 24] {
             assert!(state.route(NodeId::new(0), module).is_none(), "module {module}");
             assert!(state.path_into(NodeId::new(0), module, &mut path).is_none());

@@ -12,9 +12,11 @@ fn mesh_graph(side: usize) -> etx_graph::DiGraph {
     Mesh2D::square(side, Length::from_centimetres(2.05)).to_graph()
 }
 
-/// Three modules striped over `k` nodes.
-fn module_stripes(k: usize) -> Vec<Vec<NodeId>> {
-    (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect()
+/// `count` modules striped over `k` nodes: module `m` sits on every
+/// `(3 + m / 3 % 4)`-th node from node `m % 3`. The first three are the
+/// classic thirds; later ones repeat their offsets at strides 3 to 6.
+fn module_stripes(k: usize, count: usize) -> Vec<Vec<NodeId>> {
+    (0..count).map(|m| (m % 3..k).step_by(3 + m / 3 % 4).map(NodeId::new).collect()).collect()
 }
 
 fn report_from(levels: &[u32], dead: &[bool], deadlocked: &[bool], k: usize) -> SystemReport {
@@ -80,7 +82,7 @@ fn swapping_same_shape_graph_invalidates_scratch_cache() {
     let graph_a = Mesh2D::square(4, Length::from_centimetres(2.0)).to_graph();
     let graph_b = Mesh2D::square(4, Length::from_centimetres(3.0)).to_graph();
     let k = graph_a.node_count();
-    let modules = module_stripes(k);
+    let modules = module_stripes(k, 3);
     let report = SystemReport::fresh(k, 16);
 
     let mut scratch = RoutingScratch::new();
@@ -125,7 +127,7 @@ proptest! {
         for &side in &sides {
             let graph = mesh_graph(side);
             let k = graph.node_count();
-            let modules = module_stripes(k);
+            let modules = module_stripes(k, 3);
             let report = report_from(&levels, &dead, &[false], k);
             router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
             let fresh = router.compute(&graph, &modules, &report, None);
@@ -152,7 +154,7 @@ proptest! {
         let router = Router::new(algorithm).with_backend(PathBackend::DijkstraAllPairs);
         let graph = mesh_graph(side);
         let k = graph.node_count();
-        let modules = module_stripes(k);
+        let modules = module_stripes(k, 3);
 
         let mut report = report_from(&levels, &dead, &[false], k);
         let mut scratch = RoutingScratch::new();
@@ -178,10 +180,14 @@ proptest! {
     /// deadlock-raise-and-clear mutations. The reference is a
     /// `Full`-strategy recompute of each frame. The dirty list repeats
     /// some of its nodes, as a daemon ingest naming one node twice hands
-    /// it to the router.
+    /// it to the router. Placements of 3 modules run the masked table
+    /// refresh (challenge patches, one-pass rows); placements of 70
+    /// have no module masks, so repaired sources refill whole rows cell
+    /// by cell and liveness flips rebuild the whole table.
     #[test]
     fn strategies_equal_full_over_drain_and_churn(
         side in 2usize..8,
+        module_count in prop_oneof![Just(3usize), Just(70usize)],
         algorithm in prop_oneof![Just(Algorithm::Sdr), Just(Algorithm::Ear)],
         levels in proptest::collection::vec(0u32..16, 8),
         diffs in proptest::collection::vec(
@@ -198,7 +204,7 @@ proptest! {
             .with_strategy(RecomputeStrategy::Full);
         let graph = mesh_graph(side);
         let k = graph.node_count();
-        let modules = module_stripes(k);
+        let modules = module_stripes(k, module_count);
 
         let mut report = report_from(&levels, &[false], &[false], k);
         let mut scratch = RoutingScratch::new();
@@ -216,9 +222,18 @@ proptest! {
                     dirty.insert(r % (dirty.len() + 1), node);
                 }
             }
+            let before = scratch.stats();
             router.recompute_dirty_into(&graph, &modules, &report, &dirty, &mut scratch, &mut state);
             let reference = reference_router.compute(&graph, &modules, &report, Some(&previous));
             prop_assert_eq!(&state, &reference, "side {} after ops {:?}", side, ops);
+            // Without module masks a liveness flip rebuilds the whole
+            // table, even on a repair frame.
+            let frame = scratch.stats().delta_since(&before);
+            let flipped = dirty.iter().any(|&n| old_report.is_alive(n) != report.is_alive(n));
+            if module_count > 64 && flipped && frame.repair_recomputes == 1 {
+                prop_assert_eq!(frame.table_delta_rebuilds, 0);
+                prop_assert_eq!(frame.table_entries_rebuilt, (k * module_count) as u64);
+            }
         }
         let stats = scratch.stats();
         prop_assert_eq!(
@@ -226,6 +241,9 @@ proptest! {
             1 + diffs.len() as u64,
             "every frame must be counted exactly once"
         );
+        if module_count > 64 {
+            prop_assert_eq!(stats.table_cells_patched, 0, "no masks, no challenge patch");
+        }
     }
 
     /// The incremental repair stays exact when consecutive reports are
@@ -246,7 +264,7 @@ proptest! {
         let router = Router::new(algorithm).with_backend(PathBackend::DijkstraAllPairs);
         let graph = mesh_graph(side);
         let k = graph.node_count();
-        let modules = module_stripes(k);
+        let modules = module_stripes(k, 3);
 
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
@@ -287,7 +305,7 @@ proptest! {
             .with_strategy(RecomputeStrategy::Full);
         let graph = mesh_graph(side);
         let k = graph.node_count();
-        let modules = module_stripes(k);
+        let modules = module_stripes(k, 3);
         let victims: Vec<usize> = victims.iter().map(|&v| v % k).collect();
         // Trickle targets: weak cells (level 1 in a level-7 fleet) carry
         // no through-traffic, so a +1 pulse improves only their own
@@ -428,7 +446,7 @@ proptest! {
         let router = Router::new(algorithm).with_backend(PathBackend::DijkstraAllPairs);
         let graph = mesh_graph(side);
         let k = graph.node_count();
-        let modules = module_stripes(k);
+        let modules = module_stripes(k, 3);
 
         let mut scratch = RoutingScratch::new();
         let mut state = RoutingState::empty();
@@ -458,7 +476,7 @@ proptest! {
     ) {
         let graph = mesh_graph(side);
         let k = graph.node_count();
-        let modules = module_stripes(k);
+        let modules = module_stripes(k, 3);
         let report = report_from(&levels, &dead, &[false], k);
         let states: Vec<RoutingState> = [
             PathBackend::Auto,
@@ -506,7 +524,7 @@ proptest! {
         let router = Router::new(Algorithm::Ear).with_backend(PathBackend::DijkstraAllPairs);
         let graph = mesh_graph(side);
         let k = graph.node_count();
-        let modules = module_stripes(k);
+        let modules = module_stripes(k, 3);
         let fresh = SystemReport::fresh(k, 16);
 
         let mut scratch = RoutingScratch::new();
