@@ -7,10 +7,10 @@
 //! of tens to a few hundreds of nodes") and the `Auto` crossover table
 //! documented on `PathBackend`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use etx::graph::{dijkstra_all_pairs, floyd_warshall, PathBackend};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
+use etx::graph::{dijkstra_all_pairs, floyd_warshall, DiGraph, PathBackend};
 use etx::prelude::*;
-use etx::routing::{RoutingScratch, RoutingState};
+use etx::routing::{RecomputeStrategy, RoutingScratch, RoutingState};
 
 fn module_stripes(k: usize) -> Vec<Vec<NodeId>> {
     (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect()
@@ -20,6 +20,52 @@ fn module_stripes(k: usize) -> Vec<Vec<NodeId>> {
 /// past this size; the Dijkstra backend and the recompute loop keep
 /// scaling to 32x32.
 const FLOYD_WARSHALL_MAX_NODES: usize = 576;
+
+/// The wide-frame cells start where `PathBackend::Auto` resolves to
+/// Dijkstra with room for a tenth of the nodes to change.
+const WIDE_MIN_NODES: usize = 144;
+
+/// The frame width of perfbench's `sim_k1024`, whose recomputing frames
+/// change about 107 of 1,024 nodes: every iteration drains a rotating
+/// tenth of the nodes (every tenth node id) by one bucket, wrapping
+/// like `ear_delta_recompute`, from a report with mixed levels, and
+/// runs `strategy` over it in place.
+fn wide_frames(
+    b: &mut Bencher<'_>,
+    graph: &DiGraph,
+    modules: &[Vec<NodeId>],
+    strategy: RecomputeStrategy,
+) {
+    let k = graph.node_count();
+    let router = Router::new(Algorithm::Ear).with_strategy(strategy);
+    let mut scratch = RoutingScratch::new();
+    let mut state = RoutingState::empty();
+    let mut report = SystemReport::fresh(k, 16);
+    for i in 0..k {
+        report.set_battery_level(NodeId::new(i), ((i * 7) % 16) as u32);
+    }
+    let mut dirty = Vec::with_capacity(k);
+    router.recompute_dirty_into(graph, modules, &report, &[], &mut scratch, &mut state);
+    let mut frame = 0usize;
+    b.iter(|| {
+        dirty.clear();
+        for i in (frame % 10..k).step_by(10) {
+            let node = NodeId::new(i);
+            let level = report.battery_level(node);
+            report.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
+            dirty.push(node);
+        }
+        frame += 1;
+        router.recompute_dirty_into(
+            std::hint::black_box(graph),
+            modules,
+            &report,
+            &dirty,
+            &mut scratch,
+            &mut state,
+        );
+    });
+}
 
 fn routing_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing_scaling");
@@ -111,6 +157,21 @@ fn routing_scaling(c: &mut Criterion) {
                 );
             });
         });
+        // Wide frames under both strategies: `Auto` samples the frame's
+        // width and re-solves wide frames without walks or recording;
+        // `Full` is the re-solve it must not lose to.
+        if k >= WIDE_MIN_NODES {
+            group.bench_with_input(
+                BenchmarkId::new("ear_wide_recompute", k),
+                &graph,
+                |b, graph| wide_frames(b, graph, &modules, RecomputeStrategy::Auto),
+            );
+            group.bench_with_input(
+                BenchmarkId::new("ear_wide_recompute_full", k),
+                &graph,
+                |b, graph| wide_frames(b, graph, &modules, RecomputeStrategy::Full),
+            );
+        }
     }
     group.finish();
 }

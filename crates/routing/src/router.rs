@@ -4,8 +4,8 @@
 use core::fmt;
 
 use etx_graph::{
-    dijkstra_source_tree_into, repair_source, DiGraph, IndexPlane, NodeId, PathBackend,
-    RepairOutcome, ResolvedBackend,
+    dijkstra_source_into, dijkstra_source_tree_into, repair_source, DiGraph, IndexPlane, NodeId,
+    PathBackend, RepairOutcome, ResolvedBackend,
 };
 use etx_metrics::SpanId;
 
@@ -13,21 +13,33 @@ use crate::scratch::WeightsKey;
 use crate::weights::{adjacency_into, collect_node_weight_deltas};
 use crate::{BatteryWeighting, RoutingScratch, RoutingState, SystemReport};
 
-/// Delta gate: fall back to a full recompute once more than this fraction
-/// of the nodes is dirty (the incremental bookkeeping stops paying for
-/// itself when most sources get re-run anyway).
-const DELTA_MAX_DIRTY_FRACTION: f64 = 0.25;
-
 /// Repair gate: a source whose affected frontier exceeds this fraction of
 /// its settled nodes is re-run in full instead of repaired. Tuned on a
 /// 32×32 one-node steady-drain loop: a repaired node pays for
 /// its relaxations *plus* an achiever scan and a settle-order merge slot
 /// — roughly twice a plain relaxation — so repair keeps winning to about
-/// half the tree; 0.6 leaves margin because the affected walk is paid
-/// on the re-run path too. That walk is bounded by the gate itself: it
+/// half the tree; 0.6 leaves margin because on a narrow frame the
+/// affected walk is paid on the re-run path too (a wide frame walks
+/// only its sample). That walk is bounded by the gate itself: it
 /// is checked at every discovered node, so a re-run source walks at most
 /// this fraction of its tree before giving up.
 const REPAIR_MAX_AFFECTED_FRACTION: f64 = 0.6;
+
+/// Frame-width verdict, sample size: a repair frame first runs this
+/// many evenly spaced sources (`⌊j·K/16⌋`; every source when `K ≤ 16`)
+/// the narrow way before it commits. Cost: nothing on a narrow frame,
+/// which runs every source that way; on a wide frame, at most this many
+/// affected walks and tree recordings beyond plain re-solves — 16 of
+/// 1,024 sources at `K = 1024`, 16 of 144 at `K = 144`.
+const VERDICT_SAMPLE: usize = 16;
+
+/// Frame-width verdict, majority rule: the frame is wide when more than
+/// this fraction of the sampled sources that had valid trees fell back
+/// to a re-run. Cost of a wrong call: a frame misjudged wide re-solves
+/// repairable sources and leaves them stale for the next frame to
+/// re-record; one misjudged narrow walks up to 60 % of each doomed
+/// tree and records every re-run.
+const VERDICT_WIDE_RERUN_FRACTION: f64 = 0.5;
 
 /// Which routing algorithm the central controller runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +69,7 @@ impl fmt::Display for Algorithm {
 /// | Strategy | Phase-2 work per frame | Role |
 /// |---|---|---|
 /// | `Full` | `O(K·E log K)` (or `O(K³)` under Floyd–Warshall) | the correctness oracle |
-/// | `Auto` | Ramalingam–Reps repair of each source's shortest-path tree, `O(changed subtree · log K)` per source with a per-source re-run gate, whenever the resolved backend is Dijkstra, the caches are warm and at most a quarter of the nodes changed; `Full` otherwise | the default |
+/// | `Auto` | Ramalingam–Reps repair of each source's shortest-path tree, `O(changed subtree · log K)` per source with a per-source re-run gate, whenever the resolved backend is Dijkstra and the caches are warm; a frame whose sample mostly re-runs re-solves its other sources with plain Dijkstras; `Full` otherwise | the default |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RecomputeStrategy {
     /// Always re-solve all sources from scratch.
@@ -121,7 +133,10 @@ impl fmt::Display for RecomputeStrategy {
 ///    in `O(degree)` per changed node: only the changed nodes' own links
 ///    are read, and each delta is applied to the list in place.
 /// 2. **Path repair or re-solve** — selected by [`RecomputeStrategy`]:
-///    incremental tree repair or a full phase 2.
+///    incremental tree repair or a full phase 2. A repair frame first
+///    runs a fixed sample of sources; when most of them re-run, the
+///    frame is wide and re-solves its other sources without repair
+///    bookkeeping.
 /// 3. **Table refresh** — phase 3 (nearest-duplicate selection with
 ///    deadlock-port avoidance) always refreshes, through the scratch's
 ///    table cache: changed cells in place, whole rows in one pass over
@@ -334,9 +349,7 @@ impl Router {
             && out.node_count() == n
             && report.node_count() == n
             && self.backend.resolve(n, graph.edge_count()) == ResolvedBackend::DijkstraAllPairs;
-        #[allow(clippy::cast_precision_loss)]
-        let few_dirty = scratch.dirty.len() as f64 <= DELTA_MAX_DIRTY_FRACTION * n as f64;
-        if self.strategy == RecomputeStrategy::Auto && cache_ok && few_dirty {
+        if self.strategy == RecomputeStrategy::Auto && cache_ok {
             self.repair_recompute(graph, module_nodes, report, scratch, out);
         } else {
             self.full_recompute(graph, module_nodes, report, key, scratch, out);
@@ -344,9 +357,28 @@ impl Router {
     }
 
     /// The incremental path-repair pipeline: edge-delta extraction, per-
-    /// source Ramalingam–Reps repair (with cold-tree / gate / decrease
-    /// fallbacks to recorded re-runs), table refresh. Expects the gates
-    /// of [`Router::staged_recompute`] already checked.
+    /// source Ramalingam–Reps repair (with stale-tree / gate fallbacks
+    /// to re-runs), table refresh. Expects the gates of
+    /// [`Router::staged_recompute`] already checked.
+    ///
+    /// Stage 2 first measures the frame's width on a fixed sample of
+    /// [`VERDICT_SAMPLE`] evenly spaced sources, run exactly as a narrow
+    /// frame runs every source. The frame is **wide** when more than
+    /// [`VERDICT_WIDE_RERUN_FRACTION`] of the sampled sources that had
+    /// valid trees fell back to a re-run:
+    ///
+    /// * **narrow** — every other source repairs as well, and a stale
+    ///   source or one past the cost gate re-runs with tree recording;
+    /// * **wide** — every other source is re-solved by a plain
+    ///   single-source Dijkstra, with no affected walk and no tree
+    ///   recording, and is marked stale;
+    /// * **cold** (no source has a valid tree) — no sampled source
+    ///   counts, so the frame is narrow and every source re-runs with
+    ///   recording.
+    ///
+    /// Known cost: a narrow frame right after a wide one re-runs every
+    /// stale source with recording, about one recorded all-pairs solve
+    /// (~1.1× `Full`) where the frame would otherwise have repaired.
     fn repair_recompute(
         &self,
         graph: &DiGraph,
@@ -390,7 +422,11 @@ impl Router {
             }
         }
 
-        let trees_ok = scratch.trees_valid
+        // While any source's tree is valid, the transpose is in step with
+        // the adjacency list; once none is, the next frame with deltas
+        // rebuilds both (a cold frame).
+        let warm = scratch.stale.len() == n
+            && scratch.stale.contains(&false)
             && scratch.trees.node_count() == n
             && scratch.in_adjacency.len() == n;
 
@@ -401,8 +437,8 @@ impl Router {
         scratch.table.begin_frame(module_nodes, report, &scratch.dirty, out);
 
         // An empty batch (deadlock-flag-only or remap-only frame) leaves
-        // the rows valid as they stand and skips phase 2 entirely; cold
-        // trees stay cold until a frame with actual deltas warms them.
+        // the rows valid as they stand and skips phase 2 entirely; stale
+        // trees stay stale until a frame with actual deltas re-runs them.
         if !scratch.deltas.is_empty() {
             // One timer covers apply + repair; it lands on the decrease
             // span when any source engaged the decrease half this frame,
@@ -415,78 +451,60 @@ impl Router {
             for delta in &scratch.deltas {
                 let (from, to) = (delta.from as usize, delta.to as usize);
                 scratch.adjacency.set_edge(from, to, delta.new);
-                if trees_ok {
+                if warm {
                     scratch.in_adjacency.set_edge(to, from, delta.new);
                 }
             }
 
-            // Stage 2 — repair or re-run each source. Cold trees (first
-            // delta frame after a full recompute) re-run every source
-            // once, recording trees; warm frames repair.
-            if !trees_ok {
+            // Stage 2 — the verdict sample, then every other source.
+            // Sources are independent, and the table cache works row by
+            // row, so the order is free.
+            if !warm {
                 scratch.trees.reset(n);
                 scratch.in_adjacency.rebuild_transpose(&scratch.adjacency);
             }
             scratch.repair.reserve_batch(graph.edge_count());
             scratch.repair.prepare(&scratch.deltas, n);
-            let (mut repaired, mut fallback) = (0u64, 0u64);
-            let (mut dec_repairs, mut dec_improved) = (0u64, 0u64);
-            for s in 0..n {
-                let source = NodeId::new(s);
-                let outcome = if trees_ok {
-                    let (dist_row, succ_row) = out.paths_mut().source_rows_mut(source);
-                    repair_source(
-                        &scratch.adjacency,
-                        &scratch.in_adjacency,
-                        source,
-                        &mut scratch.dijkstra,
-                        &mut scratch.repair,
-                        &mut scratch.trees,
-                        dist_row,
-                        succ_row,
-                        REPAIR_MAX_AFFECTED_FRACTION,
-                    )
-                } else {
-                    RepairOutcome::Rerun
-                };
-                match outcome {
-                    RepairOutcome::Unchanged => {}
-                    RepairOutcome::Repaired { improved, .. } => {
-                        repaired += 1;
-                        if improved > 0 {
-                            dec_repairs += 1;
-                            dec_improved += improved as u64;
-                        }
-                        scratch.table.repaired_source(
-                            s,
-                            improved,
-                            &scratch.repair,
-                            &scratch.adjacency,
-                            report,
-                            out,
-                        );
-                    }
-                    RepairOutcome::Rerun => {
-                        let (dist_row, succ_row) = out.paths_mut().source_rows_mut(source);
-                        dijkstra_source_tree_into(
-                            &scratch.adjacency,
-                            source,
-                            &mut scratch.dijkstra,
-                            dist_row,
-                            succ_row,
-                            &mut scratch.trees,
-                        );
-                        scratch.table.rerun_source(s);
-                        fallback += 1;
-                    }
+            let decreases_before = scratch.stats.decrease_repairs;
+            let sample = VERDICT_SAMPLE.min(n);
+            let (mut sampled_valid, mut sampled_reruns) = (0usize, 0usize);
+            for j in 0..sample {
+                let s = j * n / sample;
+                let valid = !scratch.stale[s];
+                let outcome = repair_or_rerun(s, report, scratch, out);
+                if valid {
+                    sampled_valid += 1;
+                    sampled_reruns += usize::from(outcome == RepairOutcome::Rerun);
                 }
             }
-            scratch.trees_valid = true;
-            scratch.stats.repaired_sources += repaired;
-            scratch.stats.fallback_sources += fallback;
-            scratch.stats.decrease_repairs += dec_repairs;
-            scratch.stats.decrease_nodes_improved += dec_improved;
-            let stage2_span = if dec_repairs > 0 {
+            #[allow(clippy::cast_precision_loss)]
+            let wide = sampled_reruns as f64 > VERDICT_WIDE_RERUN_FRACTION * sampled_valid as f64;
+            let mut next_sampled = 0;
+            for s in 0..n {
+                if next_sampled < sample && s == next_sampled * n / sample {
+                    next_sampled += 1;
+                    continue;
+                }
+                if wide {
+                    // A plain re-solve: no affected walk, no tree
+                    // recording, so the tree row goes stale.
+                    let source = NodeId::new(s);
+                    let (dist_row, succ_row) = out.paths_mut().source_rows_mut(source);
+                    dijkstra_source_into(
+                        &scratch.adjacency,
+                        source,
+                        &mut scratch.dijkstra,
+                        dist_row,
+                        succ_row,
+                    );
+                    scratch.stale[s] = true;
+                    scratch.table.rerun_source(s);
+                    scratch.stats.fallback_sources += 1;
+                } else {
+                    repair_or_rerun(s, report, scratch, out);
+                }
+            }
+            let stage2_span = if scratch.stats.decrease_repairs > decreases_before {
                 SpanId::RoutingRepairDecrease
             } else {
                 SpanId::RoutingRepairIncrease
@@ -530,10 +548,73 @@ impl Router {
         scratch.key = Some(key);
         // The trees describe the pre-recompute weights; a later repair
         // frame must rebuild them (recorded re-runs) before repairing.
-        scratch.trees_valid = false;
+        scratch.stale.clear();
+        scratch.stale.resize(n, true);
         scratch.table.rebuild(out, &scratch.adjacency, module_nodes, report, &mut scratch.stats);
         scratch.stats.full_recomputes += 1;
     }
+}
+
+/// Stage 2 for source `s` the narrow way: a valid tree is repaired
+/// against the prepared batch; a stale one, or one past the cost gate,
+/// re-runs with tree recording, which clears its stale mark. Hands the
+/// source's rows to the table cache and counts the outcome.
+fn repair_or_rerun(
+    s: usize,
+    report: &SystemReport,
+    scratch: &mut RoutingScratch,
+    out: &mut RoutingState,
+) -> RepairOutcome {
+    let source = NodeId::new(s);
+    let outcome = if scratch.stale[s] {
+        RepairOutcome::Rerun
+    } else {
+        let (dist_row, succ_row) = out.paths_mut().source_rows_mut(source);
+        repair_source(
+            &scratch.adjacency,
+            &scratch.in_adjacency,
+            source,
+            &mut scratch.dijkstra,
+            &mut scratch.repair,
+            &mut scratch.trees,
+            dist_row,
+            succ_row,
+            REPAIR_MAX_AFFECTED_FRACTION,
+        )
+    };
+    match outcome {
+        RepairOutcome::Unchanged => {}
+        RepairOutcome::Repaired { improved, .. } => {
+            scratch.stats.repaired_sources += 1;
+            if improved > 0 {
+                scratch.stats.decrease_repairs += 1;
+                scratch.stats.decrease_nodes_improved += improved as u64;
+            }
+            scratch.table.repaired_source(
+                s,
+                improved,
+                &scratch.repair,
+                &scratch.adjacency,
+                report,
+                out,
+            );
+        }
+        RepairOutcome::Rerun => {
+            let (dist_row, succ_row) = out.paths_mut().source_rows_mut(source);
+            dijkstra_source_tree_into(
+                &scratch.adjacency,
+                source,
+                &mut scratch.dijkstra,
+                dist_row,
+                succ_row,
+                &mut scratch.trees,
+            );
+            scratch.stale[s] = false;
+            scratch.table.rerun_source(s);
+            scratch.stats.fallback_sources += 1;
+        }
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -786,6 +867,89 @@ mod tests {
         assert_eq!(scratch.stats().table_delta_rebuilds, frames + 2);
     }
 
+    #[test]
+    fn frame_width_verdict_marks_stale_trees() {
+        // 12x12: K = 144, so the verdict samples 16 of the sources
+        // (every ninth id) and the other 128 follow its call.
+        let graph = Mesh2D::square(12, cm(2.05)).to_graph();
+        let k = graph.node_count();
+        let modules: Vec<Vec<NodeId>> =
+            (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect();
+        let router = Router::new(Algorithm::Ear);
+        let sample: Vec<usize> = (0..VERDICT_SAMPLE).map(|j| j * k / VERDICT_SAMPLE).collect();
+        let unsampled: Vec<usize> = (0..k).filter(|s| !sample.contains(s)).collect();
+        let stale = |scratch: &RoutingScratch| -> Vec<usize> {
+            (0..k).filter(|&s| scratch.stale[s]).collect()
+        };
+        let bits = |s: &RoutingState| -> Vec<u64> {
+            s.paths().distances().as_slice().iter().map(|d| d.to_bits()).collect()
+        };
+        let frame = |report: &SystemReport,
+                     dirty: &[NodeId],
+                     scratch: &mut RoutingScratch,
+                     state: &mut RoutingState| {
+            let previous = state.clone();
+            router.recompute_dirty_into(&graph, &modules, report, dirty, scratch, state);
+            let oracle = router.compute(&graph, &modules, report, Some(&previous));
+            assert_eq!(*state, oracle);
+            assert_eq!(bits(state), bits(&oracle));
+        };
+        let drain = |report: &mut SystemReport, nodes: &[NodeId]| {
+            for &node in nodes {
+                report.set_battery_level(node, report.battery_level(node) - 1);
+            }
+        };
+
+        let mut report = SystemReport::fresh(k, 16);
+        for i in 0..k {
+            report.set_battery_level(NodeId::new(i), 4 + ((i * 7) % 12) as u32);
+        }
+        let (victim, revenant) = (NodeId::new(30), NodeId::new(77));
+        report.set_dead(revenant);
+        let mut scratch = RoutingScratch::new();
+        let mut state = RoutingState::empty();
+
+        // Start-up: a full recompute leaves every tree stale.
+        frame(&report, &[], &mut scratch, &mut state);
+        assert_eq!(stale(&scratch), (0..k).collect::<Vec<_>>(), "start-up");
+
+        // Cold one-node frame: no sampled tree is valid, so every source
+        // re-runs with recording.
+        let one = [NodeId::new(5)];
+        drain(&mut report, &one);
+        frame(&report, &one, &mut scratch, &mut state);
+        assert_eq!(stale(&scratch), Vec::<usize>::new(), "cold frame");
+
+        // Wide: a fifth of the nodes drain. The sample mostly re-runs, so
+        // the other sources are re-solved and left stale.
+        let fifth: Vec<NodeId> = (0..k).step_by(5).map(NodeId::new).collect();
+        drain(&mut report, &fifth);
+        let before = scratch.stats();
+        frame(&report, &fifth, &mut scratch, &mut state);
+        assert_eq!(stale(&scratch), unsampled, "first wide frame");
+        let wide = scratch.stats().delta_since(&before);
+        assert!(wide.fallback_sources >= unsampled.len() as u64, "{wide:?}");
+
+        // Narrow one-node frame: the stale sources re-run with recording.
+        let one = [NodeId::new(40)];
+        drain(&mut report, &one);
+        frame(&report, &one, &mut scratch, &mut state);
+        assert_eq!(stale(&scratch), Vec::<usize>::new(), "narrow frame");
+
+        // Wide again, with a death and a revival in the batch.
+        let mut dirty: Vec<NodeId> =
+            (2..k).step_by(5).map(NodeId::new).filter(|&n| n != victim && n != revenant).collect();
+        drain(&mut report, &dirty);
+        report.set_dead(victim);
+        report.revive(revenant, 9);
+        dirty.extend([victim, revenant]);
+        frame(&report, &dirty, &mut scratch, &mut state);
+        assert_eq!(stale(&scratch), unsampled, "wide frame with churn");
+
+        let stats = scratch.stats();
+        assert_eq!((stats.full_recomputes, stats.repair_recomputes), (1, 4), "{stats:?}");
+    }
+
     /// A graph one node past the `u16` lanes' cap: edgeless, so it
     /// builds in milliseconds, and each entry point must refuse it before
     /// its first `K × K` allocation (about 34 GB of distances alone).
@@ -878,7 +1042,7 @@ mod tests {
                 let mut expected = etx_graph::AdjacencyList::new();
                 expected.rebuild(&dense(&report));
                 prop_assert_eq!(&scratch.adjacency, &expected);
-                if scratch.trees_valid {
+                if scratch.stale.contains(&false) {
                     let mut transpose = etx_graph::AdjacencyList::new();
                     transpose.rebuild_transpose(&expected);
                     prop_assert_eq!(&scratch.in_adjacency, &transpose);

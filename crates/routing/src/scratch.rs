@@ -64,8 +64,10 @@ pub struct RecomputeStats {
     /// Sources the repair pipeline re-ran in full. Since the
     /// decrease-half repair landed, this no longer counts weight
     /// decreases: a source falls back only when the combined
-    /// increase+decrease frontier exceeds the cost-gate fraction or the
-    /// shortest-path trees are cold (first frame, recycled scratch).
+    /// increase+decrease frontier exceeds the cost-gate fraction, when
+    /// its shortest-path tree is stale (first frame after a full
+    /// recompute, recycled scratch, a wide frame before), or when its
+    /// frame's sample judged the frame wide.
     pub fallback_sources: u64,
     /// Sources whose repair engaged the decrease half: a relevant
     /// weight *decrease* (revival, reconnect, recharge) repaired in
@@ -234,17 +236,24 @@ pub struct RoutingScratch {
     /// applies the deltas in place.
     pub(crate) adjacency: AdjacencyList,
     /// Transposed adjacency (in-edge lists) for the repair pipeline's
-    /// achiever scans; valid only while `trees_valid` holds.
+    /// achiever scans; kept in step with `adjacency` while any source's
+    /// tree is valid (see `stale`).
     pub(crate) in_adjacency: AdjacencyList,
     /// Per-source Dijkstra working memory.
     pub(crate) dijkstra: DijkstraScratch,
-    /// Per-source shortest-path trees the incremental repair advances.
+    /// Per-source shortest-path trees the incremental repair advances;
+    /// row `s` is meaningful only while `stale[s]` is clear.
     pub(crate) trees: SpTreeStore,
     /// Batch-repair working memory.
     pub(crate) repair: RepairScratch,
-    /// `true` while `trees`/`in_adjacency` describe the current weights
-    /// (set by the repair pipeline, cleared by full recomputes).
-    pub(crate) trees_valid: bool,
+    /// One mark per source: `true` when the source's tree row does not
+    /// describe its distance and successor rows, so the source must
+    /// re-run with tree recording before it may repair. Full
+    /// recomputes, recycles and a wide frame's plain re-solves set it;
+    /// recorded re-runs clear it; repairs keep it clear. Sized with
+    /// every full recompute (which marks every source), so repair
+    /// frames never grow it.
+    pub(crate) stale: Vec<bool>,
     /// Nodes whose battery bucket or liveness changed this frame.
     pub(crate) dirty: Vec<usize>,
     /// Dirty-membership flags (edge-delta extraction dedup).
@@ -297,7 +306,7 @@ impl RoutingScratch {
     /// never reallocates for a smaller one.
     pub fn recycle(&mut self) {
         self.key = None;
-        self.trees_valid = false;
+        self.stale.fill(true);
         self.table.invalidate();
         self.metrics = MetricsHandle::default();
         self.stats = RecomputeStats::default();

@@ -246,6 +246,66 @@ proptest! {
         }
     }
 
+    /// Narrow frames (one to three nodes) mixed with wide ones (a tenth
+    /// to two fifths of the nodes) land on a `Full`-strategy reference
+    /// after every frame: wide verdicts, the stale trees they leave and
+    /// the recorded re-runs of the next narrow frame all run against
+    /// it. Sides 3 to 12 put the node count below and above the
+    /// verdict's 16-source sample. The changes mix drains (wrapping at
+    /// the last bucket to a recharge), deaths, revivals and deadlock
+    /// toggles; every frame after start-up stays on the repair path,
+    /// however wide.
+    #[test]
+    fn verdict_flips_equal_full(
+        side in 3usize..13,
+        module_count in prop_oneof![Just(3usize), Just(70usize)],
+        algorithm in prop_oneof![Just(Algorithm::Sdr), Just(Algorithm::Ear)],
+        levels in proptest::collection::vec(0u32..16, 8),
+        frames in proptest::collection::vec((any::<bool>(), 10usize..41, 0u64..1 << 32), 2..9),
+    ) {
+        let router = Router::new(algorithm).with_backend(PathBackend::DijkstraAllPairs);
+        let reference_router = Router::new(algorithm)
+            .with_backend(PathBackend::DijkstraAllPairs)
+            .with_strategy(RecomputeStrategy::Full);
+        let graph = mesh_graph(side);
+        let k = graph.node_count();
+        let modules = module_stripes(k, module_count);
+
+        let mut report = report_from(&levels, &[false], &[false], k);
+        let mut scratch = RoutingScratch::new();
+        let mut state = RoutingState::empty();
+        router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
+
+        for &(wide, percent, seed) in &frames {
+            let old_report = report.clone();
+            let previous = state.clone();
+            let changes = if wide { (k * percent / 100).max(1) } else { 1 + seed as usize % 3 };
+            let mut x = seed;
+            for _ in 0..changes {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                let node = NodeId::new((x >> 33) as usize % k);
+                let alive = report.is_alive(node);
+                match (x >> 24) % 8 {
+                    4 if alive => report.set_dead(node),
+                    5 if !alive => report.revive(node, (x >> 40) as u32 % 16),
+                    6 if alive => report.set_deadlocked(node, !report.is_deadlocked(node)),
+                    _ if alive => {
+                        let level = report.battery_level(node);
+                        report.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
+                    }
+                    _ => {}
+                }
+            }
+            let dirty = changed_nodes(&old_report, &report);
+            router.recompute_dirty_into(&graph, &modules, &report, &dirty, &mut scratch, &mut state);
+            let reference = reference_router.compute(&graph, &modules, &report, Some(&previous));
+            prop_assert_eq!(&state, &reference, "side {} after {} changes", side, changes);
+        }
+        let stats = scratch.stats();
+        prop_assert_eq!(stats.full_recomputes, 1, "only start-up recomputes in full: {:?}", stats);
+        prop_assert_eq!(stats.repair_recomputes, frames.len() as u64);
+    }
+
     /// The incremental repair stays exact when consecutive reports are
     /// built *independently* — including disconnect/reconnect
     /// transitions (nodes flipping dead→alive revive edges, weight
@@ -430,8 +490,8 @@ proptest! {
 
     /// Delta recompute stays exact when consecutive reports are built
     /// *independently* — including nodes flipping dead→alive between
-    /// frames — and under mass changes that trip the dirty-fraction
-    /// fallback, fed the minimal report-diff dirty list
+    /// frames — and under mass changes that the frame-width verdict
+    /// re-solves, fed the minimal report-diff dirty list
     /// (`repair_equals_full_across_disconnect_reconnect` feeds every
     /// battery or liveness change).
     #[test]

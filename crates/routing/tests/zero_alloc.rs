@@ -2,8 +2,9 @@
 //! once a `RoutingScratch`/`RoutingState` pair has warmed up on the
 //! system's dimensions, steady-state recomputes perform **no heap
 //! allocation** — under both phase-2 backends, on the incremental
-//! repair path and on full recomputes, for one-node drains, recharges
-//! and wide-change frames with deadlock flags.
+//! repair path and on full recomputes, for one-node drains, recharges,
+//! wide-change frames with deadlock flags, and frames that flip the
+//! frame-width verdict between wide and narrow.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single test so no concurrent test case can pollute the
@@ -272,4 +273,59 @@ fn steady_state_recompute_does_not_allocate() {
     let reference = router.compute(&graph, &modules, &report, None);
     assert_eq!(state.paths().distances(), reference.paths().distances());
     assert_eq!(state.paths().successors(), reference.paths().successors());
+
+    // Frame-width verdict flips: frames alternate between a quarter of
+    // the mesh and one node, from mixed levels. The router samples 16
+    // of the 64 sources before it commits, so a wide frame (more than
+    // half of the sample re-runs) re-runs at least 48 + 9 = 57 sources,
+    // re-solving the 48 others without recording and leaving them
+    // stale; a narrow frame re-runs at most 8 + 48 = 56, and one right
+    // after a wide frame re-records those 48. The window crosses
+    // wide → narrow → wide on warm buffers.
+    let mut report = SystemReport::fresh(k, 16);
+    for i in 0..k {
+        report.set_battery_level(NodeId::new(i), 4 + ((i * 7) % 12) as u32);
+    }
+    let mut scratch = RoutingScratch::new();
+    let mut state = RoutingState::empty();
+    router.recompute_dirty_into(&graph, &modules, &report, &[], &mut scratch, &mut state);
+    let mut dirty: Vec<NodeId> = Vec::with_capacity(k);
+    let mut flip_frame = |frame: usize,
+                          report: &mut SystemReport,
+                          scratch: &mut RoutingScratch,
+                          state: &mut RoutingState| {
+        dirty.clear();
+        if frame.is_multiple_of(2) {
+            dirty.extend((frame / 2 % 4..k).step_by(4).map(NodeId::new));
+        } else {
+            dirty.push(NodeId::new((frame * 7 + 3) % k));
+        }
+        for &node in &dirty {
+            let level = report.battery_level(node);
+            report.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
+        }
+        let before = scratch.stats();
+        router.recompute_dirty_into(&graph, &modules, report, &dirty, scratch, state);
+        scratch.stats().delta_since(&before)
+    };
+    // Frame 0 is cold (start-up left every tree stale); 1..4 warm the
+    // verdict's both branches.
+    for frame in 0..4 {
+        flip_frame(frame, &mut report, &mut scratch, &mut state);
+    }
+    let mut reruns = [0u64; 8];
+    let before = allocations();
+    for (frame, slot) in (4..12).zip(reruns.iter_mut()) {
+        *slot = flip_frame(frame, &mut report, &mut scratch, &mut state).fallback_sources;
+    }
+    assert_eq!(allocations() - before, 0, "verdict-flip frames allocated");
+    for (i, &count) in reruns.iter().enumerate() {
+        if i % 2 == 0 {
+            assert!(count >= 57, "quarter-mesh frame {i} was not wide: {reruns:?}");
+        } else {
+            assert!((48..=56).contains(&count), "one-node frame {i} was not narrow: {reruns:?}");
+        }
+    }
+    let reference = router.compute(&graph, &modules, &report, None);
+    assert_eq!(state, reference);
 }
